@@ -9,7 +9,6 @@ from .align import (
     CylGridSpec,
     EmptyIntersection,
     NormState,
-    UnknownDataset,
     crop_points,
     cylindrical_voxelize,
     dsnorm_forward,
@@ -20,12 +19,15 @@ from .core import (
     BadMagic,
     CodecError,
     DatasetSpec,
+    DimMismatch,
     LabelSpace,
+    Lattice,
     LidarConfig,
     OccupancyGrid,
     Range3D,
     ScoreGrid,
     TruncatedPayload,
+    UnknownDataset,
     VersionUnsupported,
     grid_decode,
     grid_encode,
@@ -56,14 +58,11 @@ from .model import (
     train,
 )
 from .refine import (
-    OutOfGrid,
     VoxelQuerySet,
     occupied_voxels,
     refine_and_reassemble,
     sample_features,
     split_voxels,
-    voxel_to_world,
-    world_to_voxel,
 )
 from .scenes import (
     ExtentTooSmall,

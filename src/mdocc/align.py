@@ -8,14 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Range3D
+from .core import Range3D, UnknownDataset
 
 
 class EmptyIntersection(ValueError):
-    pass
-
-
-class UnknownDataset(KeyError):
     pass
 
 
@@ -69,6 +65,27 @@ class CylGridSpec:
             (self.z_max_m - self.z_min_m) / nh,
         )
 
+    def locate(self, x, y, z):
+        """Cylindrical coordinates and bin of points given as broadcastable
+        x, y, z arrays.
+
+        theta is atan2 shifted into [0, 2pi), with theta = 0 at r = 0. The bin
+        is (floor(r/dr), floor(theta/dtheta), floor((z-z_min)/dz)) clamped into
+        the grid; ``inside`` marks points below radius_max_m with z in
+        [z_min, z_max). Returns (r, theta, (ir, ia, iz), inside).
+        """
+        nr, na, nh = self.bins
+        dr, dth, dz = self.deltas
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
+        theta = np.where(theta < 0, theta + 2.0 * math.pi, theta)
+        theta = np.where(r == 0, 0.0, theta)
+        ir = np.minimum(np.floor(r / dr).astype(np.int64), nr - 1)
+        ia = np.minimum(np.floor(theta / dth).astype(np.int64), na - 1)
+        iz = np.clip(np.floor((z - self.z_min_m) / dz).astype(np.int64), 0, nh - 1)
+        inside = (r < self.radius_max_m) & (z >= self.z_min_m) & (z < self.z_max_m)
+        return r, theta, (ir, ia, iz), inside
+
 
 NUM_CYL_FEATURES = 5  # count, mean (r, theta, z) offsets from bin center, mean radius
 
@@ -76,9 +93,8 @@ NUM_CYL_FEATURES = 5  # count, mean (r, theta, z) offsets from bin center, mean 
 def cylindrical_voxelize(cloud, spec):
     """Bin points into a cylindrical grid and summarize each bin.
 
-    A point maps to bin (floor(r/dr), floor(theta/dtheta), floor((z-z_min)/dz));
-    theta is atan2 shifted into [0, 2pi) with theta = 0 at r = 0. Points at or
-    beyond radius_max_m or outside [z_min, z_max) are discarded. Returns a
+    Points map to bins by ``CylGridSpec.locate``; points at or beyond
+    radius_max_m or outside [z_min, z_max) are discarded. Returns a
     float64 volume of shape bins + (5,): per-bin point count, mean offsets from
     the bin center in (r, theta, z), and mean radius.
     """
@@ -86,20 +102,9 @@ def cylindrical_voxelize(cloud, spec):
     nr, na, nh = spec.bins
     dr, dth, dz = spec.deltas
     vol = np.zeros((nr, na, nh, NUM_CYL_FEATURES))
-    if cloud.shape[0] == 0:
-        return vol
-    r = np.hypot(cloud[:, 0], cloud[:, 1])
-    theta = np.arctan2(cloud[:, 1], cloud[:, 0])
-    theta = np.where(theta < 0, theta + 2.0 * math.pi, theta)
-    theta = np.where(r == 0, 0.0, theta)
-    z = cloud[:, 2]
-    keep = (r < spec.radius_max_m) & (z >= spec.z_min_m) & (z < spec.z_max_m)
-    r, theta, z = r[keep], theta[keep], z[keep]
-    if r.size == 0:
-        return vol
-    ir = np.minimum(np.floor(r / dr).astype(np.int64), nr - 1)
-    ia = np.minimum(np.floor(theta / dth).astype(np.int64), na - 1)
-    iz = np.minimum(np.floor((z - spec.z_min_m) / dz).astype(np.int64), nh - 1)
+    r, theta, bins, inside = spec.locate(cloud[:, 0], cloud[:, 1], cloud[:, 2])
+    r, theta, z = r[inside], theta[inside], cloud[inside, 2]
+    ir, ia, iz = (b[inside] for b in bins)
     flat = (ir * na + ia) * nh + iz
     nbins = nr * na * nh
     counts = np.bincount(flat, minlength=nbins).astype(np.float64)

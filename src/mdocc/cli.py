@@ -2,7 +2,8 @@
 
 Every command is a pure function of (config, input files, seed); reruns with
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
-1 usage/config error, 2 numeric failure, 3 I/O failure.
+1 usage/config error, 2 numeric failure, 3 I/O failure or malformed input
+file; each prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import sys
 
 from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
-from .core import grid_decode, grid_encode
+from .core import CodecError, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
-from .metrics import MissingTransform, render_report
+from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
     DivergedLoss,
     TrainConfig,
@@ -176,6 +177,10 @@ def cmd_learn_labels(cfg, checkpoint):
     params, norm_state = load_checkpoint(checkpoint)
     from .model import TrainResult
 
+    regime = _infer_regime(norm_state, params)
+    if regime != "mdt":
+        print(f"learn-labels needs an mdt checkpoint, got a {regime} one", file=sys.stderr)
+        return EXIT_USAGE
     result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
     shared = exp.eval_intersection(synth.specs)
     data = {
@@ -260,14 +265,27 @@ def _infer_regime(norm_state, params):
     return "mdt"
 
 
-def cmd_report(out, inputs):
+def _read_report(path):
+    """Rows of a report CSV; CodecError on a wrong header or a malformed row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    if not lines or lines[0].strip() != REPORT_HEADER:
+        raise CodecError(f"{path}: header is not {REPORT_HEADER!r}", 0)
     rows = []
-    for path in inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().splitlines()
-        for line in lines[1:]:
-            setup, ds, iou, mi = line.split(",")
-            rows.append({"setup": setup, "dataset": ds, "iou": float(iou), "miou": float(mi)})
+    offset = len(lines[0].encode())
+    for line in lines[1:]:
+        if line.strip():
+            try:
+                setup, ds, iou, mi = line.strip().split(",")
+                rows.append({"setup": setup, "dataset": ds, "iou": float(iou), "miou": float(mi)})
+            except ValueError:
+                raise CodecError(f"{path}: malformed row {line.strip()!r}", offset) from None
+        offset += len(line.encode())
+    return rows
+
+
+def cmd_report(out, inputs):
+    rows = [row for path in inputs for row in _read_report(path)]
     rows.sort(key=lambda r: (r["setup"], r["dataset"]))
     _write_text(os.path.join(out, "report.csv"), render_report(rows))
     return EXIT_OK
@@ -328,7 +346,7 @@ def main(argv=None):
     except (DivergedLoss, MissingTransform, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
+    except (OSError, CodecError, UnicodeDecodeError) as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return EXIT_IO
 

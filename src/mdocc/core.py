@@ -1,9 +1,15 @@
-"""Shared domain types, the MOCC grid codec, and seeded random-stream plumbing.
+"""Shared domain types, the voxel lattice, the MOCC grid codec, the package's
+exceptions, and seeded random-stream plumbing.
 
 Conventions used across the whole package:
 
 * grid dims are ``(D, H, W)`` = (cells along x, cells along y, cells along z),
   stored row-major with D outermost and W innermost;
+* voxel ``i`` of a lattice with cubic voxel size ``v`` covers
+  ``[origin + i * v, origin + (i + 1) * v)`` on each axis; its center is
+  ``origin + (i + 0.5) * v``, and a coordinate ``x`` lies in voxel
+  ``floor((x - origin) / v)``. :class:`Lattice` is the only place that
+  computes either;
 * labels are unsigned 16-bit class ids;
 * all floating-point math is 64-bit.
 """
@@ -40,6 +46,14 @@ class VersionUnsupported(CodecError):
 
 class TruncatedPayload(CodecError):
     pass
+
+
+class DimMismatch(ValueError):
+    """Array, grid or mapping dimensions that must agree do not."""
+
+
+class UnknownDataset(KeyError):
+    """A dataset id with no head, statistic set or mapping registered."""
 
 
 def rng_stream(seed, tag):
@@ -136,6 +150,87 @@ class LabelSpace:
         return self.names.index(name)
 
 
+def _whole_voxels(lengths, voxel):
+    """Voxel counts of ``lengths``, which must be whole multiples of ``voxel``."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    counts = np.rint(lengths / voxel).astype(np.int64)
+    if not np.allclose(counts * voxel, lengths, rtol=1e-9, atol=1e-9):
+        raise ValueError(f"{lengths.tolist()} m is not a whole number of {voxel} m voxels")
+    return counts
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Regular lattice of cubic voxels (see the module docstring for the
+    cell, center and lookup conventions)."""
+
+    dims: tuple
+    voxel: float
+    origin: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "voxel", float(self.voxel))
+        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+
+    @classmethod
+    def over(cls, rng, voxel):
+        """The lattice whose voxels tile ``rng`` exactly; raises ValueError
+        when a span is not a whole number of voxels."""
+        dims = _whole_voxels(rng.spans, voxel)
+        if np.any(dims < 1):
+            raise ValueError(f"range {rng} is smaller than one {voxel} m voxel")
+        return cls(dims, voxel, rng.mins)
+
+    @property
+    def extent(self):
+        hi = [o + d * self.voxel for o, d in zip(self.origin, self.dims)]
+        return Range3D(self.origin[0], hi[0], self.origin[1], hi[1], self.origin[2], hi[2])
+
+    def centers(self, axis):
+        """World coordinates of the voxel centers along one axis."""
+        return self.origin[axis] + (np.arange(self.dims[axis]) + 0.5) * self.voxel
+
+    def index_of(self, coords, axis=None):
+        """Index of the voxel holding each coordinate, by floor lookup.
+
+        ``coords`` are points (..., 3) or, with ``axis`` given, coordinates
+        along that axis. A coordinate on a voxel boundary belongs to the voxel
+        whose low corner it touches. Indices are not bounds-checked.
+        """
+        origin = np.asarray(self.origin) if axis is None else self.origin[axis]
+        return np.floor((coords - origin) / self.voxel).astype(np.int64)
+
+    def crop(self, rng):
+        """Index slices of the voxels that tile ``rng``, a sub-range whose
+        bounds lie on this lattice's voxel boundaries."""
+        lo = _whole_voxels(rng.mins - np.asarray(self.origin), self.voxel)
+        hi = _whole_voxels(rng.maxs - np.asarray(self.origin), self.voxel)
+        if np.any(lo < 0) or np.any(hi > np.asarray(self.dims)):
+            raise ValueError(f"crop range {rng} exceeds the lattice extent {self.extent}")
+        return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+
+    def resample(self, grid, empty_id):
+        """Nearest-center resample of a label grid onto this lattice.
+
+        Each voxel takes the source label under its center; centers outside
+        the source read as ``empty_id``.
+        """
+        src = grid.lattice
+        idx = []
+        valid = []
+        for ax in range(3):
+            i = src.index_of(self.centers(ax), ax)
+            valid.append((i >= 0) & (i < src.dims[ax]))
+            idx.append(np.clip(i, 0, src.dims[ax] - 1))
+        labels = grid.labels[np.ix_(*idx)]
+        labels[~(valid[0][:, None, None] & valid[1][None, :, None] & valid[2][None, None, :])] = empty_id
+        return OccupancyGrid(
+            dims=self.dims, voxel_size_m=self.voxel, origin=self.origin, labels=labels,
+            num_classes=grid.num_classes,
+        )
+
+
 def _freeze(arr):
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -186,18 +281,18 @@ class OccupancyGrid:
         if not isinstance(other, OccupancyGrid):
             return NotImplemented
         return (
-            self.dims == other.dims
-            and self.voxel_size_m == other.voxel_size_m
-            and self.origin == other.origin
+            self.lattice == other.lattice
             and self.num_classes == other.num_classes
             and np.array_equal(self.labels, other.labels)
         )
 
     @property
+    def lattice(self):
+        return Lattice(self.dims, self.voxel_size_m, self.origin)
+
+    @property
     def extent(self):
-        lo = self.origin
-        hi = tuple(o + d * self.voxel_size_m for o, d in zip(self.origin, self.dims))
-        return Range3D(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+        return self.lattice.extent
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +344,8 @@ class DatasetSpec:
         object.__setattr__(self, "grid_dims", tuple(int(d) for d in self.grid_dims))
         if not self.point_range.contains_range(self.gt_range) and self.gt_range != self.point_range:
             raise ValueError(f"{self.name}: gt_range must lie within point_range")
-        sizes = self.gt_range.spans / np.asarray(self.grid_dims, dtype=np.float64)
-        if not np.allclose(sizes, sizes[0], rtol=1e-9, atol=0.0):
-            raise ValueError(
-                f"{self.name}: grid_dims {self.grid_dims} do not tile gt_range uniformly "
-                f"(per-axis voxel sizes {sizes.tolist()})"
-            )
+        if Lattice.over(self.gt_range, self.voxel_size_m).dims != self.grid_dims:
+            raise ValueError(f"{self.name}: grid_dims {self.grid_dims} do not tile gt_range uniformly")
 
     @property
     def voxel_size_m(self):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import CylGridSpec, crop_points, cylindrical_voxelize, intersect_ranges
-from .core import OccupancyGrid, Range3D, ScoreGrid, rng_stream
+from .core import Lattice, OccupancyGrid, ScoreGrid, rng_stream
 from .labelspace import (
     MergeCandidate,
     enumerate_candidates,
@@ -119,28 +119,11 @@ def gather_features(cyl_volume, cyl_spec, dims, voxel_size, origin):
 
     Voxel centers outside the cylindrical extent read as all-zero features.
     """
-    nr, na, nh = cyl_spec.bins
-    dr, dth, dz = cyl_spec.deltas
-    xs = origin[0] + (np.arange(dims[0]) + 0.5) * voxel_size
-    ys = origin[1] + (np.arange(dims[1]) + 0.5) * voxel_size
-    zs = origin[2] + (np.arange(dims[2]) + 0.5) * voxel_size
-    r = np.hypot(xs[:, None], ys[None, :])
-    theta = np.arctan2(ys[None, :], xs[:, None])
-    theta = np.where(theta < 0, theta + 2.0 * np.pi, theta)
-    theta = np.where(r == 0, 0.0, theta)
-    ir = np.minimum(np.floor(r / dr).astype(np.int64), nr - 1)
-    ia = np.minimum(np.floor(theta / dth).astype(np.int64), na - 1)
-    iz = np.floor((zs - cyl_spec.z_min_m) / dz).astype(np.int64)
-    ok_rt = r < cyl_spec.radius_max_m
-    ok_z = (zs >= cyl_spec.z_min_m) & (zs < cyl_spec.z_max_m)
-    iz = np.minimum(np.maximum(iz, 0), nh - 1)
-    out = cyl_volume[
-        ir[:, :, None],
-        ia[:, :, None],
-        iz[None, None, :],
-    ].astype(np.float64)
-    mask = ok_rt[:, :, None] & ok_z[None, None, :]
-    out[~mask] = 0.0
+    lattice = Lattice(dims, voxel_size, origin)
+    xs, ys, zs = (lattice.centers(ax) for ax in range(3))
+    _, _, bins, inside = cyl_spec.locate(xs[:, None, None], ys[None, :, None], zs[None, None, :])
+    out = cyl_volume[bins].astype(np.float64)
+    out[~inside] = 0.0
     return out
 
 
@@ -171,62 +154,26 @@ def pool_labels(labels, factor, num_classes, empty_id=0):
     return picked.reshape(out_dims)
 
 
-def coarse_labels(gt, stride):
-    """Supervision at 1/stride resolution via occupancy-preserving pooling."""
-    return pool_labels(gt.labels, stride, gt.num_classes).astype(np.int64)
+def coarse_labels(gt, stride, crop_range=None):
+    """Supervision at 1/stride resolution via occupancy-preserving pooling,
+    over ``crop_range`` (aligned with the grid's lattice) when given."""
+    window = gt.labels if crop_range is None else gt.labels[gt.lattice.crop(crop_range)]
+    return pool_labels(window, stride, gt.num_classes).astype(np.int64)
 
 
-def crop_grid(grid, rng):
-    """Crop a grid to a sub-range that must align with its voxel lattice."""
-    lo = np.asarray(grid.origin)
-    idx_lo = np.rint((rng.mins - lo) / grid.voxel_size_m).astype(int)
-    idx_hi = np.rint((rng.maxs - lo) / grid.voxel_size_m).astype(int)
-    check_lo = lo + idx_lo * grid.voxel_size_m
-    check_hi = lo + idx_hi * grid.voxel_size_m
-    if not (np.allclose(check_lo, rng.mins, atol=1e-9) and np.allclose(check_hi, rng.maxs, atol=1e-9)):
-        raise ValueError("crop range does not align with the voxel lattice")
-    if np.any(idx_lo < 0) or np.any(idx_hi > np.asarray(grid.dims)):
-        raise ValueError("crop range exceeds the grid extent")
-    sub = grid.labels[idx_lo[0]:idx_hi[0], idx_lo[1]:idx_hi[1], idx_lo[2]:idx_hi[2]]
-    return OccupancyGrid(
-        dims=tuple(idx_hi - idx_lo),
-        voxel_size_m=grid.voxel_size_m,
-        origin=tuple(lo + idx_lo * grid.voxel_size_m),
-        labels=sub.copy(),
-        num_classes=grid.num_classes,
-    )
+def coarse_lattice(spec, crop_range, stride):
+    """The dataset's stride-coarsened lattice over ``crop_range`` (its
+    gt_range when None)."""
+    return Lattice.over(spec.gt_range if crop_range is None else crop_range,
+                        spec.voxel_size_m * stride)
 
 
-def resample_grid(grid, dims, voxel_size, origin, empty_id=0):
-    """Nearest-center resample of a label grid onto a new lattice; centers
-    outside the source read as empty."""
-    idx = []
-    valid = []
-    for ax in range(3):
-        centers = origin[ax] + (np.arange(dims[ax]) + 0.5) * voxel_size
-        i = np.floor((centers - grid.origin[ax]) / grid.voxel_size_m).astype(np.int64)
-        valid.append((i >= 0) & (i < grid.dims[ax]))
-        idx.append(np.clip(i, 0, grid.dims[ax] - 1))
-    labels = grid.labels[np.ix_(*idx)].astype(np.int64)
-    mask = valid[0][:, None, None] & valid[1][None, :, None] & valid[2][None, None, :]
-    labels[~mask] = empty_id
-    return OccupancyGrid(
-        dims=dims,
-        voxel_size_m=voxel_size,
-        origin=tuple(origin),
-        labels=labels.astype(np.uint16),
-        num_classes=grid.num_classes,
-    )
-
-
-def coarse_lattice(rng, voxel_size, stride):
-    """(dims, voxel, origin) of the stride-coarsened lattice over a range."""
-    spans = rng.spans
-    coarse_voxel = voxel_size * stride
-    dims = np.rint(spans / coarse_voxel).astype(int)
-    if not np.allclose(dims * coarse_voxel, spans, rtol=1e-9):
-        raise ValueError("range is not an integer number of coarse voxels")
-    return tuple(int(d) for d in dims), coarse_voxel, tuple(rng.mins)
+def cloud_features(cloud, crop_range, lattice, cyl_spec=DEFAULT_CYL):
+    """Feature volume of one cloud on ``lattice``; the cloud is cropped to
+    ``crop_range`` (when given) before cylindrical binning."""
+    pts = cloud if crop_range is None else crop_points(cloud, crop_range)
+    vol = cylindrical_voxelize(pts, cyl_spec)
+    return gather_features(vol, cyl_spec, lattice.dims, lattice.voxel, lattice.origin)
 
 
 def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
@@ -238,24 +185,19 @@ def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
     (range alignment). ``label_offset`` shifts labels into an amalgamated
     union space for direct merging.
     """
-    gt_range = spec.gt_range if crop_range is None else crop_range
-    dims, coarse_voxel, origin = coarse_lattice(gt_range, spec.voxel_size_m, stride)
+    lattice = coarse_lattice(spec, crop_range, stride)
     feats = []
     labels = []
+    # one view at a time: building every feature volume before any label
+    # raised the trend experiment's peak RSS by 8 MB (allocator reuse)
     for cloud, gt in views:
-        pts = cloud if crop_range is None else crop_points(cloud, crop_range)
-        vol = cylindrical_voxelize(pts, cyl_spec)
-        feats.append(gather_features(vol, cyl_spec, dims, coarse_voxel, origin))
-        grid = gt if crop_range is None else crop_grid(gt, crop_range)
-        labels.append(coarse_labels(grid, stride) + label_offset)
+        feats.append(cloud_features(cloud, crop_range, lattice, cyl_spec))
+        labels.append(coarse_labels(gt, stride, crop_range) + label_offset)
     return TrainData(
         features=feats,
         labels=labels,
         num_classes=num_classes or len(spec.label_space),
         empty_id=label_offset + spec.label_space.empty_id,
-        coarse_dims=dims,
-        voxel_size=coarse_voxel,
-        origin=origin,
     )
 
 
@@ -421,18 +363,6 @@ class Setup:
     norm_of: dict = None      # statistics set per evaluated dataset (default: the head's)
 
 
-def _eval_features(synth, spec, crop_range, stride, cyl_spec=DEFAULT_CYL):
-    dims, coarse_voxel, origin = coarse_lattice(
-        spec.gt_range if crop_range is None else crop_range, spec.voxel_size_m, stride
-    )
-    feats = []
-    for cloud, _ in synth.eval_views[spec.name]:
-        pts = cloud if crop_range is None else crop_points(cloud, crop_range)
-        vol = cylindrical_voxelize(pts, cyl_spec)
-        feats.append(gather_features(vol, cyl_spec, dims, coarse_voxel, origin))
-    return feats, dims, coarse_voxel, origin
-
-
 def evaluate_setups(synth, setups, unified, stride, eta=1):
     """Build the cross-domain evaluation cells for the given setups.
 
@@ -456,7 +386,8 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                 crop = specs[setup.home].point_range
             else:
                 crop = None
-            feats, dims, cvoxel, origin = _eval_features(synth, spec, crop, stride)
+            lattice = coarse_lattice(spec, crop, stride)
+            feats = [cloud_features(cloud, crop, lattice) for cloud, _ in synth.eval_views[ds]]
             head = setup.head_of[ds]
             norm_id = setup.norm_of[ds] if setup.norm_of else head
             block = None
@@ -474,7 +405,7 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                         setup.result.params, setup.result.norm_state, norm_id, f,
                         head_id=head,
                     )
-                grid = scores_to_grid(raw, cvoxel, origin, block=block)
+                grid = scores_to_grid(raw, lattice.voxel, lattice.origin, block=block)
                 if eta > 1:
                     grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
                 pred_int = crop_or_resample(grid, shared, eta, spec, stride)
@@ -541,9 +472,7 @@ def _refine_grid(grid, hidden, params, head_id, block, eta):
 
 def crop_or_resample(grid, shared, eta, spec, stride):
     """Restrict a prediction grid to the shared evaluation lattice."""
-    target_voxel = spec.voxel_size_m * stride / eta
-    dims = tuple(int(round(s / target_voxel)) for s in shared.spans)
-    return resample_grid(grid, dims, target_voxel, shared.mins, empty_id=0)
+    return Lattice.over(shared, spec.voxel_size_m * stride / eta).resample(grid, empty_id=0)
 
 
 def _gt_on_lattice(gt_full, pred):
@@ -556,18 +485,14 @@ def _gt_on_lattice(gt_full, pred):
     ratio = pred.voxel_size_m / gt_full.voxel_size_m
     factor = int(round(ratio))
     if factor >= 2 and np.isclose(ratio, factor, rtol=1e-9):
-        cropped = crop_grid(gt_full, pred.extent)
-        pooled = pool_labels(cropped.labels, factor, gt_full.num_classes)
         return OccupancyGrid(
             dims=pred.dims,
             voxel_size_m=pred.voxel_size_m,
             origin=pred.origin,
-            labels=pooled.astype(np.uint16),
+            labels=coarse_labels(gt_full, factor, pred.extent),
             num_classes=gt_full.num_classes,
         )
-    return resample_grid(
-        gt_full, pred.dims, pred.voxel_size_m, pred.origin, empty_id=0
-    )
+    return pred.lattice.resample(gt_full, empty_id=0)
 
 
 def standard_setups(results):

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import LabelSpace, OccupancyGrid, ScoreGrid
-
-
-class DimMismatch(ValueError):
-    pass
+from .core import CodecError, DimMismatch, LabelSpace, OccupancyGrid, ScoreGrid, UnknownDataset
 
 
 class MisalignedCorpus(ValueError):
@@ -109,7 +105,7 @@ class UnifiedSpace:
         for m in self.mappings:
             if m.dataset_id == dataset_id:
                 return m
-        raise KeyError(dataset_id)
+        raise UnknownDataset(dataset_id)
 
     def dataset_ids(self):
         return tuple(m.dataset_id for m in self.mappings)
@@ -512,7 +508,13 @@ def export_unified(unified, spaces, lam=None, tau=None):
 
 
 def parse_unified(text, spaces):
-    """Inverse of export_unified (requires the same dataset label spaces)."""
+    """Inverse of export_unified (requires the same dataset label spaces).
+
+    Raises CodecError, at the byte offset of the offending line, on a line
+    that does not parse and on a label mapped twice; and at the end of the
+    text on a dataset without map lines and on a document whose datasets,
+    classes, empty class or mappings do not form a valid unified space.
+    """
     space_of = dict(spaces)
     names = {}
     costs = {}
@@ -520,41 +522,61 @@ def parse_unified(text, spaces):
     empty_uid = None
     objective = None
     datasets = []
-    for line in text.splitlines():
-        line = line.strip()
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        at = offset
+        offset += len(raw.encode())
+        line = raw.strip()
         if not line:
             continue
         key, _, value = line.partition(":")
-        if key.startswith("class "):
-            names[int(key.split()[1])] = value.strip()
-        elif key.startswith("cost "):
-            costs[int(key.split()[1])] = float(value.strip())
-        elif key == "empty":
-            empty_uid = int(value.strip())
-        elif key == "objective":
-            objective = float(value.strip())
-        elif key == "datasets":
-            datasets = [d for d in value.strip().split(",") if d]
-        elif line.startswith("map "):
-            head, _, uid = line.partition("->")
-            _, ds, label_id, _ = head.split()
-            maps.setdefault(ds, {})[int(label_id)] = int(uid.strip())
-    num_unified = len(names)
-    space = LabelSpace(
-        names=tuple(names[i] for i in range(num_unified)), empty_id=empty_uid
-    )
-    mappings = []
+        try:
+            if key.startswith("class "):
+                names[int(key.split()[1])] = value.strip()
+            elif key.startswith("cost "):
+                costs[int(key.split()[1])] = float(value.strip())
+            elif key == "empty":
+                empty_uid = int(value.strip())
+            elif key == "objective":
+                objective = float(value.strip())
+            elif key == "datasets":
+                datasets = [d for d in value.strip().split(",") if d]
+            elif line.startswith("map "):
+                head, _, uid = line.partition("->")
+                _, ds, label_id, _ = head.split()
+                label, target = int(label_id), int(uid.strip())
+                if label < 0 or target < 0:
+                    raise ValueError("negative class id")
+                if label in maps.setdefault(ds, {}):
+                    raise ValueError(f"label {label} of {ds!r} is mapped twice")
+                maps[ds][label] = target
+            elif key not in ("format", "lambda", "tau"):
+                raise ValueError("unknown record")
+        except (ValueError, IndexError) as e:
+            raise CodecError(f"unified document line {line!r}: {e}", at) from None
     for ds in datasets:
-        rows = len(space_of[ds])
-        m = np.zeros((rows, num_unified), dtype=bool)
-        for c, uid in maps[ds].items():
-            m[c, uid] = True
-        mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
-    selected = tuple(
-        MergeCandidate(members=_members_from_name(names[i], space_of), cost=costs.get(i, 0.0))
-        for i in range(num_unified)
-    )
-    return UnifiedSpace(space=space, mappings=tuple(mappings), objective=objective, selected=selected)
+        if ds not in maps:
+            raise CodecError(f"unified document has no map lines for dataset {ds!r}", offset)
+    if empty_uid is None:
+        raise CodecError("unified document has no empty: record", offset)
+    try:
+        num_unified = len(names)
+        space = LabelSpace(
+            names=tuple(names[i] for i in range(num_unified)), empty_id=empty_uid
+        )
+        mappings = []
+        for ds in datasets:
+            m = np.zeros((len(space_of[ds]), num_unified), dtype=bool)
+            for c, uid in maps[ds].items():
+                m[c, uid] = True
+            mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
+        selected = tuple(
+            MergeCandidate(members=_members_from_name(names[i], space_of), cost=costs.get(i, 0.0))
+            for i in range(num_unified)
+        )
+        return UnifiedSpace(space=space, mappings=tuple(mappings), objective=objective, selected=selected)
+    except (KeyError, IndexError, ValueError) as e:
+        raise CodecError(f"unified document is not a valid unified space: {e!r}", offset) from None
 
 
 def _members_from_name(name, space_of):

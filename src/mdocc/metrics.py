@@ -10,6 +10,9 @@ import numpy as np
 from .labelspace import transcode
 
 
+REPORT_HEADER = "setup,dataset,iou,miou"
+
+
 class GeometryMismatch(ValueError):
     pass
 
@@ -52,23 +55,17 @@ def accumulate(cm, pred, gt, eval_range):
     Prediction and ground truth must share dims, voxel size, origin, and
     class count.
     """
-    if (
-        pred.dims != gt.dims
-        or pred.voxel_size_m != gt.voxel_size_m
-        or pred.origin != gt.origin
-    ):
-        raise GeometryMismatch(
-            f"grid geometry differs: {pred.dims}/{pred.voxel_size_m}/{pred.origin} vs "
-            f"{gt.dims}/{gt.voxel_size_m}/{gt.origin}"
-        )
+    lattice = pred.lattice
+    if lattice != gt.lattice:
+        raise GeometryMismatch(f"grid geometry differs: {lattice} vs {gt.lattice}")
     if pred.num_classes != gt.num_classes or pred.num_classes != cm.num_classes:
         raise GeometryMismatch("class counts differ between matrices and grids")
-    masks = []
+    keep = []
     lo, hi = eval_range.mins, eval_range.maxs
     for ax in range(3):
-        centers = pred.origin[ax] + (np.arange(pred.dims[ax]) + 0.5) * pred.voxel_size_m
-        masks.append((centers >= lo[ax]) & (centers < hi[ax]))
-    sel = np.ix_(*[np.nonzero(m)[0] for m in masks])
+        centers = lattice.centers(ax)
+        keep.append(np.nonzero((centers >= lo[ax]) & (centers < hi[ax]))[0])
+    sel = np.ix_(*keep)
     cm.add_arrays(pred.labels[sel], gt.labels[sel])
     return cm
 
@@ -172,7 +169,7 @@ def cross_eval(cells):
 
 def render_report(rows):
     """CSV text: header `setup,dataset,iou,miou`, fixed 4-decimal formatting."""
-    lines = ["setup,dataset,iou,miou"]
+    lines = [REPORT_HEADER]
     for row in rows:
         lines.append(
             f"{row['setup']},{row['dataset']},{row['iou']:.4f},{row['miou']:.4f}"

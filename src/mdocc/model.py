@@ -10,13 +10,24 @@ descent.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .align import NormState, dsnorm_backward, dsnorm_forward, dsnorm_update_shared
-from .core import OccupancyGrid, ScoreGrid, rng_stream
+from .core import (
+    BadMagic,
+    CodecError,
+    DimMismatch,
+    OccupancyGrid,
+    ScoreGrid,
+    TruncatedPayload,
+    UnknownDataset,
+    VersionUnsupported,
+    rng_stream,
+)
 
 REGIMES = ("single", "pretrain_finetune", "direct_merge", "mdt")
 NUM_INPUT_FEATURES = 5
@@ -27,14 +38,6 @@ PLAIN_STATS_ID = "plain"
 
 MCKPT_MAGIC = b"MCKP"
 MCKPT_VERSION = 1
-
-
-class UnknownDataset(KeyError):
-    pass
-
-
-class DimMismatch(ValueError):
-    pass
 
 
 class DivergedLoss(ArithmeticError):
@@ -390,8 +393,8 @@ def balanced_batches(sizes, batch_size, seed):
     ``sizes`` is an ordered mapping dataset_id -> sample count. Every batch
     draws all its samples from one dataset; datasets alternate in order.
     Within a dataset, indices are a seeded permutation; shorter datasets wrap
-    around with fresh permutations to match the longest and their extra draws
-    are flagged as repeats. The largest dataset is covered exactly once.
+    around with fresh permutations to match the longest. The largest dataset
+    is covered exactly once. Returns a list of (dataset_id, indices) batches.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -402,7 +405,6 @@ def balanced_batches(sizes, batch_size, seed):
     n_batches = -(-longest // batch_size)
     slot_sizes = [batch_size] * (n_batches - 1) + [longest - batch_size * (n_batches - 1)]
     streams = {}
-    flags = {}
     for ds in ids:
         size = sizes[ds]
         rng = rng_stream(seed, f"sampler/{ds}")
@@ -410,14 +412,13 @@ def balanced_batches(sizes, batch_size, seed):
         while len(idx) < longest:
             idx.extend(rng.permutation(size).tolist())
         streams[ds] = np.asarray(idx[:longest], dtype=np.int64)
-        flags[ds] = np.arange(longest) >= size
     schedule = []
     pos = {ds: 0 for ds in ids}
     for b in range(n_batches):
         for ds in ids:
             take = slot_sizes[b]
             lo = pos[ds]
-            schedule.append((ds, streams[ds][lo : lo + take], flags[ds][lo : lo + take]))
+            schedule.append((ds, streams[ds][lo : lo + take]))
             pos[ds] = lo + take
     return schedule
 
@@ -431,15 +432,10 @@ class TrainData:
     labels: list
     num_classes: int
     empty_id: int = 0
-    coarse_dims: tuple = field(default=())
-    voxel_size: float = 0.0
-    origin: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if len(self.features) != len(self.labels):
             raise ValueError("features and labels must pair up")
-        if self.features and not self.coarse_dims:
-            self.coarse_dims = tuple(self.features[0].shape[:3])
 
     def __len__(self):
         return len(self.features)
@@ -574,7 +570,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
             else:
                 batches = [
                     [(ds, i) for i in idxs]
-                    for ds, idxs, _ in balanced_batches(sizes, config.batch_size, seed=epoch_seed)
+                    for ds, idxs in balanced_batches(sizes, config.batch_size, seed=epoch_seed)
                 ]
             for batch in batches:
                 step(batch, epoch)
@@ -632,70 +628,82 @@ def save_checkpoint(path, params, norm_state):
 
 
 def load_checkpoint(path):
+    """Read an MCKPT v1 file written by :func:`save_checkpoint`.
+
+    Raises BadMagic or VersionUnsupported on a foreign header,
+    TruncatedPayload (with the byte offset of the field that runs past the
+    end) on short data, and CodecError on any other malformed content.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    off = 0
+
+    def take(n):
+        nonlocal off
+        if off + n > len(data):
+            raise TruncatedPayload(f"checkpoint of {len(data)} bytes ends inside a {n}-byte field", off)
+        off += n
+        return data[off - n : off]
+
+    def unpack(fmt):
+        layout = struct.Struct("<" + fmt)
+        return layout.unpack(take(layout.size))
+
+    def floats(count):
+        return np.frombuffer(take(8 * count), dtype="<f8").copy()
+
+    def text():
+        at = off
+        raw = take(unpack("H")[0])
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise CodecError(f"name {raw!r} is not UTF-8", at) from None
+
     if data[:4] != MCKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r}")
-    version = struct.unpack_from("<H", data, 4)[0]
+        raise BadMagic(f"expected magic {MCKPT_MAGIC!r}, got {data[:4]!r}", 0)
+    _, version = unpack("4sH")
     if version != MCKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 6
-    (n_tensors,) = struct.unpack_from("<I", data, off)
-    off += 4
+        raise VersionUnsupported(f"version {version} unsupported (expected {MCKPT_VERSION})", 4)
     tensors = {}
-    for _ in range(n_tensors):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += 8 * count
-        tensors[name] = arr
-    (n_states,) = struct.unpack_from("<H", data, off)
-    off += 2
-    ds_ids = []
+    for _ in range(unpack("I")[0]):
+        key = text()
+        (ndim,) = unpack("B")
+        shape = unpack(f"{ndim}I")
+        tensors[key] = floats(math.prod(shape)).reshape(shape)
     stats = {}
-    for _ in range(n_states):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        ds = data[off : off + nlen].decode()
-        off += nlen
-        (nf,) = struct.unpack_from("<I", data, off)
-        off += 4
-        mean = np.frombuffer(data, dtype="<f8", count=nf, offset=off).copy()
-        off += 8 * nf
-        var = np.frombuffer(data, dtype="<f8", count=nf, offset=off).copy()
-        off += 8 * nf
-        (count,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        ds_ids.append(ds)
-        stats[ds] = {"mean": mean, "var": var, "count": count}
-    norm_state = NormState(
-        tensors["norm.gamma"].size,
-        [],
-        eps=float(tensors["norm.eps"][0]),
-        momentum=float(tensors["norm.momentum"][0]),
-    )
-    norm_state.gamma = tensors["norm.gamma"]
-    norm_state.beta = tensors["norm.beta"]
-    for ds in ds_ids:
-        norm_state.register(ds)
-        norm_state._stats[ds] = stats[ds]
-    head_ids = [
-        name[len("head.") : -len(".w")] for name in tensors
-        if name.startswith("head.") and name.endswith(".w")
-    ]
-    heads = {ds: (tensors[f"head.{ds}.w"], tensors[f"head.{ds}.b"]) for ds in head_ids}
-    params = ModelParams(
-        w1=tensors["backbone.w1"],
-        b1=tensors["backbone.b1"],
-        w2=tensors["backbone.w2"],
-        b2=tensors["backbone.b2"],
-        heads=heads,
-    )
+    for _ in range(unpack("H")[0]):
+        ds = text()
+        (nf,) = unpack("I")
+        mean = floats(nf)
+        var = floats(nf)
+        stats[ds] = {"mean": mean, "var": var, "count": unpack("Q")[0]}
+    if off != len(data):
+        raise CodecError(f"{len(data) - off} trailing bytes after the checkpoint", off)
+    try:
+        norm_state = NormState(
+            tensors["norm.gamma"].size,
+            [],
+            eps=float(tensors["norm.eps"][0]),
+            momentum=float(tensors["norm.momentum"][0]),
+        )
+        norm_state.gamma = tensors["norm.gamma"]
+        norm_state.beta = tensors["norm.beta"]
+        for ds in stats:
+            norm_state.register(ds)
+            norm_state._stats[ds] = stats[ds]
+        head_ids = [
+            name[len("head.") : -len(".w")] for name in tensors
+            if name.startswith("head.") and name.endswith(".w")
+        ]
+        heads = {ds: (tensors[f"head.{ds}.w"], tensors[f"head.{ds}.b"]) for ds in head_ids}
+        params = ModelParams(
+            w1=tensors["backbone.w1"],
+            b1=tensors["backbone.b1"],
+            w2=tensors["backbone.w2"],
+            b2=tensors["backbone.b2"],
+            heads=heads,
+        )
+    except (KeyError, IndexError, ValueError) as e:
+        raise CodecError(f"inconsistent checkpoint content: {e!r}", off) from None
     return params, norm_state

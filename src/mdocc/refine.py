@@ -7,15 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OccupancyGrid
-
-
-class OutOfGrid(ValueError):
-    pass
-
-
-class DimMismatch(ValueError):
-    pass
+from .core import DimMismatch, OccupancyGrid
 
 
 @dataclass(frozen=True)
@@ -65,29 +57,6 @@ def split_voxels(coarse_coords, eta, coarse_dims):
     coords = (coarse_coords[:, None, :] * eta + offs[None, :, :]).reshape(-1, 3)
     source = np.repeat(np.arange(n, dtype=np.int64), eta**3)
     return VoxelQuerySet(coords=coords, source=source, eta=int(eta), coarse_dims=coarse_dims)
-
-
-def voxel_to_world(coords, origin, voxel_size):
-    """Voxel centers: world = origin + (coord + 0.5) * voxel_size."""
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-    return np.asarray(origin, dtype=np.float64)[None, :] + (coords + 0.5) * voxel_size
-
-
-def world_to_voxel(points, origin, voxel_size, dims):
-    """Inverse of voxel_to_world using the floor convention.
-
-    A point exactly on a voxel boundary belongs to the voxel whose low corner
-    it touches. Raises OutOfGrid for points outside the grid extent.
-    """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    idx = np.floor((points - np.asarray(origin, dtype=np.float64)[None, :]) / voxel_size)
-    idx = idx.astype(np.int64)
-    dims = np.asarray(dims, dtype=np.int64)
-    bad = np.any((idx < 0) | (idx >= dims[None, :]), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise OutOfGrid(f"point {points[k].tolist()} outside grid of dims {dims.tolist()}")
-    return idx
 
 
 def sample_features(volume, fine_coords, eta):

@@ -20,6 +20,7 @@ from .core import (
     CodecError,
     DatasetSpec,
     LabelSpace,
+    Lattice,
     LidarConfig,
     OccupancyGrid,
     Range3D,
@@ -75,11 +76,7 @@ class SceneSpec:
 
     @property
     def dims(self):
-        spans = self.extent.spans
-        dims = np.rint(spans / self.voxel_size_m).astype(int)
-        if np.any(dims < 1) or not np.allclose(dims * self.voxel_size_m, spans, rtol=1e-9):
-            raise ValueError("extent is not an integer number of voxels per axis")
-        return tuple(int(d) for d in dims)
+        return Lattice.over(self.extent, self.voxel_size_m).dims
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,7 @@ def default_sensor_pose(scene, mount_z=None):
     """Sensor centered in x/y; ``mount_z`` overrides the mounting height
     (defaults to the second-from-top voxel layer, above every object)."""
     ext = scene.extent
-    nz = scene.dims[2]
-    z = ext.z_min + (nz - 1.5) * scene.voxel_size_m if mount_z is None else mount_z
+    z = scene.lattice.centers(2)[-2] if mount_z is None else mount_z
     return np.array(
         [
             0.5 * (ext.x_min + ext.x_max),
@@ -384,37 +380,17 @@ def raycast(scene, lidar, sensor_pose):
         scene.voxel_size_m,
         0,
     )
-    good = hits[:, 0] >= 0
-    return np.asarray(scene.origin)[None, :] + (hits[good] + 0.5) * scene.voxel_size_m
+    hits = hits[hits[:, 0] >= 0]
+    return np.stack([scene.lattice.centers(ax)[hits[:, ax]] for ax in range(3)], axis=1)
 
 
 def resample_labels(scene, proj, dims, voxel_size, origin):
     """Look up the scene label under each target voxel center and project it.
 
-    Centers outside the scene read as empty. Uses the floor voxel-lookup
-    convention shared with the coordinate transforms in `refine`.
+    Centers outside the scene read as empty (``Lattice.resample``).
     """
-    nx, ny, nz = dims
-    centers = [
-        origin[ax] + (np.arange(dims[ax]) + 0.5) * voxel_size
-        for ax in range(3)
-    ]
-    idx = [
-        np.floor((centers[ax] - scene.origin[ax]) / scene.voxel_size_m).astype(np.int64)
-        for ax in range(3)
-    ]
-    valid = [
-        (idx[ax] >= 0) & (idx[ax] < scene.dims[ax])
-        for ax in range(3)
-    ]
-    fine = np.zeros(dims, dtype=np.int64)
-    vmask = valid[0][:, None, None] & valid[1][None, :, None] & valid[2][None, None, :]
-    ix = np.clip(idx[0], 0, scene.dims[0] - 1)
-    iy = np.clip(idx[1], 0, scene.dims[1] - 1)
-    iz = np.clip(idx[2], 0, scene.dims[2] - 1)
-    fine[:] = scene.labels[np.ix_(ix, iy, iz)]
-    fine[~vmask] = FINE_SPACE.empty_id
-    return np.asarray(proj)[fine].astype(np.uint16)
+    fine = Lattice(dims, voxel_size, origin).resample(scene, FINE_SPACE.empty_id)
+    return np.asarray(proj)[fine.labels].astype(np.uint16)
 
 
 def derive_dataset_view(scene, taxonomy, dataset, sensor_pose=None):

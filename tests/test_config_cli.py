@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from mdocc.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mdocc.align import NormState
+from mdocc.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mdocc.config import ConfigError, ExperimentConfig, parse_config, render_config
+from mdocc.core import OccupancyGrid, grid_encode
+from mdocc.model import init_params, save_checkpoint
 
 
 class TestConfig:
@@ -208,6 +211,15 @@ class TestCliTrainEval:
             ["mdt", "a32"], ["mdt", "b64"], ["mdt_cross", "a32"], ["mdt_cross", "b64"],
         ]
 
+    @pytest.mark.parametrize("regime", ["single", "direct_merge", "pretrain_finetune"])
+    def test_learn_labels_needs_mdt(self, rundir, regime, capsys):
+        cfg, path = rundir
+        assert main(["train", "--config", path, "--regime", regime]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, f"ckpt_{regime}.mckpt")
+        assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_USAGE
+        assert one_line_of_output(capsys)
+
     def test_report_merges(self, rundir, tmp_path):
         cfg, path = rundir
         rep = os.path.join(cfg.out, "report_mdt.csv")
@@ -230,3 +242,53 @@ class TestCliErrors:
         cfg, path = tiny_cfg(tmp_path / "empty")
         # train without synth outputs
         assert main(["train", "--config", path]) == 3
+
+
+def one_line_of_output(capsys):
+    out = capsys.readouterr()
+    return len((out.out + out.err).strip().splitlines()) == 1
+
+
+@pytest.fixture
+def probes(tmp_path):
+    """Malformed inputs: a synth directory with no scenes, one with a
+    truncated MOCC scene, a truncated checkpoint, a unified document with an
+    unparsable map line and a report CSV without the miou column."""
+    manifest = json.dumps({"taxonomy": "split", "scene_seeds": [], "eval_seeds": []})
+    for name in ("empty", "trunc_scene"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(manifest)
+    (tmp_path / "trunc_scene" / "a32").mkdir()
+    tiny = OccupancyGrid((4, 4, 2), 0.2, (0.0, 0.0, 0.0), [0] * 32, 9)
+    (tmp_path / "trunc_scene" / "a32" / "scene_0000.mocc").write_bytes(grid_encode(tiny)[:60])
+    blob = save_checkpoint(tmp_path / "ok.mckpt", init_params({"a32": 9, "b64": 8}, 8, 0),
+                           NormState(8, ["a32", "b64"]))
+    (tmp_path / "trunc.mckpt").write_bytes(blob[: len(blob) // 2])
+    (tmp_path / "bad_unified.txt").write_text(
+        "format: unified-space v1\ndatasets: a32,b64\nempty: 0\n"
+        "class 0: a32/empty+b64/empty\nmap a32 0 empty extra -> 0\n")
+    (tmp_path / "no_miou.csv").write_text("setup,dataset,iou\nmdt,a32,0.5000\n")
+    return tmp_path
+
+
+class TestCliMalformedInputs:
+    """Each malformed input file ends in exit 3 and one line of output."""
+
+    def test_truncated_checkpoint(self, probes, capsys):
+        assert main(["eval", "--out", str(probes / "empty"),
+                     "--checkpoint", str(probes / "trunc.mckpt")]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+    def test_malformed_unified(self, probes, capsys):
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(probes / "ok.mckpt"),
+                     "--unified", str(probes / "bad_unified.txt")]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+    def test_report_without_miou(self, probes, capsys):
+        assert main(["report", "--out", str(probes / "report"), str(probes / "no_miou.csv")]) == EXIT_IO
+        assert one_line_of_output(capsys)
+        assert not (probes / "report").exists()
+
+    def test_truncated_mocc(self, probes, capsys):
+        assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
+        assert one_line_of_output(capsys)

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from mdocc.align import CylGridSpec, cylindrical_voxelize
-from mdocc.core import OccupancyGrid, Range3D, rng_stream
+from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
 from mdocc.experiment import (
     coarse_labels,
-    coarse_lattice,
-    crop_grid,
     eval_intersection,
     gather_features,
     oracle_unified,
-    resample_grid,
     synthesize,
     union_offsets,
 )
@@ -77,37 +74,45 @@ class TestLattices:
     def test_crop_grid_aligned(self):
         labels = np.arange(64, dtype=np.uint16).reshape(4, 4, 4)
         g = OccupancyGrid((4, 4, 4), 0.5, (0, 0, 0), labels, 64)
-        sub = crop_grid(g, Range3D(0.5, 1.5, 1.0, 2.0, 0.0, 2.0))
-        assert sub.dims == (2, 2, 4)
-        assert np.array_equal(sub.labels, labels[1:3, 2:4, 0:4])
-        assert sub.origin == (0.5, 1.0, 0.0)
+        window = g.lattice.crop(Range3D(0.5, 1.5, 1.0, 2.0, 0.0, 2.0))
+        assert np.array_equal(g.labels[window], labels[1:3, 2:4, 0:4])
+        # the cropped labels pool like a grid that starts at the crop corner
+        assert np.array_equal(coarse_labels(g, 2, Range3D(0.5, 1.5, 1.0, 2.0, 0.0, 2.0)),
+                              coarse_labels(OccupancyGrid((2, 2, 4), 0.5, (0.5, 1.0, 0.0),
+                                                          labels[1:3, 2:4, 0:4], 64), 2))
 
     def test_crop_grid_misaligned_rejected(self):
         g = OccupancyGrid((4, 4, 4), 0.5, (0, 0, 0), np.zeros((4, 4, 4), np.uint16), 2)
         with pytest.raises(ValueError):
-            crop_grid(g, Range3D(0.3, 1.3, 0.0, 2.0, 0.0, 2.0))
+            g.lattice.crop(Range3D(0.3, 1.3, 0.0, 2.0, 0.0, 2.0))
+        with pytest.raises(ValueError):
+            # aligned, but past the grid's far corner
+            g.lattice.crop(Range3D(0.5, 2.5, 0.0, 2.0, 0.0, 2.0))
 
     def test_resample_identity_on_same_lattice(self):
         rng = rng_stream(1, "resample")
         labels = rng.integers(0, 4, (4, 4, 4))
         g = OccupancyGrid((4, 4, 4), 0.5, (0, 0, 0), labels, 4)
-        out = resample_grid(g, (4, 4, 4), 0.5, (0, 0, 0))
-        assert np.array_equal(out.labels, g.labels)
+        out = Lattice((4, 4, 4), 0.5, (0, 0, 0)).resample(g, empty_id=0)
+        assert out == g
 
     def test_resample_outside_is_empty(self):
         g = OccupancyGrid((2, 2, 2), 0.5, (0, 0, 0), np.ones((2, 2, 2), np.uint16), 2)
-        out = resample_grid(g, (4, 4, 4), 0.5, (-1.0, -1.0, -1.0))
+        out = Lattice((4, 4, 4), 0.5, (-1.0, -1.0, -1.0)).resample(g, empty_id=0)
         assert out.labels[0, 0, 0] == 0
         assert out.labels[3, 3, 3] == 1
+        assert out.lattice == Lattice((4, 4, 4), 0.5, (-1.0, -1.0, -1.0))
 
     def test_coarse_lattice_shapes(self):
         tax = taxonomy_preset("split")
         specs = dataset_presets(tax)
         shared = eval_intersection(specs)
-        dims, voxel, origin = coarse_lattice(shared, 0.2, 2)
-        assert dims == (32, 32, 4)
-        assert voxel == pytest.approx(0.4)
-        assert origin == pytest.approx((0.0, -6.4, -0.85))
+        lattice = Lattice.over(shared, 0.2 * 2)
+        assert lattice.dims == (32, 32, 4)
+        assert lattice.voxel == pytest.approx(0.4)
+        assert lattice.origin == pytest.approx((0.0, -6.4, -0.85))
+        with pytest.raises(ValueError):
+            Lattice.over(shared, 0.3)
 
 
 class TestOracleUnified:

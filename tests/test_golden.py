@@ -1,0 +1,199 @@
+"""Golden sha256 hashes pinning seed-to-bytes determinism.
+
+Every file the CLI writes for one small fixed config (synth, train mdt,
+learn-labels, eval with the unified document; then, with eta 2 and
+cross-domain cells, eval of the same checkpoint and of a single-regime one)
+and the raycast output of both dataset presets on fixed seeds must hash to
+the recorded values. A change that moves any byte of these
+artifacts fails here and has to declare which bits moved and why.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from mdocc.cli import EXIT_OK, main
+from mdocc.config import ExperimentConfig, render_config
+from mdocc.scenes import (
+    SENSOR_MOUNT_Z,
+    dataset_presets,
+    default_scene_spec,
+    default_sensor_pose,
+    gen_scene,
+    raycast,
+    taxonomy_preset,
+)
+
+# enough training that predictions are neither all empty nor all occupied,
+# so refinement and transcoding act on real labels
+CONFIG = dict(seed=11, scenes=3, eval_scenes=2, epochs=15, batch_size=2)
+
+PIPELINE = {
+    "a32/eval_0000.mocc":
+        "99617c8ffa3de15fe67400f9fbce8b495d5d5c7baba3b018bdcaec49e98c7bb8",
+    "a32/eval_0001.mocc":
+        "1415cf35ceb10c67b2cefb6b11d3f03e8e07579a667bd3d526e013abdde10356",
+    "a32/eval_cloud_0000.mply":
+        "15052333f54f0f4ebd8b05ced29bd7251c147d50564caca857ef8418601cd014",
+    "a32/eval_cloud_0001.mply":
+        "e5fc69082d276e35dba70fcf1a4ce0cf69abd1c6e0bdcb04190d7e024c5a4314",
+    "a32/scene_0000.mocc":
+        "6d721ba6385fd67d78bc32c305069d3caece166c0b5fbe5225b7b1d82658d43e",
+    "a32/scene_0001.mocc":
+        "0228121ef51072b1bd8a2a82fd76a916cc3b52b11a666af49388c21ffd25a130",
+    "a32/scene_0002.mocc":
+        "b26b286878ed8a081dab7d6c8e09764b82bad13cf986573ab4b0dbf41f2d4912",
+    "a32/scene_cloud_0000.mply":
+        "8d7ae0290769ac8311973d80fb047ea34b55010f81aeef6574e67163a1ffdedf",
+    "a32/scene_cloud_0001.mply":
+        "ec08c90f32f51fa8d7abd204a6308e25acad620e6fb33cc61a10e2f97665fa98",
+    "a32/scene_cloud_0002.mply":
+        "5edb8733f83a00719e64d82af02894e030b96e2d5c91dc7009a7b7b25f7b330e",
+    "b64/eval_0000.mocc":
+        "8e39e9b3a09ebc80ff44d1923582e7262069534a3a31585d70d93c0fd49750e4",
+    "b64/eval_0001.mocc":
+        "73820adc93ae5fb620a0552a82a1d3f7edfbd202d36bfee1200282b060c36b13",
+    "b64/eval_cloud_0000.mply":
+        "d6b2f4d3b8dd331a14cf388230867c1290e5a541dc7f825692c0a473878664dc",
+    "b64/eval_cloud_0001.mply":
+        "1545a9e9c62acf868bc9cfd0089b92a87475af63062f869b922b574f357a21f9",
+    "b64/scene_0000.mocc":
+        "ce55dcef6fb7d1b16bcfff8742c129a650b1305ad7c323e42c18024d0c896836",
+    "b64/scene_0001.mocc":
+        "b731fec7456dfe504d1d1c146ae1efd892f84a24b1188e6b3399a5e111b0055d",
+    "b64/scene_0002.mocc":
+        "2e706b194906436e221c2f791e48b93c00c579741fd9abfb7b8e4b962ec961b3",
+    "b64/scene_cloud_0000.mply":
+        "e4409cf8f44a90ee1c4dabc00b28e575d90107419de500613e4b4cc076bd3eb3",
+    "b64/scene_cloud_0001.mply":
+        "edc60e46e41a435abfee9b80588d8071ea23e7b21be0122013e68b8254e45030",
+    "b64/scene_cloud_0002.mply":
+        "a7e433c94e561ffbee7f36696054c347c22b54d3b8d2c4835777edbc7b701ccd",
+    "ckpt_mdt.mckpt":
+        "259926ec97a1769d65946d1165b4b715ae65f75935ca0c478238d787d8bffa29",
+    "config.txt":
+        "6f305233dc44bc74a3e47f5a1ae4d91fe911a220f919588716330c9a88cf65b3",
+    "manifest.json":
+        "54f03c093c6d82d266ad40659dd74953ceeb0825e1dedbdd791409ae4ff8bf32",
+    "pred/mdt/a32/pred_0000.mocc":
+        "e0574248e3bdc7037a28b564ee56275faf902c9feef60a1d1b63506fe4aa69b3",
+    "pred/mdt/a32/pred_0001.mocc":
+        "7af33d66d7d2ebd851a6ec35b271bc62ee2ebe6d00fbc85c8435305c6e6a2d56",
+    "pred/mdt/b64/pred_0000.mocc":
+        "ac8da8ac192d284ea526ba92d8aa88996be0e3ce0a301074f3abb5e2a8c03d82",
+    "pred/mdt/b64/pred_0001.mocc":
+        "ac8da8ac192d284ea526ba92d8aa88996be0e3ce0a301074f3abb5e2a8c03d82",
+    "report_mdt.csv":
+        "74e8d24d4564a806052ac7cc7bf5c9a71e7dcabe55820b96bf2c5bce769a57af",
+    "train_log_mdt.csv":
+        "b66badfb0f0875d22022c6c20b0221f90166e1706469b901283eff92690cd3f4",
+    "unified.txt":
+        "c3250670bcc46ad9efa4d159bc00a9aadbb6dbb158b16324240c0a4c2e7d4ecb",
+}
+
+REFINED = {
+    "ckpt_single.mckpt":
+        "8dec0d3d6685bda71b2bf7a8fb5a2c5e683b3fc4c61a259c403cd23044c6ddc6",
+    "pred/mdt/a32/pred_0000.mocc":
+        "10991f4a2d68f6e49cad52ae9a7cb383f289f666ed768781abc2ff5db84f4343",
+    "pred/mdt/a32/pred_0001.mocc":
+        "bf4e0f9420429dc8201429a9c7fb50155359e10e359dbfaa120a438fa1d7e9cb",
+    "pred/mdt/b64/pred_0000.mocc":
+        "12f7dea35d11e2729593a46ab65c79bb108cacfb02eea0f02cd405771b300613",
+    "pred/mdt/b64/pred_0001.mocc":
+        "b0d9059270fef098a032601176f8f45f01b0c76cdc0071b4eb7b4d12b698fe81",
+    "pred/mdt_cross/a32/pred_0000.mocc":
+        "ab0b3061f9a1bd5562b2dde2fc431a9bbf20ba9a70c0ffe7a7f093a342f6b11b",
+    "pred/mdt_cross/a32/pred_0001.mocc":
+        "5ba148f614510ab86888ae29bdc798ab55722973e43d906f85b7f98cb29c593a",
+    "pred/mdt_cross/b64/pred_0000.mocc":
+        "42115ea3615977479ff2007b7f98c1a39890396969b8d8ecd223b54a38548751",
+    "pred/mdt_cross/b64/pred_0001.mocc":
+        "4e60993d169b94648bcbba3fa977f43b121f23da355516282e6e1c625e578798",
+    "pred/single_a32/a32/pred_0000.mocc":
+        "5d24d075dda6a746181f6456f8b39c30b70f4aa9d7319bee9889beaff276fb82",
+    "pred/single_a32/a32/pred_0001.mocc":
+        "3bcc0b2e9b84c5ab1303206d7486ee74ed300ce5d12f5044a921492f8e355f9e",
+    "pred/single_a32/b64/pred_0000.mocc":
+        "23ceb9f8b3dc9ec4cf87b7c8ff065d7eca8847cd0492ead893454a59a956ace9",
+    "pred/single_a32/b64/pred_0001.mocc":
+        "e00cbebbc0e560a5677afe9ef8472fb6c654da5d6e509fbebc75703593104c80",
+    "report_mdt.csv":
+        "285c3f336891f0e6d64a9bb6f530a5c7bef5424d1b13f45bc409bfd0a5108b67",
+    "report_single_a32.csv":
+        "1342566f621847d9640bce933e9896f97353b6c1374c8cae94c9a91e6cd554ef",
+    "train_log_single.csv":
+        "a64e4c09f68b3cb8eaf7de7a4d05c5cb65aca266efc9718e588c3431cb1e5696",
+}
+
+RAYCAST = {
+    ("a32", 3):
+        "5bd3c9935b236c1d1d2379959118e3d7f94c20f2cbcbd249e5dbaa7305f83db5",
+    ("a32", 1001):
+        "3882e5f2ec4e24b5b49d5d980a10795d8a6d168eb251e8433c3a0c44cba835f7",
+    ("b64", 3):
+        "de18b829aa71644eb06f0f580131e2a0691da9b076c02036bc7484cbda61f40c",
+    ("b64", 1001):
+        "f1f934ef6fc5de7bcd4d7a9f6c62a1dd712affd755aebf4ffae6ab45f8bcdda0",
+}
+
+
+def _digests(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _write_config(path, **overrides):
+    # a relative out path keeps config.txt independent of the temp directory
+    with open(path, "w") as fh:
+        fh.write(render_config(ExperimentConfig(out="run", **CONFIG, **overrides)))
+
+
+@pytest.fixture(scope="module")
+def cli_digests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        _write_config("base.cfg")
+        _write_config("refined.cfg", eta=2, cross=True)
+        ckpt = os.path.join("run", "ckpt_mdt.mckpt")
+        unified = os.path.join("run", "unified.txt")
+        assert main(["synth", "--config", "base.cfg"]) == EXIT_OK
+        assert main(["train", "--config", "base.cfg", "--regime", "mdt"]) == EXIT_OK
+        assert main(["learn-labels", "--config", "base.cfg", "--checkpoint", ckpt]) == EXIT_OK
+        assert main(["eval", "--config", "base.cfg", "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        pipeline = _digests("run")
+        assert main(["eval", "--config", "refined.cfg", "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        assert main(["train", "--config", "refined.cfg", "--regime", "single"]) == EXIT_OK
+        single = os.path.join("run", "ckpt_single.mckpt")
+        assert main(["eval", "--config", "refined.cfg", "--checkpoint", single, "--unified", unified]) == EXIT_OK
+        refined = _digests("run")
+    finally:
+        os.chdir(cwd)
+    return pipeline, {k: v for k, v in refined.items() if pipeline.get(k) != v}
+
+
+def test_cli_pipeline_artifacts(cli_digests):
+    assert cli_digests[0] == PIPELINE
+
+
+def test_refined_cross_eval_artifacts(cli_digests):
+    assert cli_digests[1] == REFINED
+
+
+@pytest.mark.parametrize("seed", [3, 1001])
+@pytest.mark.parametrize("preset", ["a32", "b64"])
+def test_raycast_output(preset, seed):
+    spec = dataset_presets(taxonomy_preset("split"))[preset]
+    scene = gen_scene(default_scene_spec(seed=seed))
+    pose = default_sensor_pose(scene, mount_z=SENSOR_MOUNT_Z[preset])
+    cloud = np.ascontiguousarray(raycast(scene, spec.lidar, pose), dtype="<f8")
+    assert hashlib.sha256(cloud.tobytes()).hexdigest() == RAYCAST[preset, seed]

@@ -1,35 +1,11 @@
 import numpy as np
-import pytest
 
-from mdocc.core import LidarConfig
-from mdocc.kernels import NUMBA_ENABLED, _march_rays_numpy, march_rays
-from mdocc.scenes import beam_directions, default_scene_spec, default_sensor_pose, gen_scene
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path not active")
-def test_numba_and_numpy_paths_bit_identical():
-    scene = gen_scene(default_scene_spec(seed=77, n_boxes=6, n_walls=2, n_blobs=3))
-    lidar = LidarConfig(16, -25.0, 5.0, 3.0, 15.0)
-    pose = default_sensor_pose(scene)
-    dirs = beam_directions(lidar)
-    step = scene.voxel_size_m / 2.0
-    n_steps = int(np.floor(lidar.max_range_m / step))
-    labels = np.ascontiguousarray(scene.labels)
-    origin = np.asarray(scene.origin)
-    jit_hits = march_rays(pose, dirs, step, n_steps, labels, origin, scene.voxel_size_m, 0)
-    np_hits = _march_rays_numpy(pose, dirs, step, n_steps, labels, origin, scene.voxel_size_m, 0)
-    assert np.array_equal(jit_hits, np_hits)
+from mdocc.kernels import march_rays
 
 
 def test_numpy_path_misses_marked():
     labels = np.zeros((4, 4, 4), dtype=np.uint16)
     dirs = np.array([[1.0, 0.0, 0.0]])
     pose = np.array([0.5, 0.5, 0.5])
-    hits = _march_rays_numpy(pose, dirs, 0.25, 100, labels, np.zeros(3), 1.0, 0)
+    hits = march_rays(pose, dirs, 0.25, 100, labels, np.zeros(3), 1.0, 0)
     assert hits.tolist() == [[-1, -1, -1]]
-
-
-def test_env_flag_documented_in_module():
-    import mdocc.kernels as k
-
-    assert "MDOCC_NO_NUMBA" in k.__doc__

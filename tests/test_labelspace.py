@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdocc.core import LabelSpace, OccupancyGrid, ScoreGrid, rng_stream
+from mdocc.core import CodecError, LabelSpace, OccupancyGrid, ScoreGrid, rng_stream
 from mdocc.labelspace import (
     DimMismatch,
     InfeasibleCover,
@@ -457,3 +457,23 @@ class TestUnifiedDoc:
             assert m1.dataset_id == m2.dataset_id
             assert np.array_equal(m1.matrix, m2.matrix)
         assert export_unified(again, spaces, lam=0.1, tau=float("inf")) == text
+
+    @pytest.mark.parametrize("edit", [
+        ("map a 1 car -> 1", "map a 1 car extra -> 1"),  # unparsable line
+        ("map b 0 empty -> 0", "map b 0 empty -> zero"),
+        ("map b 0 empty -> 0\nmap b 1 vehicle -> 1\n", ""),  # dataset without map lines
+        ("map a 2 truck -> 2", "map a 2 truck -> 2\nmap a 2 truck -> 2"),  # mapped twice
+        ("datasets: a,b", "datasets: a,b,c"),  # unknown dataset
+        ("class 2: a/truck\n", ""),  # class ids not contiguous
+        ("empty: 0\n", ""),
+    ])
+    def test_malformed_rejected(self, edit):
+        sa = LabelSpace(("empty", "car", "truck"), 0)
+        sb = LabelSpace(("empty", "vehicle"), 0)
+        spaces = [("a", sa), ("b", sb)]
+        uni = unified_from_pairs(spaces, [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))])
+        text = export_unified(uni, spaces)
+        old, new = edit
+        assert old in text
+        with pytest.raises(CodecError):
+            parse_unified(text.replace(old, new), spaces)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mdocc.align import NormState
-from mdocc.core import rng_stream
+import mdocc
+from mdocc.core import BadMagic, CodecError, TruncatedPayload, VersionUnsupported, rng_stream
 from mdocc.model import (
     NUM_INPUT_FEATURES,
     DivergedLoss,
@@ -83,6 +84,17 @@ class TestForward:
         state = NormState(4, ["a"])
         with pytest.raises(KeyError):
             forward(np.zeros((1, 1, 1, 5)), "zz", params, state)
+
+    def test_missing_head_is_the_package_unknown_dataset(self):
+        params = init_params({"a": 2}, hidden=4, seed=0)
+        try:
+            params.head("zz")
+        except mdocc.UnknownDataset:
+            pass
+        else:
+            pytest.fail("a missing head must raise mdocc.UnknownDataset")
+        with pytest.raises(mdocc.UnknownDataset):
+            NormState(4, ["a"]).stats("zz")
 
 
 class TestNeighborMean:
@@ -223,7 +235,6 @@ class TestBalancedBatches:
         for ds in ("a", "b"):
             idx = np.concatenate([s[1] for s in sched if s[0] == ds])
             assert sorted(idx.tolist()) == [0, 1, 2, 3]
-            assert not any(s[2].any() for s in sched if s[0] == ds)
 
     def test_wraparound_coverage_counts(self):
         sched = balanced_batches({"a": 6, "b": 2}, 2, seed=1)
@@ -233,12 +244,10 @@ class TestBalancedBatches:
         # largest dataset covered exactly once, shorter oversampled evenly
         assert sorted(a_idx.tolist()) == list(range(6))
         assert sorted(b_idx.tolist()) == [0, 0, 0, 1, 1, 1]
-        b_flags = np.concatenate([s[2] for s in sched if s[0] == "b"])
-        assert b_flags.sum() == 4  # draws beyond the first full pass are repeats
 
     def test_every_batch_single_dataset(self):
         sched = balanced_batches({"a": 5, "b": 3, "c": 7}, 3, seed=2)
-        for ds, idx, _ in sched:
+        for ds, idx in sched:
             assert len(idx) >= 1
         for ds in ("a", "b", "c"):
             idx = np.concatenate([s[1] for s in sched if s[0] == ds])
@@ -247,9 +256,9 @@ class TestBalancedBatches:
     def test_deterministic(self):
         s1 = balanced_batches({"a": 9, "b": 4}, 2, seed=3)
         s2 = balanced_batches({"a": 9, "b": 4}, 2, seed=3)
-        assert [(d, i.tolist()) for d, i, _ in s1] == [(d, i.tolist()) for d, i, _ in s2]
+        assert [(d, i.tolist()) for d, i in s1] == [(d, i.tolist()) for d, i in s2]
         s3 = balanced_batches({"a": 9, "b": 4}, 2, seed=4)
-        assert [(d, i.tolist()) for d, i, _ in s1] != [(d, i.tolist()) for d, i, _ in s3]
+        assert [(d, i.tolist()) for d, i in s1] != [(d, i.tolist()) for d, i in s3]
 
 
 def tiny_traindata(rng, n_scenes=6, dims=(4, 4, 2), classes=3, separable=True):
@@ -383,3 +392,18 @@ class TestCheckpoint:
         b1 = save_checkpoint(tmp_path / "a.mckpt", params, state)
         b2 = save_checkpoint(tmp_path / "b.mckpt", params, state)
         assert b1 == b2
+
+    def test_malformed_rejected(self, tmp_path):
+        blob = save_checkpoint(tmp_path / "ok.mckpt", init_params({"a": 2}, 2, 0), NormState(2, ["a"]))
+        path = tmp_path / "bad.mckpt"
+        for cut in range(4, len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TruncatedPayload) as err:
+                load_checkpoint(path)
+            assert 0 <= err.value.offset <= cut
+        for bad, kind in ((b"XCKP" + blob[4:], BadMagic),
+                          (blob[:4] + b"\x09\x00" + blob[6:], VersionUnsupported),
+                          (blob + b"\x00", CodecError)):
+            path.write_bytes(bad)
+            with pytest.raises(kind):
+                load_checkpoint(path)

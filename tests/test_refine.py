@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from mdocc.core import OccupancyGrid, rng_stream
+from mdocc.core import Lattice, OccupancyGrid, rng_stream
 from mdocc.refine import (
     DimMismatch,
-    OutOfGrid,
     identity_fine_head,
     occupied_voxels,
     refine_and_reassemble,
     sample_features,
     split_voxels,
-    voxel_to_world,
-    world_to_voxel,
 )
 
 
@@ -64,26 +61,27 @@ class TestSplitVoxels:
 
 
 class TestCoordinateTransforms:
+    """Voxel centers and floor lookup of the lattice that fine grids live on."""
+
     def test_center_convention(self):
-        w = voxel_to_world(np.array([[0, 0, 0]]), (0.0, 0.0, 0.0), 0.2)
-        assert np.allclose(w, [[0.1, 0.1, 0.1]])
+        lattice = Lattice((3, 3, 3), 0.2, (0.0, 0.0, 0.0))
+        assert np.allclose(lattice.centers(0), [0.1, 0.3, 0.5])
 
     def test_round_trip(self):
         rng = rng_stream(2, "coords")
         coords = rng.integers(0, 10, (200, 3))
-        origin = (-1.25, 0.5, 2.0)
-        w = voxel_to_world(coords, origin, 0.25)
-        back = world_to_voxel(w, origin, 0.25, (10, 10, 10))
-        assert np.array_equal(back, coords)
+        lattice = Lattice((10, 10, 10), 0.25, (-1.25, 0.5, 2.0))
+        w = np.stack([lattice.centers(ax)[coords[:, ax]] for ax in range(3)], axis=1)
+        assert np.array_equal(lattice.index_of(w), coords)
+        for ax in range(3):
+            assert np.array_equal(lattice.index_of(w[:, ax], axis=ax), coords[:, ax])
 
     def test_boundary_floor(self):
-        # a point exactly on the voxel-1/voxel-2 boundary indexes voxel 2
-        idx = world_to_voxel(np.array([[0.5, 0.1, 0.1]]), (0.0, 0.0, 0.0), 0.25, (4, 4, 4))
-        assert idx.tolist() == [[2, 0, 0]]
-
-    def test_out_of_grid(self):
-        with pytest.raises(OutOfGrid):
-            world_to_voxel(np.array([[2.0, 0.0, 0.0]]), (0.0, 0.0, 0.0), 0.25, (4, 4, 4))
+        # a point exactly on the voxel-1/voxel-2 boundary indexes voxel 2;
+        # points outside the lattice get out-of-range indices, not errors
+        lattice = Lattice((4, 4, 4), 0.25, (0.0, 0.0, 0.0))
+        idx = lattice.index_of(np.array([[0.5, 0.1, 0.1], [-0.1, 1.0, 0.0]]))
+        assert idx.tolist() == [[2, 0, 0], [-1, 4, 0]]
 
 
 class TestSampleFeatures:
