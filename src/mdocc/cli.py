@@ -19,9 +19,12 @@ from .core import CodecError, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
 from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
+    REGIMES,
     DivergedLoss,
     TrainConfig,
+    TrainResult,
     load_checkpoint,
+    regime_of,
     save_checkpoint,
 )
 from .scenes import cloud_decode, cloud_encode, dataset_presets, taxonomy_preset
@@ -107,8 +110,13 @@ def _load_synth(cfg):
     """Rebuild a SynthResult from a synth output directory."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    taxonomy = taxonomy_preset(manifest["taxonomy"])
+        text = fh.read()
+    try:
+        manifest = json.loads(text)
+        taxonomy = taxonomy_preset(manifest["taxonomy"])
+        scene_seeds, eval_seeds = manifest["scene_seeds"], manifest["eval_seeds"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CodecError(f"{manifest_path}: malformed manifest: {e!r}", getattr(e, "pos", 0)) from None
     specs = dataset_presets(taxonomy)
     train_views = {ds: [] for ds in specs}
     eval_views = {ds: [] for ds in specs}
@@ -132,14 +140,14 @@ def _load_synth(cfg):
         specs=specs,
         train_views=train_views,
         eval_views=eval_views,
-        scene_seeds=manifest["scene_seeds"],
-        eval_seeds=manifest["eval_seeds"],
+        scene_seeds=scene_seeds,
+        eval_seeds=eval_seeds,
     )
 
 
-def _train_cfg(cfg, regime):
+def _train_cfg(cfg):
     return TrainConfig(
-        regime=regime,
+        regime=cfg.regime,
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr=cfg.lr,
@@ -161,32 +169,26 @@ def _log_csv(log):
 
 def cmd_train(cfg):
     synth = _load_synth(cfg)
-    regime = cfg.regime
-    tc = _train_cfg(cfg, regime)
-    if regime == "single":
-        result, _ = exp.run_single(list(synth.specs)[0], synth, tc)
-    else:
-        result, _ = exp.run_regime(regime, synth, tc)
-    save_checkpoint(os.path.join(cfg.out, f"ckpt_{regime}.mckpt"), result.params, result.norm_state)
-    _write_text(os.path.join(cfg.out, f"train_log_{regime}.csv"), _log_csv(result.log))
+    result, _ = exp.run_regime(synth, _train_cfg(cfg), list(synth.specs))
+    save_checkpoint(os.path.join(cfg.out, f"ckpt_{cfg.regime}.mckpt"), result.params, result.norm_state)
+    _write_text(os.path.join(cfg.out, f"train_log_{cfg.regime}.csv"), _log_csv(result.log))
     return EXIT_OK
+
+
+def _load_model(checkpoint):
+    """The regime and TrainResult of a checkpoint."""
+    params, norm_state = load_checkpoint(checkpoint)
+    result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
+    return regime_of(norm_state.dataset_ids()), result
 
 
 def cmd_learn_labels(cfg, checkpoint):
     synth = _load_synth(cfg)
-    params, norm_state = load_checkpoint(checkpoint)
-    from .model import TrainResult
-
-    regime = _infer_regime(norm_state, params)
+    regime, result = _load_model(checkpoint)
     if regime != "mdt":
         print(f"learn-labels needs an mdt checkpoint, got a {regime} one", file=sys.stderr)
         return EXIT_USAGE
-    result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
-    shared = exp.eval_intersection(synth.specs)
-    data = {
-        ds: exp.prepare_dataset(synth.train_views[ds], synth.specs[ds], shared, cfg.stride)
-        for ds in synth.specs
-    }
+    data = exp.prepare_regime(regime, synth, list(synth.specs), cfg.stride)
     unified = exp.learn_unified(result, data, synth.specs, cfg.lam, cfg.tau)
     spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
     _write_text(
@@ -198,51 +200,23 @@ def cmd_learn_labels(cfg, checkpoint):
 
 def cmd_eval(cfg, checkpoint, unified_path=None):
     synth = _load_synth(cfg)
-    params, norm_state = load_checkpoint(checkpoint)
-    from .model import TrainResult
-
-    regime = _infer_regime(norm_state, params)
+    regime, result = _load_model(checkpoint)
     if regime == "pretrain_finetune":
         print(
             "pretrain_finetune checkpoints are assessed from their training log",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
     unified = None
     if unified_path:
         spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
         with open(unified_path, "r", encoding="utf-8") as fh:
             unified = parse_unified(fh.read(), spaces)
-    ids = list(synth.specs)
-    if regime == "direct_merge":
-        offsets, _ = exp.union_offsets(synth.specs)
-        result.block_offsets = offsets
-        setups = [s for s in exp.standard_setups({"direct_merge": result}) if s.name == "direct_merge"]
-    elif regime == "mdt":
-        # mdt_cross cells transcode through the unified space, so like the
-        # single regime's cross cells they appear only with [eval] cross = true
-        setups = [s for s in exp.standard_setups({"mdt": result}) if cfg.cross or s.name == "mdt"]
-    else:
-        home = norm_state.dataset_ids()[0]
-        name = f"single_{home}"
-        if cfg.cross:
-            if unified is None:
-                raise MissingTransform(
-                    "cross-domain evaluation requires a unified label-space document"
-                )
-            head_of = {ds: home for ds in ids}
-            tax_of = {ds: home for ds in ids}
-        else:
-            head_of = {home: home}
-            tax_of = {home: home}
-        setups = [
-            exp.Setup(name=name, result=result, prep="raw", head_of=head_of,
-                      taxonomy_of=tax_of, home=home)
-        ]
+    # cross-domain cells transcode through the unified space, so they appear
+    # only with [eval] cross = true
+    setups = exp.regime_setups(regime, result, list(synth.specs), cfg.cross)
     rows, preds = exp.evaluate_setups(synth, setups, unified, cfg.stride, eta=cfg.eta)
-    tag = setups[0].name if setups else regime
-    _write_text(os.path.join(cfg.out, f"report_{tag}.csv"), render_report(rows))
+    _write_text(os.path.join(cfg.out, f"report_{setups[0].name}.csv"), render_report(rows))
     for (sname, ds), grids in preds.items():
         for i, g in enumerate(grids):
             _write_bytes(
@@ -250,19 +224,6 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
                 grid_encode(g),
             )
     return EXIT_OK
-
-
-def _infer_regime(norm_state, params):
-    from .model import PLAIN_STATS_ID
-
-    ids = norm_state.dataset_ids()
-    if ids == [exp.MERGED_ID]:
-        return "direct_merge"
-    if ids == [PLAIN_STATS_ID]:
-        return "pretrain_finetune"
-    if len(ids) == 1:
-        return "single"
-    return "mdt"
 
 
 def _read_report(path):
@@ -304,7 +265,7 @@ def build_parser():
     common(p)
     p = sub.add_parser("train", help="train a regime on a synth directory")
     common(p)
-    p.add_argument("--regime", default=None, choices=("single", "pretrain_finetune", "direct_merge", "mdt"))
+    p.add_argument("--regime", default=None, choices=REGIMES)
     p = sub.add_parser("learn-labels", help="learn the unified label space from a checkpoint")
     common(p)
     p.add_argument("--checkpoint", required=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .model import REGIMES
+
 
 class ConfigError(ValueError):
     pass
@@ -47,6 +49,10 @@ class ExperimentConfig:
             raise ConfigError("scene counts must be >= 0")
         if self.eta < 1:
             raise ConfigError("eta must be >= 1")
+        if self.regime not in REGIMES:
+            raise ConfigError(f"regime must be one of {', '.join(REGIMES)}, got {self.regime!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
 
 
 # section -> ordered keys; key -> dataclass field name where they differ

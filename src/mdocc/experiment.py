@@ -19,11 +19,13 @@ from .labelspace import (
 )
 from .metrics import EvalCell, cross_eval
 from .model import (
-    MERGED_STATS_ID,
-    NUM_INPUT_FEATURES,
+    REGIME_TABLE,
     TrainConfig,
     TrainData,
     batch_forward,
+    head_blocks,
+    regime_of,
+    route,
     train,
 )
 from .refine import identity_fine_head, refine_and_reassemble, sample_features, split_voxels, occupied_voxels
@@ -40,7 +42,6 @@ from .scenes import (
 # bins (z boundaries coincide with both presets' coarse voxel boundaries), ~5
 # degree sectors
 DEFAULT_CYL = CylGridSpec(bins=(64, 72, 5), radius_max_m=25.6, z_min_m=-1.25, z_max_m=0.75)
-MERGED_ID = MERGED_STATS_ID
 
 
 @dataclass
@@ -182,8 +183,8 @@ def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
 
     ``crop_range`` None keeps the dataset's own ranges (raw preparation);
     otherwise both the clouds and the supervision grids are cropped to it
-    (range alignment). ``label_offset`` shifts labels into an amalgamated
-    union space for direct merging.
+    (range alignment). ``label_offset`` shifts labels into their block of
+    an amalgamated union head for direct merging.
     """
     lattice = coarse_lattice(spec, crop_range, stride)
     feats = []
@@ -198,6 +199,7 @@ def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
         labels=labels,
         num_classes=num_classes or len(spec.label_space),
         empty_id=label_offset + spec.label_space.empty_id,
+        block=(label_offset, len(spec.label_space)),
     )
 
 
@@ -205,57 +207,34 @@ def eval_intersection(specs):
     return intersect_ranges([s.gt_range for s in specs.values()])
 
 
-def union_offsets(specs):
-    """Label offsets of each dataset's block in the amalgamated union space."""
-    offsets = {}
-    total = 0
-    for ds in specs:
-        offsets[ds] = total
-        total += len(specs[ds].label_space)
-    return offsets, total
+def prepare_regime(regime, synth, ids, stride):
+    """TrainData of the datasets ``regime`` trains on among ``ids`` (in
+    order; a single model takes the first), prepared per its rules.
+
+    mdt crops clouds and supervision to the intersection of gt ranges, the
+    others keep each dataset's raw ranges; under direct_merge each dataset's
+    labels are offset into its block of the amalgamated union head.
+    """
+    rules = REGIME_TABLE[regime]
+    specs = synth.specs
+    ids = list(ids)[: rules.datasets]
+    crop = eval_intersection(specs) if rules.aligned else None
+    blocks = head_blocks(regime, {ds: len(specs[ds].label_space) for ds in ids})
+    union = sum(size for _, size in blocks.values()) if rules.merged else None
+    return {
+        ds: prepare_dataset(synth.train_views[ds], specs[ds], crop, stride,
+                            label_offset=blocks[ds][0], num_classes=union)
+        for ds in ids
+    }
 
 
-def run_regime(regime, synth, cfg_train, stride=None):
-    """Prepare data per the regime's rules and train.
+def run_regime(synth, cfg_train, ids):
+    """Prepare data per ``cfg_train.regime``'s rules and train.
 
-    single/pretrain_finetune/direct_merge consume raw per-dataset ranges;
-    mdt crops clouds and supervision to the intersection of gt ranges.
     Returns (TrainResult, prepared datasets dict).
     """
-    stride = stride or cfg_train.stride
-    specs = synth.specs
-    if regime == "mdt":
-        shared = eval_intersection(specs)
-        data = {
-            ds: prepare_dataset(synth.train_views[ds], specs[ds], shared, stride)
-            for ds in specs
-        }
-    elif regime == "direct_merge":
-        offsets, total = union_offsets(specs)
-        data = {
-            ds: prepare_dataset(
-                synth.train_views[ds], specs[ds], None, stride,
-                label_offset=offsets[ds], num_classes=total,
-            )
-            for ds in specs
-        }
-    elif regime == "single":
-        raise ValueError("use run_single for the single regime")
-    else:  # pretrain_finetune
-        data = {
-            ds: prepare_dataset(synth.train_views[ds], specs[ds], None, stride)
-            for ds in specs
-        }
-    result = train(regime, data, cfg_train)
-    return result, data
-
-
-def run_single(dataset_id, synth, cfg_train, stride=None):
-    stride = stride or cfg_train.stride
-    spec = synth.specs[dataset_id]
-    data = {dataset_id: prepare_dataset(synth.train_views[dataset_id], spec, None, stride)}
-    result = train("single", data, cfg_train)
-    return result, data
+    data = prepare_regime(cfg_train.regime, synth, ids, cfg_train.stride)
+    return train(cfg_train.regime, data, cfg_train), data
 
 
 def predict_scores(params, norm_state, norm_id, features, head_id=None):
@@ -272,12 +251,11 @@ def predict_scores(params, norm_state, norm_id, features, head_id=None):
     return outs[0], hidden
 
 
-def scores_to_grid(scores, voxel_size, origin, block=None):
-    """Argmax labels of a score volume; ``block`` (offset, size) restricts the
-    argmax to one dataset's slice of an amalgamated head."""
-    if block is not None:
-        off, size = block
-        scores = scores[..., off : off + size]
+def scores_to_grid(scores, voxel_size, origin, block):
+    """Argmax labels of a score volume over ``block`` (offset, size), the
+    reading dataset's slice of the head."""
+    off, size = block
+    scores = scores[..., off : off + size]
     labels = np.argmax(scores, axis=3).astype(np.uint16)
     return OccupancyGrid(
         dims=scores.shape[:3],
@@ -350,17 +328,16 @@ def oracle_unified(taxonomy, specs):
 
 @dataclass
 class Setup:
-    """A trained model plus how to read predictions out of it."""
+    """A trained model plus which dataset's head reads each evaluated dataset.
+
+    The head, its block, the statistic set, the input crop and the read-out
+    all follow from the regime's routing (see ``evaluate_setups``).
+    """
 
     name: str
     result: object
-    prep: str                 # "raw" or "aligned"
-    head_of: dict             # head it predicts with, per evaluated dataset
-    taxonomy_of: dict         # dataset whose label space the raw argmax lives in
-    block_offsets: dict = None  # direct-merge block slicing, else None
-    home: str = None          # cross-domain input crop follows the home dataset
-    slm: bool = False         # merge all heads through the unified space
-    norm_of: dict = None      # statistics set per evaluated dataset (default: the head's)
+    regime: str
+    head_of: dict  # evaluated dataset -> dataset whose head and taxonomy read it
 
 
 def evaluate_setups(synth, setups, unified, stride, eta=1):
@@ -370,31 +347,38 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     lattice (or its eta-refined lattice). Cross-taxonomy predictions are
     transcoded through ``unified``. Returns (rows, cells-by-key predictions)
     where predictions hold the per-scene label grids actually scored.
+
+    A dataset is read by the head and block that the regime routes its
+    reader (``head_of``) to, normalized with the statistic set routed to the
+    input dataset itself; an input whose own head the setup never reads (a
+    single model's foreign input) takes its reader's set. Aligned regimes
+    crop the input to the shared range; raw ones crop a foreign input to its
+    reader's point range.
     """
     specs = synth.specs
     shared = eval_intersection(specs)
     cells = []
     all_preds = {}
     for setup in setups:
+        rules = REGIME_TABLE[setup.regime]
+        blocks = head_blocks(setup.regime, {d: len(specs[d].label_space) for d in specs})
         for ds in specs:
             if ds not in setup.head_of:
                 continue
             spec = specs[ds]
-            if setup.prep == "aligned":
+            reader = setup.head_of[ds]
+            if rules.aligned:
                 crop = shared
-            elif setup.home is not None and setup.home != ds:
-                crop = specs[setup.home].point_range
+            elif reader != ds:
+                crop = specs[reader].point_range
             else:
                 crop = None
             lattice = coarse_lattice(spec, crop, stride)
             feats = [cloud_features(cloud, crop, lattice) for cloud, _ in synth.eval_views[ds]]
-            head = setup.head_of[ds]
-            norm_id = setup.norm_of[ds] if setup.norm_of else head
-            block = None
-            if setup.block_offsets is not None:
-                src_tax = setup.taxonomy_of[ds]
-                block = (setup.block_offsets[src_tax], len(specs[src_tax].label_space))
-            use_slm = setup.slm and unified is not None
+            head = route(setup.regime, reader)[1]
+            norm_id = route(setup.regime, ds if ds in setup.head_of.values() else reader)[0]
+            block = blocks[reader]
+            use_slm = rules.slm and reader == ds and unified is not None
             preds = []
             gts = []
             for i, f in enumerate(feats):
@@ -413,15 +397,14 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                 gt_int = _gt_on_lattice(gt_full, pred_int)
                 preds.append(pred_int)
                 gts.append(gt_int)
-            src_tax = setup.taxonomy_of[ds]
             cell = EvalCell(
                 setup=setup.name,
                 dataset=ds,
                 pairs=list(zip(preds, gts)),
                 eval_range=shared,
                 empty_id=specs[ds].label_space.empty_id,
-                unified=None if src_tax == ds else unified,
-                source_ds=None if src_tax == ds else src_tax,
+                unified=None if reader == ds else unified,
+                source_ds=None if reader == ds else reader,
                 target_space=specs[ds].label_space,
             )
             cells.append(cell)
@@ -458,11 +441,8 @@ def _refine_grid(grid, hidden, params, head_id, block, eta):
     queries = split_voxels(vox, eta, grid.dims)
     feats = sample_features(hidden, queries.coords, eta)
     w, b = params.head(head_id)
-    if block is not None:
-        off, size = block
-        w = w[:, off : off + size]
-        b = b[off : off + size]
-    fine_head = identity_fine_head(w, b)
+    off, size = block
+    fine_head = identity_fine_head(w[:, off : off + size], b[off : off + size])
     fine_dims = tuple(d * eta for d in grid.dims)
     return refine_and_reassemble(
         queries, feats, fine_head, fine_dims, empty_id=0,
@@ -495,71 +475,38 @@ def _gt_on_lattice(gt_full, pred):
     return pred.lattice.resample(gt_full, empty_id=0)
 
 
+def regime_setups(regime, result, ids, cross):
+    """Evaluation setups of one model trained under ``regime``, over the
+    datasets ``ids``.
+
+    A single model is named after its home dataset (its one statistic set);
+    with ``cross`` it also reads every other dataset with its home head. An
+    mdt model with ``cross`` adds ``mdt_cross``: each dataset read by the
+    other dataset's head over its own realigned statistics, then transcoded.
+    """
+    if regime == "single":
+        home = result.norm_state.dataset_ids()[0]
+        return [Setup(f"single_{home}", result, regime,
+                      {ds: home for ds in ids if cross or ds == home})]
+    setups = [Setup(regime, result, regime, {ds: ds for ds in ids})]
+    if cross and regime == "mdt":
+        setups.append(Setup("mdt_cross", result, regime, dict(zip(ids, reversed(ids)))))
+    return setups
+
+
 def standard_setups(results):
-    """The four-regime setup table over datasets a32/b64.
+    """The four-regime setup table over datasets a32/b64, cross-domain cells
+    included.
 
     ``results`` maps setup names single_a32/single_b64/direct_merge/mdt to
     TrainResults; pretrain_finetune is evaluated from its log, not here.
     """
-    setups = []
-    if "single_a32" in results:
-        setups.append(
-            Setup(
-                name="single_a32",
-                result=results["single_a32"],
-                prep="raw",
-                head_of={"a32": "a32", "b64": "a32"},
-                taxonomy_of={"a32": "a32", "b64": "a32"},
-                home="a32",
-            )
-        )
-    if "single_b64" in results:
-        setups.append(
-            Setup(
-                name="single_b64",
-                result=results["single_b64"],
-                prep="raw",
-                head_of={"a32": "b64", "b64": "b64"},
-                taxonomy_of={"a32": "b64", "b64": "b64"},
-                home="b64",
-            )
-        )
-    if "direct_merge" in results:
-        offsets = results["direct_merge"].block_offsets
-        setups.append(
-            Setup(
-                name="direct_merge",
-                result=results["direct_merge"],
-                prep="raw",
-                head_of={"a32": MERGED_ID, "b64": MERGED_ID},
-                taxonomy_of={"a32": "a32", "b64": "b64"},
-                block_offsets=offsets,
-            )
-        )
-    if "mdt" in results:
-        setups.append(
-            Setup(
-                name="mdt",
-                result=results["mdt"],
-                prep="aligned",
-                head_of={"a32": "a32", "b64": "b64"},
-                taxonomy_of={"a32": "a32", "b64": "b64"},
-                slm=True,
-            )
-        )
-        # cross-domain read-out of the same model: the foreign dataset's head
-        # over the input dataset's realigned statistics, then transcoding
-        setups.append(
-            Setup(
-                name="mdt_cross",
-                result=results["mdt"],
-                prep="aligned",
-                head_of={"a32": "b64", "b64": "a32"},
-                taxonomy_of={"a32": "b64", "b64": "a32"},
-                norm_of={"a32": "a32", "b64": "b64"},
-            )
-        )
-    return setups
+    return [
+        setup
+        for result in results.values()
+        for setup in regime_setups(regime_of(result.norm_state.dataset_ids()), result,
+                                   ("a32", "b64"), cross=True)
+    ]
 
 
 def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,
@@ -579,21 +526,13 @@ def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,
     base = dict(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
                 hidden=hidden, stride=stride, pretrain_epochs=pretrain_epochs,
                 weight_rule=weight_rule)
+    ids = list(synth.specs)
     results = {}
-    for ds in ("a32", "b64"):
-        cfg = TrainConfig(regime="single", **base)
-        res, _ = run_single(ds, synth, cfg)
-        results[f"single_{ds}"] = res
-    cfg = TrainConfig(regime="direct_merge", **base)
-    res_dm, _ = run_regime("direct_merge", synth, cfg)
-    offsets, _ = union_offsets(synth.specs)
-    res_dm.block_offsets = offsets
-    results["direct_merge"] = res_dm
-    cfg = TrainConfig(regime="mdt", **base)
-    res_mdt, mdt_data = run_regime("mdt", synth, cfg)
-    results["mdt"] = res_mdt
-    cfg = TrainConfig(regime="pretrain_finetune", **base)
-    res_pt, _ = run_regime("pretrain_finetune", synth, cfg)
+    for ds in ids:
+        results[f"single_{ds}"], _ = run_regime(synth, TrainConfig(regime="single", **base), [ds])
+    results["direct_merge"], _ = run_regime(synth, TrainConfig(regime="direct_merge", **base), ids)
+    results["mdt"], mdt_data = run_regime(synth, TrainConfig(regime="mdt", **base), ids)
+    res_pt, _ = run_regime(synth, TrainConfig(regime="pretrain_finetune", **base), ids)
     unified = oracle_unified(synth.taxonomy, synth.specs)
     setups = standard_setups(results)
     rows, _ = evaluate_setups(synth, setups, unified, stride)

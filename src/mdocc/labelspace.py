@@ -315,7 +315,6 @@ def solve_unified(candidates, lam, spaces):
     share = np.empty(len(labels))
     for li, lst in enumerate(by_label):
         share[li] = min((candidates[ci].cost + lam) / len(cand_members[ci]) for ci in lst)
-    suffix_share = np.concatenate([np.cumsum(share[::-1])[::-1], [0.0]])
 
     bound = _assignment_bound(candidates, labels, lam)
     best = {"tuple": None, "J": np.inf if bound is None else bound + 1e-9}

@@ -29,7 +29,6 @@ from .core import (
     rng_stream,
 )
 
-REGIMES = ("single", "pretrain_finetune", "direct_merge", "mdt")
 NUM_INPUT_FEATURES = 5
 
 # statistic-set ids of the baseline regimes (shared plain normalization)
@@ -42,6 +41,62 @@ MCKPT_VERSION = 1
 
 class DivergedLoss(ArithmeticError):
     pass
+
+
+@dataclass(frozen=True)
+class Regime:
+    """What sets one training regime apart; the backbone, hyper-parameters
+    and data sources are the same under all of them."""
+
+    datasets: int | None  # how many datasets it trains on, in order (None: all)
+    aligned: bool         # clouds and supervision cropped to the shared gt range
+    stats: str | None     # one statistic set for every dataset (None: one each)
+    merged: bool          # one head over the amalgamated label union, fed
+                          # shuffled batches that mix the datasets
+    phased: bool          # a source phase, then a target phase
+    slm: bool             # in-domain cells merge every head through the unified space
+
+
+REGIME_TABLE = {
+    "single": Regime(datasets=1, aligned=False, stats=None,
+                     merged=False, phased=False, slm=False),
+    "pretrain_finetune": Regime(datasets=2, aligned=False, stats=PLAIN_STATS_ID,
+                                merged=False, phased=True, slm=False),
+    "direct_merge": Regime(datasets=None, aligned=False, stats=MERGED_STATS_ID,
+                           merged=True, phased=False, slm=False),
+    "mdt": Regime(datasets=None, aligned=True, stats=None,
+                  merged=False, phased=False, slm=True),
+}
+REGIMES = tuple(REGIME_TABLE)
+
+
+def route(regime, dataset_id):
+    """(statistic set, head) that a dataset's scenes are normalized with and
+    scored by under ``regime``."""
+    rules = REGIME_TABLE[regime]
+    return rules.stats or dataset_id, MERGED_STATS_ID if rules.merged else dataset_id
+
+
+def head_blocks(regime, class_counts):
+    """(offset, size) of each dataset's classes within the head that scores
+    it, from the ordered mapping dataset_id -> label-space size. Under a
+    merged head the blocks tile the amalgamated union in that order."""
+    merged = REGIME_TABLE[regime].merged
+    blocks, offset = {}, 0
+    for ds, n in class_counts.items():
+        blocks[ds] = (offset, n)
+        offset += n if merged else 0
+    return blocks
+
+
+def regime_of(stats_ids):
+    """The regime whose routing registers exactly the statistic sets
+    ``stats_ids`` (MCKPT v1 does not record the regime): a shared set names
+    its regime, one per-dataset set is single, several are mdt."""
+    for regime, rules in REGIME_TABLE.items():
+        if rules.stats is not None and list(stats_ids) == [rules.stats]:
+            return regime
+    return "single" if len(stats_ids) == 1 else "mdt"
 
 
 @dataclass
@@ -88,7 +143,7 @@ class TrainConfig:
     weight_clip: tuple = (0.1, 10.0)
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
+        if self.regime not in REGIME_TABLE:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.weight_rule not in ("inverse_frequency", "uniform"):
             raise ValueError(f"unknown weight rule {self.weight_rule!r}")
@@ -426,11 +481,18 @@ def balanced_batches(sizes, batch_size, seed):
 @dataclass
 class TrainData:
     """Prepared training stream for one dataset: per-scene feature volumes and
-    coarse ground-truth label arrays over the same lattice."""
+    coarse ground-truth label arrays over the same lattice.
+
+    ``num_classes`` is the width of the head the labels index; ``block`` is
+    the (offset, size) of the dataset's own classes within it: the whole head,
+    or the dataset's block when its labels are offset into an amalgamated
+    union.
+    """
 
     features: list
     labels: list
     num_classes: int
+    block: tuple
     empty_id: int = 0
 
     def __post_init__(self):
@@ -447,15 +509,16 @@ class TrainResult:
     norm_state: NormState
     log: list  # rows: dict(epoch, dataset, loss, iou, miou)
     weights: dict
-    block_offsets: dict = None  # amalgamated-union label offsets (direct_merge)
 
 
 def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
-    """Eval-mode loss plus geometric IoU / mIoU of argmax labels on the
-    training scenes (confusion tallied over full coarse grids)."""
+    """Eval-mode loss over the whole head plus geometric IoU / mIoU of the
+    argmax over the dataset's own block of it, on the training scenes
+    (confusion tallied over full coarse grids)."""
     from .metrics import ConfusionMatrix, geometric_iou, miou
 
-    cm = ConfusionMatrix(num_classes=data.num_classes)
+    off, size = data.block
+    cm = ConfusionMatrix(num_classes=size)
     total = 0.0
     # eval mode uses stored stats, so one big batch gives per-scene results
     outs, _ = batch_forward(
@@ -464,11 +527,11 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     for out, labels in zip(outs, data.labels):
         li, _ = loss_ce(out, labels, weights)
         total += li
-        cm.add_arrays(np.argmax(out, axis=3), labels)
+        cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
     return (
         total / max(len(data), 1),
-        geometric_iou(cm, empty_id=data.empty_id),
-        miou(cm, empty_id=data.empty_id),
+        geometric_iou(cm, empty_id=data.empty_id - off),
+        miou(cm, empty_id=data.empty_id - off),
     )
 
 
@@ -477,43 +540,25 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
 
     ``datasets`` is an ordered mapping dataset_id -> TrainData, already
     prepared (range-aligned for mdt, raw otherwise; direct_merge data must
-    already carry labels in the amalgamated union space). Regime wiring:
-
-    * single / mdt: dataset-specific statistics and heads, balanced
-      single-dataset batches;
-    * direct_merge: one amalgamated head, one plain statistic set, shuffled
-      batches that freely mix the merged datasets;
-    * pretrain_finetune: per-dataset heads but one plain statistic set (the
-      baseline model has ordinary batch normalization), source phase then
-      target phase.
+    already carry labels in the amalgamated union space). ``REGIME_TABLE``
+    and ``route`` give each dataset's statistic set, head and batch
+    schedule; regimes without a merged head draw balanced single-dataset
+    batches.
 
     Raises DivergedLoss when the loss stops being finite.
     """
-    if regime not in REGIMES:
+    if regime not in REGIME_TABLE:
         raise ValueError(f"unknown regime {regime!r}")
-    if regime == "single" and len(datasets) != 1:
-        raise ValueError("single regime expects exactly one dataset")
-    if regime == "pretrain_finetune" and len(datasets) != 2:
-        raise ValueError("pretrain_finetune expects (source, target)")
+    rules = REGIME_TABLE[regime]
     ids = list(datasets)
-    if regime == "direct_merge":
-        union = {datasets[ds].num_classes for ds in ids}
-        if len(union) != 1:
-            raise ValueError("direct_merge data must share the amalgamated class count")
-        head_route = {ds: MERGED_STATS_ID for ds in ids}
-        norm_route = {ds: MERGED_STATS_ID for ds in ids}
-        head_sizes = {MERGED_STATS_ID: union.pop()}
-        norm_ids = [MERGED_STATS_ID]
-    elif regime == "pretrain_finetune":
-        head_route = {ds: ds for ds in ids}
-        norm_route = {ds: PLAIN_STATS_ID for ds in ids}
-        head_sizes = {ds: datasets[ds].num_classes for ds in ids}
-        norm_ids = [PLAIN_STATS_ID]
-    else:
-        head_route = {ds: ds for ds in ids}
-        norm_route = {ds: ds for ds in ids}
-        head_sizes = {ds: datasets[ds].num_classes for ds in ids}
-        norm_ids = ids
+    if rules.datasets is not None and len(ids) != rules.datasets:
+        raise ValueError(f"{regime} trains on exactly {rules.datasets} datasets, got {len(ids)}")
+    routes = {ds: route(regime, ds) for ds in ids}
+    head_sizes = {}
+    for ds in ids:
+        if head_sizes.setdefault(routes[ds][1], datasets[ds].num_classes) != datasets[ds].num_classes:
+            raise ValueError(f"datasets scored by head {routes[ds][1]!r} must share its class count")
+    norm_ids = list(dict.fromkeys(stats for stats, _ in routes.values()))
     params = init_params(head_sizes, config.hidden, config.seed)
     norm_state = NormState(config.hidden, norm_ids, eps=norm_eps, momentum=norm_momentum)
     weights = {}
@@ -521,7 +566,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
         stacked = [
             l.reshape(-1)
             for ds in ids
-            if head_route[ds] == head_id
+            if routes[ds][1] == head_id
             for l in datasets[ds].labels
         ]
         if config.weight_rule == "uniform":
@@ -539,8 +584,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
         # balanced schedule, possibly mixed for direct merging
         vols = [datasets[ds].features[i] for ds, i in batch]
         gts = [datasets[ds].labels[i] for ds, i in batch]
-        norm_id = norm_route[batch[0][0]]
-        head_id = head_route[batch[0][0]]
+        norm_id, head_id = routes[batch[0][0]]
         loss, grads = backward(
             vols, gts, norm_id, params, norm_state, weights[head_id], head_id=head_id
         )
@@ -552,9 +596,9 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
         for ds in ids:
             if not len(datasets[ds]):
                 continue
+            norm_id, head_id = routes[ds]
             l, iou, mi = _epoch_metrics(
-                datasets[ds], norm_route[ds], head_route[ds], params, norm_state,
-                weights[head_route[ds]],
+                datasets[ds], norm_id, head_id, params, norm_state, weights[head_id]
             )
             log.append({"epoch": epoch, "dataset": ds, "loss": l, "iou": iou, "miou": mi})
 
@@ -565,7 +609,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
             if not sizes:
                 continue
             epoch_seed = config.seed + 7919 * epoch
-            if regime == "direct_merge":
+            if rules.merged:
                 batches = merged_batches(sizes, config.batch_size, seed=epoch_seed)
             else:
                 batches = [
@@ -576,7 +620,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
                 step(batch, epoch)
             log_epoch(epoch)
 
-    if regime == "pretrain_finetune":
+    if rules.phased:
         run_phase([ids[0]], config.pretrain_epochs, 0)
         run_phase([ids[1]], config.epochs, config.pretrain_epochs)
     else:

@@ -233,10 +233,16 @@ class TestCliErrors:
     def test_usage_error(self):
         assert main(["train", "--config", "/nonexistent/x.cfg"]) in (EXIT_USAGE, 3)
 
-    def test_bad_config_rejected(self, tmp_path):
+    def test_bad_config_rejected(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[run]\nbogus = 1\n")
         assert main(["synth", "--config", str(p)]) == EXIT_USAGE
+        # values the trainer would reject are refused when the config loads
+        for text in ("[train]\nregime = bogus\n", "[train]\nepochs = 0\n"):
+            p.write_text(text)
+            capsys.readouterr()
+            assert main(["train", "--config", str(p)]) == EXIT_USAGE
+            assert one_line_of_output(capsys)
 
     def test_missing_files_io_error(self, tmp_path):
         cfg, path = tiny_cfg(tmp_path / "empty")
@@ -288,6 +294,12 @@ class TestCliMalformedInputs:
         assert main(["report", "--out", str(probes / "report"), str(probes / "no_miou.csv")]) == EXIT_IO
         assert one_line_of_output(capsys)
         assert not (probes / "report").exists()
+
+    @pytest.mark.parametrize("manifest", ["{not json", '{"taxonomy": "nope"}'])
+    def test_malformed_manifest(self, tmp_path, manifest, capsys):
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert main(["train", "--out", str(tmp_path), "--regime", "mdt"]) == EXIT_IO
+        assert one_line_of_output(capsys)
 
     def test_truncated_mocc(self, probes, capsys):
         assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO

@@ -8,9 +8,11 @@ from mdocc.experiment import (
     eval_intersection,
     gather_features,
     oracle_unified,
+    run_regime,
     synthesize,
-    union_offsets,
 )
+from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
+from mdocc.model import TrainConfig, batch_forward, head_blocks
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
@@ -143,12 +145,12 @@ class TestOracleUnified:
             (da, ca), (db, cb) = c.members
             assert a.names[ca] == b.names[cb]
 
-    def test_union_offsets(self):
+    def test_union_head_blocks(self):
         tax = taxonomy_preset("split")
         specs = dataset_presets(tax)
-        offsets, total = union_offsets(specs)
-        assert offsets == {"a32": 0, "b64": 9}
-        assert total == 17
+        sizes = {ds: len(spec.label_space) for ds, spec in specs.items()}
+        assert head_blocks("direct_merge", sizes) == {"a32": (0, 9), "b64": (9, 8)}
+        assert head_blocks("mdt", sizes) == {"a32": (0, 9), "b64": (0, 8)}
 
 
 class TestSynthesize:
@@ -162,3 +164,20 @@ class TestSynthesize:
         c2, g2 = s2.train_views["b64"][0]
         assert np.array_equal(c1, c2)
         assert g1 == g2
+
+
+class TestRunRegime:
+    def test_direct_merge_logs_block_argmax(self):
+        synth = synthesize(3, n_train=2, n_eval=0)
+        cfg = TrainConfig(regime="direct_merge", epochs=2, batch_size=2, seed=0, hidden=6)
+        result, data = run_regime(synth, cfg, list(synth.specs))
+        assert {ds: d.block for ds, d in data.items()} == {"a32": (0, 9), "b64": (9, 8)}
+        for ds, d in data.items():
+            off, size = d.block
+            outs, _ = batch_forward(d.features, "merged", result.params, result.norm_state, mode="eval")
+            cm = ConfusionMatrix(num_classes=size)
+            for out, labels in zip(outs, d.labels):
+                cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
+            last = [row for row in result.log if row["dataset"] == ds][-1]
+            assert last["iou"] == geometric_iou(cm, empty_id=0)
+            assert last["miou"] == miou(cm, empty_id=0)

@@ -2,10 +2,11 @@
 
 Every file the CLI writes for one small fixed config (synth, train mdt,
 learn-labels, eval with the unified document; then, with eta 2 and
-cross-domain cells, eval of the same checkpoint and of a single-regime one)
-and the raycast output of both dataset presets on fixed seeds must hash to
-the recorded values. A change that moves any byte of these
-artifacts fails here and has to declare which bits moved and why.
+cross-domain cells, eval of the same checkpoint and of a single-regime one;
+then training under direct_merge and pretrain_finetune, and eval of the
+direct_merge checkpoint) and the raycast output of both dataset presets on
+fixed seeds must hash to the recorded values. A change that moves any byte
+of these artifacts fails here and has to declare which bits moved and why.
 """
 
 import hashlib
@@ -128,6 +129,32 @@ REFINED = {
         "a64e4c09f68b3cb8eaf7de7a4d05c5cb65aca266efc9718e588c3431cb1e5696",
 }
 
+BASELINES = {
+    "ckpt_direct_merge.mckpt":
+        "7eff171350b6a649fe54cc137bd9c93fe5ca61ede4bf7a84756ac490c7800211",
+    "ckpt_pretrain_finetune.mckpt":
+        "c6776c6f0afa522330cd99dc010bd9c1fdff6779eead6b2727de6bf8a33f34a6",
+    "pred/direct_merge/a32/pred_0000.mocc":
+        "3b8c3bb25e12b6781ddc4827de5aa0e48809daf11653b74b379777a960af6d33",
+    "pred/direct_merge/a32/pred_0001.mocc":
+        "da0ff8bd33276e51337db24b7ee5fe2c65a0726d1d748a08c37f4b7001a57587",
+    "pred/direct_merge/b64/pred_0000.mocc":
+        "ef114ee910ce121b78b957f47662921d704ac145ae521cb4d75ac3f82ec2b145",
+    "pred/direct_merge/b64/pred_0001.mocc":
+        "13f0a3f3bc7f33912fadde82e386e2cfd69980602a9ee577f78aeef4d827c3fa",
+    "report_direct_merge.csv":
+        "b732b1d04df6ec31d4aed6b9eefe0624952ce27631142dcb26cf9b0ea149b5bd",
+    # the iou and miou columns take the argmax over each dataset's block of
+    # the union head; the loss column is pinned by DIRECT_MERGE_LOSS
+    "train_log_direct_merge.csv":
+        "42a268e01676247890bcbda726e05b20763165322d73476ebb3d0d246adf4c41",
+    "train_log_pretrain_finetune.csv":
+        "23f53bf40020fd3378f66e6015d64b080555e4b3676996dd75efcab712fef22b",
+}
+
+# sha256 of the epoch, dataset and loss columns of train_log_direct_merge.csv
+DIRECT_MERGE_LOSS = "8365dd87d15df962fee0d45211fe2a39ef506d690ad4830f50cdaa029dbb6cce"
+
 RAYCAST = {
     ("a32", 3):
         "5bd3c9935b236c1d1d2379959118e3d7f94c20f2cbcbd249e5dbaa7305f83db5",
@@ -176,9 +203,19 @@ def cli_digests(tmp_path_factory):
         single = os.path.join("run", "ckpt_single.mckpt")
         assert main(["eval", "--config", "refined.cfg", "--checkpoint", single, "--unified", unified]) == EXIT_OK
         refined = _digests("run")
+        for regime in ("direct_merge", "pretrain_finetune"):
+            assert main(["train", "--config", "base.cfg", "--regime", regime]) == EXIT_OK
+        merged = os.path.join("run", "ckpt_direct_merge.mckpt")
+        assert main(["eval", "--config", "refined.cfg", "--checkpoint", merged]) == EXIT_OK
+        baselines = _digests("run")
+        with open(os.path.join("run", "train_log_direct_merge.csv"), "rb") as fh:
+            losses = b"\n".join(b",".join(line.split(b",")[:3]) for line in fh.read().splitlines())
     finally:
         os.chdir(cwd)
-    return pipeline, {k: v for k, v in refined.items() if pipeline.get(k) != v}
+    return (pipeline,
+            {k: v for k, v in refined.items() if pipeline.get(k) != v},
+            {k: v for k, v in baselines.items() if refined.get(k) != v},
+            hashlib.sha256(losses).hexdigest())
 
 
 def test_cli_pipeline_artifacts(cli_digests):
@@ -187,6 +224,14 @@ def test_cli_pipeline_artifacts(cli_digests):
 
 def test_refined_cross_eval_artifacts(cli_digests):
     assert cli_digests[1] == REFINED
+
+
+def test_baseline_regime_artifacts(cli_digests):
+    assert cli_digests[2] == BASELINES
+
+
+def test_direct_merge_logged_losses(cli_digests):
+    assert cli_digests[3] == DIRECT_MERGE_LOSS
 
 
 @pytest.mark.parametrize("seed", [3, 1001])

@@ -6,6 +6,8 @@ import mdocc
 from mdocc.core import BadMagic, CodecError, TruncatedPayload, VersionUnsupported, rng_stream
 from mdocc.model import (
     NUM_INPUT_FEATURES,
+    REGIME_TABLE,
+    REGIMES,
     DivergedLoss,
     TrainConfig,
     TrainData,
@@ -20,6 +22,8 @@ from mdocc.model import (
     loss_ce,
     neighbor_mean,
     neighbor_mean_transpose,
+    regime_of,
+    route,
     save_checkpoint,
     sgd_step,
     train,
@@ -271,7 +275,7 @@ def tiny_traindata(rng, n_scenes=6, dims=(4, 4, 2), classes=3, separable=True):
             f[..., 0] = y * 2.0 + rng.normal(0, 0.1, dims)
         feats.append(f)
         labels.append(y)
-    return TrainData(features=feats, labels=labels, num_classes=classes)
+    return TrainData(features=feats, labels=labels, num_classes=classes, block=(0, classes))
 
 
 class TestTrain:
@@ -309,12 +313,12 @@ class TestTrain:
         r1 = train("single", {"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
-            num_classes=3)}, cfg)
+            num_classes=3, block=(0, 3))}, cfg)
         cfg2 = TrainConfig(regime="mdt", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
         r2 = train("mdt", {"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
-            num_classes=3)}, cfg2)
+            num_classes=3, block=(0, 3))}, cfg2)
         assert np.array_equal(r1.params.w1, r2.params.w1)
         assert np.array_equal(r1.params.heads["a"][0], r2.params.heads["a"][0])
         assert [r["loss"] for r in r1.log] == [r["loss"] for r in r2.log]
@@ -359,6 +363,14 @@ class TestTrain:
         assert list(result.params.heads) == ["merged"]
         assert result.params.heads["merged"][0].shape[1] == 7
         assert result.norm_state.dataset_ids() == ["merged"]
+
+
+class TestRouting:
+    def test_regime_of_inverts_route(self):
+        for regime in REGIMES:
+            ids = ["a", "b"][: REGIME_TABLE[regime].datasets]
+            stats = list(dict.fromkeys(route(regime, ds)[0] for ds in ids))
+            assert regime_of(stats) == regime
 
 
 class TestClassWeights:
