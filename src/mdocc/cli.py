@@ -15,7 +15,7 @@ import sys
 
 from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
-from .core import CodecError, grid_decode, grid_encode
+from .core import CodecError, Lattice, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
 from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
@@ -23,8 +23,10 @@ from .model import (
     DivergedLoss,
     TrainConfig,
     TrainResult,
+    head_blocks,
     load_checkpoint,
     regime_of,
+    route,
     save_checkpoint,
 )
 from .scenes import cloud_decode, cloud_encode, dataset_presets, taxonomy_preset
@@ -107,7 +109,8 @@ def cmd_synth(cfg):
 
 
 def _load_synth(cfg):
-    """Rebuild a SynthResult from a synth output directory."""
+    """Rebuild a SynthResult from a synth output directory; CodecError on a
+    grid whose lattice or class count is not its dataset preset's."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -120,8 +123,9 @@ def _load_synth(cfg):
     specs = dataset_presets(taxonomy)
     train_views = {ds: [] for ds in specs}
     eval_views = {ds: [] for ds in specs}
-    for ds in specs:
+    for ds, spec in specs.items():
         base = os.path.join(cfg.out, ds)
+        preset = (Lattice.over(spec.gt_range, spec.voxel_size_m), len(spec.label_space))
         for tag, sink in (("scene", train_views), ("eval", eval_views)):
             i = 0
             while True:
@@ -131,6 +135,10 @@ def _load_synth(cfg):
                     break
                 with open(gpath, "rb") as fh:
                     gt = grid_decode(fh.read())
+                if (gt.lattice, gt.num_classes) != preset:
+                    # offset 6: the header fields after magic and version
+                    raise CodecError(f"{gpath}: {gt.lattice} with {gt.num_classes} classes "
+                                     f"does not fit the {ds} preset", 6)
                 with open(cpath, "rb") as fh:
                     cloud = cloud_decode(fh.read())
                 sink[ds].append((cloud, gt))
@@ -175,16 +183,34 @@ def cmd_train(cfg):
     return EXIT_OK
 
 
-def _load_model(checkpoint):
-    """The regime and TrainResult of a checkpoint."""
+def _load_model(checkpoint, synth):
+    """The regime and TrainResult of a checkpoint; CodecError unless it
+    holds, for every dataset of ``synth`` that its regime reads (a single
+    model: its home), the routed statistic set and a head as wide as the
+    dataset blocks it scores."""
     params, norm_state = load_checkpoint(checkpoint)
+    stats_ids = norm_state.dataset_ids()
+    regime = regime_of(stats_ids)
+    ids = stats_ids if regime == "single" else list(synth.specs)
+    if not set(ids) <= set(synth.specs):
+        raise CodecError(f"{checkpoint}: single model of {ids[0]!r}, not a dataset here", 0)
+    widths = {}
+    sizes = {ds: len(synth.specs[ds].label_space) for ds in ids}
+    for ds, (offset, size) in head_blocks(regime, sizes).items():
+        stats, head = route(regime, ds)
+        if stats not in stats_ids:
+            raise CodecError(f"{checkpoint}: no statistic set {stats!r} for {ds}", 0)
+        widths[head] = max(widths.get(head, 0), offset + size)
+    for head, width in widths.items():
+        if head not in params.heads or params.heads[head][1].size != width:
+            raise CodecError(f"{checkpoint}: {regime} needs a head {head!r} of {width} classes", 0)
     result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
-    return regime_of(norm_state.dataset_ids()), result
+    return regime, result
 
 
 def cmd_learn_labels(cfg, checkpoint):
     synth = _load_synth(cfg)
-    regime, result = _load_model(checkpoint)
+    regime, result = _load_model(checkpoint, synth)
     if regime != "mdt":
         print(f"learn-labels needs an mdt checkpoint, got a {regime} one", file=sys.stderr)
         return EXIT_USAGE
@@ -200,7 +226,7 @@ def cmd_learn_labels(cfg, checkpoint):
 
 def cmd_eval(cfg, checkpoint, unified_path=None):
     synth = _load_synth(cfg)
-    regime, result = _load_model(checkpoint)
+    regime, result = _load_model(checkpoint, synth)
     if regime == "pretrain_finetune":
         print(
             "pretrain_finetune checkpoints are assessed from their training log",

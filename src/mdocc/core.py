@@ -25,7 +25,6 @@ import numpy as np
 
 MOCC_MAGIC = b"MOCC"
 MOCC_VERSION = 1
-_MOCC_HEADER = struct.Struct("<4sHIIIdddd H".replace(" ", ""))  # 52 bytes
 
 
 class CodecError(ValueError):
@@ -352,53 +351,99 @@ class DatasetSpec:
         return float(self.gt_range.spans[0] / self.grid_dims[0])
 
 
+class StreamWriter:
+    """Builds one binary stream: ``magic | u16 version``, then little-endian
+    fields, u16-length UTF-8 names and arrays, in the order
+    :class:`StreamReader` reads them back."""
+
+    def __init__(self, magic, version):
+        self.parts = [struct.pack("<4sH", magic, version)]
+
+    def pack(self, fmt, *values):
+        self.parts.append(struct.pack("<" + fmt, *values))
+
+    def name(self, text):
+        raw = text.encode()
+        self.pack("H", len(raw))
+        self.parts.append(raw)
+
+    def array(self, arr, dtype):
+        self.parts.append(np.asarray(arr).astype(dtype).tobytes(order="C"))
+
+    def getvalue(self):
+        return b"".join(self.parts)
+
+
+class StreamReader:
+    """Bounds-checked cursor over a stream written by :class:`StreamWriter`.
+
+    Every fault is a CodecError: a wrong magic is :class:`BadMagic` at
+    offset 0, another version :class:`VersionUnsupported` at 4, and a field
+    that runs past the end :class:`TruncatedPayload` at the stream's length.
+    Used as a context manager around a decode, it refuses bytes left over at
+    the end of the block, and turns a ValueError, KeyError or IndexError
+    raised in it into a CodecError at the offset read up to.
+    """
+
+    def __init__(self, data, magic, version):
+        self.data = bytes(data)
+        self.offset = 0
+        if self.data[:4] != magic:
+            raise BadMagic(f"expected magic {magic!r}, got {self.data[:4]!r}", 0)
+        _, got = self.unpack("4sH")
+        if got != version:
+            raise VersionUnsupported(f"version {got} unsupported (expected {version})", 4)
+
+    def take(self, n):
+        if self.offset + n > len(self.data):
+            raise TruncatedPayload(f"stream ends inside a {n}-byte field at {self.offset}",
+                                   len(self.data))
+        self.offset += n
+        return self.data[self.offset - n : self.offset]
+
+    def unpack(self, fmt):
+        layout = struct.Struct("<" + fmt)
+        return layout.unpack(self.take(layout.size))
+
+    def name(self):
+        return self.take(self.unpack("H")[0]).decode()
+
+    def array(self, dtype, count):
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype).copy()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if kind is None and self.offset != len(self.data):
+            extra = len(self.data) - self.offset
+            raise CodecError(f"{extra} trailing bytes after the payload", self.offset)
+        if isinstance(err, (ValueError, KeyError, IndexError)) and not isinstance(err, CodecError):
+            raise CodecError(f"inconsistent content: {err!r}", self.offset) from None
+
+
 def grid_encode(grid):
     """Serialize an occupancy grid to the MOCC v1 little-endian layout.
 
     magic "MOCC" | version u16 | D,H,W u32 | voxel_size f64 | origin xyz f64
     | class count u16 | D*H*W labels u16 row-major.
     """
-    d, h, w = grid.dims
-    header = _MOCC_HEADER.pack(
-        MOCC_MAGIC,
-        MOCC_VERSION,
-        d,
-        h,
-        w,
-        grid.voxel_size_m,
-        grid.origin[0],
-        grid.origin[1],
-        grid.origin[2],
-        grid.num_classes,
-    )
-    return header + grid.labels.astype("<u2").tobytes(order="C")
+    stream = StreamWriter(MOCC_MAGIC, MOCC_VERSION)
+    stream.pack("IIIddddH", *grid.dims, grid.voxel_size_m, *grid.origin, grid.num_classes)
+    stream.array(grid.labels, "<u2")
+    return stream.getvalue()
 
 
 def grid_decode(data):
-    """Inverse of :func:`grid_encode`; validates magic, version, and length."""
-    data = bytes(data)
-    if len(data) < 4 or data[:4] != MOCC_MAGIC:
-        raise BadMagic(f"expected magic {MOCC_MAGIC!r}, got {data[:4]!r}", 0)
-    if len(data) < _MOCC_HEADER.size:
-        raise TruncatedPayload(
-            f"stream ends inside the {_MOCC_HEADER.size}-byte header", len(data)
+    """Inverse of :func:`grid_encode`; any fault raises a CodecError."""
+    with StreamReader(data, MOCC_MAGIC, MOCC_VERSION) as stream:
+        d, h, w, voxel, ox, oy, oz, classes = stream.unpack("IIIddddH")
+        grid = OccupancyGrid(
+            dims=(d, h, w),
+            voxel_size_m=voxel,
+            origin=(ox, oy, oz),
+            labels=stream.array("<u2", d * h * w),
+            num_classes=classes,
         )
-    magic, version, d, h, w, voxel, ox, oy, oz, classes = _MOCC_HEADER.unpack_from(data, 0)
-    if version != MOCC_VERSION:
-        raise VersionUnsupported(f"version {version} unsupported (expected {MOCC_VERSION})", 4)
-    want = d * h * w * 2
-    payload = data[_MOCC_HEADER.size:]
-    if len(payload) < want:
-        raise TruncatedPayload(
-            f"payload holds {len(payload)} of {want} label bytes", len(data)
-        )
-    if len(payload) > want:
-        raise CodecError(f"{len(payload) - want} trailing bytes after payload", _MOCC_HEADER.size + want)
-    labels = np.frombuffer(payload, dtype="<u2").reshape(d, h, w)
-    return OccupancyGrid(
-        dims=(d, h, w),
-        voxel_size_m=voxel,
-        origin=(ox, oy, oz),
-        labels=labels.astype(np.uint16),
-        num_classes=classes,
-    )
+    return grid

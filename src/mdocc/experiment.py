@@ -169,16 +169,15 @@ def coarse_lattice(spec, crop_range, stride):
                         spec.voxel_size_m * stride)
 
 
-def cloud_features(cloud, crop_range, lattice, cyl_spec=DEFAULT_CYL):
+def cloud_features(cloud, crop_range, lattice):
     """Feature volume of one cloud on ``lattice``; the cloud is cropped to
     ``crop_range`` (when given) before cylindrical binning."""
     pts = cloud if crop_range is None else crop_points(cloud, crop_range)
-    vol = cylindrical_voxelize(pts, cyl_spec)
-    return gather_features(vol, cyl_spec, lattice.dims, lattice.voxel, lattice.origin)
+    vol = cylindrical_voxelize(pts, DEFAULT_CYL)
+    return gather_features(vol, DEFAULT_CYL, lattice.dims, lattice.voxel, lattice.origin)
 
 
-def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
-                    label_offset=0, num_classes=None):
+def prepare_dataset(views, spec, crop_range, stride, label_offset=0, num_classes=None):
     """TrainData for one dataset: features and coarse labels on one lattice.
 
     ``crop_range`` None keeps the dataset's own ranges (raw preparation);
@@ -192,7 +191,7 @@ def prepare_dataset(views, spec, crop_range, stride, cyl_spec=DEFAULT_CYL,
     # one view at a time: building every feature volume before any label
     # raised the trend experiment's peak RSS by 8 MB (allocator reuse)
     for cloud, gt in views:
-        feats.append(cloud_features(cloud, crop_range, lattice, cyl_spec))
+        feats.append(cloud_features(cloud, crop_range, lattice))
         labels.append(coarse_labels(gt, stride, crop_range) + label_offset)
     return TrainData(
         features=feats,
@@ -510,8 +509,7 @@ def standard_setups(results):
 
 
 def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,
-                         batch_size=4, hidden=8, stride=2, pretrain_epochs=30,
-                         weight_rule="inverse_frequency"):
+                         batch_size=4, hidden=8, stride=2, pretrain_epochs=30):
     """One full 4-regime experiment at a given seed.
 
     All regimes share one identical hyper-parameter set. The b64 corpus is
@@ -524,8 +522,7 @@ def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,
     synth = synthesize(seed, taxonomy_name="split", n_train=sizes, n_eval=n_eval,
                        world_profiles=WORLD_PROFILES)
     base = dict(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
-                hidden=hidden, stride=stride, pretrain_epochs=pretrain_epochs,
-                weight_rule=weight_rule)
+                hidden=hidden, stride=stride, pretrain_epochs=pretrain_epochs)
     ids = list(synth.specs)
     results = {}
     for ds in ids:

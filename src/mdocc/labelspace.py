@@ -193,7 +193,7 @@ def merge_cost(candidate, corpus):
     return total / count
 
 
-def enumerate_candidates(corpus, tau, max_size=None):
+def enumerate_candidates(corpus, tau):
     """Greedy candidate growth: singletons, then pairs, triples, ...
 
     A size-n candidate is kept iff cost / (n - 1) <= tau and it extends an
@@ -207,10 +207,8 @@ def enumerate_candidates(corpus, tau, max_size=None):
     ]
     kept = list(singles)
     seen = {c.members for c in singles}
-    if max_size is None:
-        max_size = len(ids)
     frontier = singles
-    for n in range(2, max_size + 1):
+    for n in range(2, len(ids) + 1):
         grown = []
         for cand in frontier:
             used = set(cand.datasets())

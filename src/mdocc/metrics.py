@@ -24,12 +24,11 @@ class MissingTransform(ValueError):
 class ConfusionMatrix:
     """C x C integer counts; rows are ground truth, columns are prediction."""
 
-    def __init__(self, num_classes, ignore=None):
+    def __init__(self, num_classes):
         if num_classes < 1:
             raise ValueError("num_classes must be positive")
         self.num_classes = int(num_classes)
         self.counts = np.zeros((self.num_classes, self.num_classes), dtype=np.int64)
-        self.ignore = np.zeros(self.num_classes, dtype=bool) if ignore is None else np.asarray(ignore, dtype=bool)
 
     def add_arrays(self, pred, gt):
         """Tally raw label arrays of identical shape (no range filtering)."""
@@ -42,11 +41,6 @@ class ConfusionMatrix:
             self.num_classes, self.num_classes
         )
         return self
-
-    def copy(self):
-        dup = ConfusionMatrix(self.num_classes, ignore=self.ignore.copy())
-        dup.counts = self.counts.copy()
-        return dup
 
 
 def accumulate(cm, pred, gt, eval_range):
@@ -90,14 +84,14 @@ def geometric_iou(cm, empty_id):
 def miou(cm, empty_id):
     """Mean per-class IoU over semantic classes present in truth or prediction.
 
-    The empty class and ignored classes are excluded from the mean; classes
-    absent from both sides are skipped rather than counted as 0 or 1. Returns
-    nan when no semantic class is present at all.
+    The empty class is excluded from the mean; classes absent from both sides
+    are skipped rather than counted as 0 or 1. Returns nan when no semantic
+    class is present at all.
     """
     c = cm.counts
     vals = []
     for i in range(cm.num_classes):
-        if i == empty_id or cm.ignore[i]:
+        if i == empty_id:
             continue
         tp = c[i, i]
         fn = c[i, :].sum() - tp

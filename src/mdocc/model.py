@@ -11,21 +11,18 @@ descent.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .align import NormState, dsnorm_backward, dsnorm_forward, dsnorm_update_shared
 from .core import (
-    BadMagic,
-    CodecError,
     DimMismatch,
     OccupancyGrid,
     ScoreGrid,
-    TruncatedPayload,
+    StreamReader,
+    StreamWriter,
     UnknownDataset,
-    VersionUnsupported,
     rng_stream,
 )
 
@@ -139,14 +136,10 @@ class TrainConfig:
     hidden: int = 8
     stride: int = 2
     pretrain_epochs: int = 20
-    weight_rule: str = "inverse_frequency"  # or "uniform"
-    weight_clip: tuple = (0.1, 10.0)
 
     def __post_init__(self):
         if self.regime not in REGIME_TABLE:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.weight_rule not in ("inverse_frequency", "uniform"):
-            raise ValueError(f"unknown weight rule {self.weight_rule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -191,14 +184,11 @@ def _neighbor_counts(dims):
     return cnt
 
 
-def _stencil_sum(x, spatial_from=0):
-    """Sum over each voxel and its in-grid 6-neighborhood; symmetric operator.
-
-    Spatial axes are ``spatial_from .. spatial_from + 2``, so a whole batch of
-    volumes can be shifted at once.
-    """
+def _stencil_sum(x):
+    """Sum over each voxel and its in-grid 6-neighborhood (the first three
+    axes); symmetric operator."""
     out = x.copy()
-    for ax in range(spatial_from, spatial_from + 3):
+    for ax in range(3):
         lo = [slice(None)] * x.ndim
         hi = [slice(None)] * x.ndim
         lo[ax] = slice(1, None)
@@ -535,7 +525,7 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     )
 
 
-def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
+def train(regime, datasets, config):
     """Train under one of the four regimes; deterministic in config.seed.
 
     ``datasets`` is an ordered mapping dataset_id -> TrainData, already
@@ -560,7 +550,7 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
             raise ValueError(f"datasets scored by head {routes[ds][1]!r} must share its class count")
     norm_ids = list(dict.fromkeys(stats for stats, _ in routes.values()))
     params = init_params(head_sizes, config.hidden, config.seed)
-    norm_state = NormState(config.hidden, norm_ids, eps=norm_eps, momentum=norm_momentum)
+    norm_state = NormState(config.hidden, norm_ids)
     weights = {}
     for head_id in head_sizes:
         stacked = [
@@ -569,14 +559,11 @@ def train(regime, datasets, config, norm_eps=1e-5, norm_momentum=0.1):
             if routes[ds][1] == head_id
             for l in datasets[ds].labels
         ]
-        if config.weight_rule == "uniform":
-            weights[head_id] = np.ones(head_sizes[head_id])
-        else:
-            counts = np.bincount(
-                np.concatenate(stacked) if stacked else np.zeros(0, dtype=np.int64),
-                minlength=head_sizes[head_id],
-            )
-            weights[head_id] = class_weights_from_counts(counts, clip=config.weight_clip)
+        counts = np.bincount(
+            np.concatenate(stacked) if stacked else np.zeros(0, dtype=np.int64),
+            minlength=head_sizes[head_id],
+        )
+        weights[head_id] = class_weights_from_counts(counts)
     log = []
 
     def step(batch, epoch):
@@ -645,102 +632,59 @@ def save_checkpoint(path, params, norm_state):
         w, b = params.heads[ds]
         tensors.append((f"head.{ds}.w", w))
         tensors.append((f"head.{ds}.b", b))
-    blob = [struct.pack("<4sH", MCKPT_MAGIC, MCKPT_VERSION), struct.pack("<I", len(tensors))]
+    stream = StreamWriter(MCKPT_MAGIC, MCKPT_VERSION)
+    stream.pack("I", len(tensors))
     for name, arr in tensors:
         arr = np.asarray(arr, dtype=np.float64)
-        nb = name.encode()
-        blob.append(struct.pack("<H", len(nb)))
-        blob.append(nb)
-        blob.append(struct.pack("<B", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.astype("<f8").tobytes(order="C"))
+        stream.name(name)
+        stream.pack(f"B{arr.ndim}I", arr.ndim, *arr.shape)
+        stream.array(arr, "<f8")
     states = norm_state.dataset_ids()
-    blob.append(struct.pack("<H", len(states)))
+    stream.pack("H", len(states))
     for ds in states:
         st = norm_state.stats(ds)
-        nb = ds.encode()
-        blob.append(struct.pack("<H", len(nb)))
-        blob.append(nb)
-        blob.append(struct.pack("<I", norm_state.num_features))
-        blob.append(st["mean"].astype("<f8").tobytes())
-        blob.append(st["var"].astype("<f8").tobytes())
-        blob.append(struct.pack("<Q", st["count"]))
-    data = b"".join(blob)
+        stream.name(ds)
+        stream.pack("I", norm_state.num_features)
+        stream.array(st["mean"], "<f8")
+        stream.array(st["var"], "<f8")
+        stream.pack("Q", st["count"])
+    data = stream.getvalue()
     with open(path, "wb") as fh:
         fh.write(data)
     return data
 
 
 def load_checkpoint(path):
-    """Read an MCKPT v1 file written by :func:`save_checkpoint`.
-
-    Raises BadMagic or VersionUnsupported on a foreign header,
-    TruncatedPayload (with the byte offset of the field that runs past the
-    end) on short data, and CodecError on any other malformed content.
-    """
+    """(params, norm_state) of an MCKPT v1 file written by :func:`save_checkpoint`."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
+        return checkpoint_decode(fh.read())
 
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise TruncatedPayload(f"checkpoint of {len(data)} bytes ends inside a {n}-byte field", off)
-        off += n
-        return data[off - n : off]
 
-    def unpack(fmt):
-        layout = struct.Struct("<" + fmt)
-        return layout.unpack(take(layout.size))
-
-    def floats(count):
-        return np.frombuffer(take(8 * count), dtype="<f8").copy()
-
-    def text():
-        at = off
-        raw = take(unpack("H")[0])
-        try:
-            return raw.decode()
-        except UnicodeDecodeError:
-            raise CodecError(f"name {raw!r} is not UTF-8", at) from None
-
-    if data[:4] != MCKPT_MAGIC:
-        raise BadMagic(f"expected magic {MCKPT_MAGIC!r}, got {data[:4]!r}", 0)
-    _, version = unpack("4sH")
-    if version != MCKPT_VERSION:
-        raise VersionUnsupported(f"version {version} unsupported (expected {MCKPT_VERSION})", 4)
-    tensors = {}
-    for _ in range(unpack("I")[0]):
-        key = text()
-        (ndim,) = unpack("B")
-        shape = unpack(f"{ndim}I")
-        tensors[key] = floats(math.prod(shape)).reshape(shape)
-    stats = {}
-    for _ in range(unpack("H")[0]):
-        ds = text()
-        (nf,) = unpack("I")
-        mean = floats(nf)
-        var = floats(nf)
-        stats[ds] = {"mean": mean, "var": var, "count": unpack("Q")[0]}
-    if off != len(data):
-        raise CodecError(f"{len(data) - off} trailing bytes after the checkpoint", off)
-    try:
-        norm_state = NormState(
-            tensors["norm.gamma"].size,
-            [],
-            eps=float(tensors["norm.eps"][0]),
-            momentum=float(tensors["norm.momentum"][0]),
-        )
+def checkpoint_decode(data):
+    """(params, norm_state) of MCKPT v1 bytes; any fault raises a CodecError."""
+    with StreamReader(data, MCKPT_MAGIC, MCKPT_VERSION) as stream:
+        tensors = {}
+        for _ in range(stream.unpack("I")[0]):
+            key = stream.name()
+            shape = stream.unpack(f"{stream.unpack('B')[0]}I")
+            tensors[key] = stream.array("<f8", math.prod(shape)).reshape(shape)
+        stats = {}
+        for _ in range(stream.unpack("H")[0]):
+            ds = stream.name()
+            (nf,) = stream.unpack("I")
+            mean, var = stream.array("<f8", nf), stream.array("<f8", nf)
+            stats[ds] = {"mean": mean, "var": var, "count": stream.unpack("Q")[0]}
+        norm_state = NormState(tensors["norm.gamma"].size, [], eps=float(tensors["norm.eps"][0]),
+                               momentum=float(tensors["norm.momentum"][0]))
         norm_state.gamma = tensors["norm.gamma"]
         norm_state.beta = tensors["norm.beta"]
         for ds in stats:
             norm_state.register(ds)
             norm_state._stats[ds] = stats[ds]
-        head_ids = [
-            name[len("head.") : -len(".w")] for name in tensors
-            if name.startswith("head.") and name.endswith(".w")
-        ]
-        heads = {ds: (tensors[f"head.{ds}.w"], tensors[f"head.{ds}.b"]) for ds in head_ids}
+        heads = {
+            name[len("head.") : -len(".w")]: (w, tensors[name[: -len("w")] + "b"])
+            for name, w in tensors.items() if name.startswith("head.") and name.endswith(".w")
+        }
         params = ModelParams(
             w1=tensors["backbone.w1"],
             b1=tensors["backbone.b1"],
@@ -748,6 +692,12 @@ def load_checkpoint(path):
             b2=tensors["backbone.b2"],
             heads=heads,
         )
-    except (KeyError, IndexError, ValueError) as e:
-        raise CodecError(f"inconsistent checkpoint content: {e!r}", off) from None
+        h = norm_state.num_features
+        expected = [(params.w1, (NUM_INPUT_FEATURES, h)), (params.w2, (h, h)), (params.b1, (h,)),
+                    (params.b2, (h,)), (norm_state.beta, (h,))]
+        expected += [(s["mean"], (h,)) for s in stats.values()]
+        for w, b in heads.values():
+            expected += [(w, (h, b.size)), (b, (b.size,))]
+        if any(arr.shape != shape for arr, shape in expected):
+            raise ValueError(f"checkpoint tensor shapes disagree with its {h} features")
     return params, norm_state

@@ -9,23 +9,20 @@ correspondence oracle.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import crop_points
 from .core import (
-    BadMagic,
-    CodecError,
     DatasetSpec,
     LabelSpace,
     Lattice,
     LidarConfig,
     OccupancyGrid,
     Range3D,
-    TruncatedPayload,
-    VersionUnsupported,
+    StreamReader,
+    StreamWriter,
     rng_stream,
 )
 from .kernels import march_rays
@@ -393,15 +390,14 @@ def resample_labels(scene, proj, dims, voxel_size, origin):
     return np.asarray(proj)[fine.labels].astype(np.uint16)
 
 
-def derive_dataset_view(scene, taxonomy, dataset, sensor_pose=None):
+def derive_dataset_view(scene, taxonomy, dataset):
     """One dataset's view of a scene: cropped point cloud plus projected GT.
 
     The cloud is the raycast of the dataset's sensor cropped to its point
     range; the GT grid is the scene relabeled through the dataset projection
     and resampled onto the dataset's gt_range / grid_dims lattice.
     """
-    if sensor_pose is None:
-        sensor_pose = default_sensor_pose(scene, mount_z=SENSOR_MOUNT_Z.get(dataset.name))
+    sensor_pose = default_sensor_pose(scene, mount_z=SENSOR_MOUNT_Z.get(dataset.name))
     cloud = raycast(scene, dataset.lidar, sensor_pose)
     cloud = crop_points(cloud, dataset.point_range)
     labels = resample_labels(
@@ -424,23 +420,15 @@ def derive_dataset_view(scene, taxonomy, dataset, sensor_pose=None):
 def cloud_encode(cloud):
     """Serialize a point cloud to MPLY v1: magic | version u16 | count u32 | xyz f64."""
     cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    header = struct.pack("<4sHI", MPLY_MAGIC, MPLY_VERSION, cloud.shape[0])
-    return header + cloud.astype("<f8").tobytes(order="C")
+    stream = StreamWriter(MPLY_MAGIC, MPLY_VERSION)
+    stream.pack("I", cloud.shape[0])
+    stream.array(cloud, "<f8")
+    return stream.getvalue()
 
 
 def cloud_decode(data):
-    data = bytes(data)
-    if len(data) < 4 or data[:4] != MPLY_MAGIC:
-        raise BadMagic(f"expected magic {MPLY_MAGIC!r}, got {data[:4]!r}", 0)
-    if len(data) < 10:
-        raise TruncatedPayload("stream ends inside the 10-byte header", len(data))
-    _, version, count = struct.unpack_from("<4sHI", data, 0)
-    if version != MPLY_VERSION:
-        raise VersionUnsupported(f"version {version} unsupported (expected {MPLY_VERSION})", 4)
-    want = count * 24
-    payload = data[10:]
-    if len(payload) < want:
-        raise TruncatedPayload(f"payload holds {len(payload)} of {want} bytes", len(data))
-    if len(payload) > want:
-        raise CodecError(f"{len(payload) - want} trailing bytes after payload", 10 + want)
-    return np.frombuffer(payload, dtype="<f8").reshape(count, 3).copy()
+    """Inverse of :func:`cloud_encode`; any fault raises a CodecError."""
+    with StreamReader(data, MPLY_MAGIC, MPLY_VERSION) as stream:
+        (count,) = stream.unpack("I")
+        cloud = stream.array("<f8", 3 * count).reshape(count, 3)
+    return cloud

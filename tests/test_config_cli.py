@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -219,6 +220,9 @@ class TestCliTrainEval:
         ckpt = os.path.join(cfg.out, f"ckpt_{regime}.mckpt")
         assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_USAGE
         assert one_line_of_output(capsys)
+        if regime == "pretrain_finetune":
+            assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_USAGE
+            assert one_line_of_output(capsys)
 
     def test_report_merges(self, rundir, tmp_path):
         cfg, path = rundir
@@ -303,4 +307,63 @@ class TestCliMalformedInputs:
 
     def test_truncated_mocc(self, probes, capsys):
         assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+    # MOCC header: magic 0..3, version 4..5, dims 6..17, voxel size 18..25,
+    # origin 26..49, class count 50..51, labels from 52
+    @pytest.mark.parametrize("at, value", [
+        (25, b"\xbf"),      # sign bit of the voxel size: -0.2 m
+        (52, b"\x09\x00"),  # first label 9 of a 9-class grid
+    ])
+    def test_bad_mocc_content(self, probes, at, value, capsys):
+        scene = probes / "trunc_scene" / "a32" / "scene_0000.mocc"
+        blob = grid_encode(OccupancyGrid((4, 4, 2), 0.2, (0.0, 0.0, 0.0), [0] * 32, 9))
+        scene.write_bytes(blob[:at] + value + blob[at + len(value):])
+        assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+
+@pytest.fixture(scope="module")
+def mismatch(tmp_path_factory):
+    """A split-taxonomy synth directory with an mdt checkpoint, and a
+    twin-taxonomy synth directory."""
+    root = tmp_path_factory.mktemp("mismatch")
+    split_cfg, split_path = tiny_cfg(root / "split")
+    _, twin_path = tiny_cfg(root / "twin", taxonomy="twin")
+    for path in (split_path, twin_path):
+        assert main(["synth", "--config", path]) == EXIT_OK
+    assert main(["train", "--config", split_path, "--regime", "mdt"]) == EXIT_OK
+    return split_cfg, split_path, twin_path
+
+
+class TestCliMismatchedInputs:
+    """Inputs that decode but do not fit each other end in exit 3 and one
+    line of output."""
+
+    @pytest.mark.parametrize("regime", ["mdt", "direct_merge"])
+    def test_grid_of_another_preset(self, mismatch, tmp_path, regime, capsys):
+        split_cfg, _, _ = mismatch
+        out = tmp_path / "run"
+        shutil.copytree(split_cfg.out, out)
+        shutil.copy(out / "b64" / "scene_0000.mocc", out / "a32" / "scene_0000.mocc")
+        capsys.readouterr()
+        assert main(["train", "--out", str(out), "--regime", regime]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+    def test_checkpoint_without_routed_statistic_set(self, mismatch, tmp_path, capsys):
+        split_cfg, split_path, _ = mismatch
+        blob = open(os.path.join(split_cfg.out, "ckpt_mdt.mckpt"), "rb").read()
+        at = blob.rindex(b"\x03\x00a32")  # the last a32 name is its statistic set
+        renamed = tmp_path / "a33.mckpt"
+        renamed.write_bytes(blob[:at] + b"\x03\x00a33" + blob[at + 5:])
+        capsys.readouterr()
+        assert main(["eval", "--config", split_path, "--checkpoint", str(renamed)]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "learn-labels"])
+    def test_checkpoint_of_another_taxonomy(self, mismatch, command, capsys):
+        split_cfg, _, twin_path = mismatch
+        ckpt = os.path.join(split_cfg.out, "ckpt_mdt.mckpt")
+        capsys.readouterr()
+        assert main([command, "--config", twin_path, "--checkpoint", ckpt]) == EXIT_IO
         assert one_line_of_output(capsys)
