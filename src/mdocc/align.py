@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Range3D, UnknownDataset
+from .core import Range3D, UnknownDataset, colsum, rowwise
 
 
 class EmptyIntersection(ValueError):
@@ -198,8 +198,11 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=None, return
         raise ValueError(f"expected (N, {state.num_features}) batch, got {x.shape}")
     stats = state.stats(dataset_id)
     if mode == "train":
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
+        # the biased mean and variance, as x.mean(axis=0) and x.var(axis=0)
+        # compute them, with x - mu formed once for the variance and xhat
+        mu = colsum(x) / x.shape[0]
+        d = rowwise(np.subtract, x, mu)
+        var = colsum(d, d) / x.shape[0]
         if update_stats is None or update_stats:
             m = state.momentum
             stats["mean"] = (1.0 - m) * stats["mean"] + m * mu
@@ -208,9 +211,11 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=None, return
     else:
         mu = stats["mean"]
         var = stats["var"]
+        d = rowwise(np.subtract, x, mu)
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mu) * inv_std
-    y = state.gamma * xhat + state.beta
+    xhat = rowwise(np.multiply, d, inv_std, out=d)
+    y = rowwise(np.multiply, xhat, state.gamma)
+    rowwise(np.add, y, state.beta, out=y)
     if return_cache:
         return y, {"xhat": xhat, "inv_std": inv_std, "mode": mode}
     return y
@@ -224,13 +229,17 @@ def dsnorm_backward(grad_y, cache, state):
     """
     xhat = cache["xhat"]
     inv_std = cache["inv_std"]
-    grad_gamma = (grad_y * xhat).sum(axis=0)
-    grad_beta = grad_y.sum(axis=0)
-    gys = grad_y * state.gamma
+    grad_gamma = colsum(grad_y, xhat)
+    grad_beta = colsum(grad_y)
+    gys = rowwise(np.multiply, grad_y, state.gamma)
     if cache["mode"] == "train":
-        grad_x = inv_std * (gys - gys.mean(axis=0) - xhat * (gys * xhat).mean(axis=0))
+        # inv_std * (gys - mean(gys) - xhat * mean(gys * xhat)), op by op
+        n = grad_y.shape[0]
+        grad_x = rowwise(np.subtract, gys, colsum(gys) / n)
+        grad_x -= rowwise(np.multiply, xhat, colsum(gys, xhat) / n)
+        rowwise(np.multiply, grad_x, inv_std, out=grad_x)
     else:
-        grad_x = gys * inv_std
+        grad_x = rowwise(np.multiply, gys, inv_std, out=gys)
     return grad_x, grad_gamma, grad_beta
 
 

@@ -15,7 +15,7 @@ import sys
 
 from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
-from .core import CodecError, Lattice, grid_decode, grid_encode
+from .core import CodecError, Lattice, decode_file, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
 from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
@@ -109,8 +109,9 @@ def cmd_synth(cfg):
 
 
 def _load_synth(cfg):
-    """Rebuild a SynthResult from a synth output directory; CodecError on a
-    grid whose lattice or class count is not its dataset preset's."""
+    """Rebuild a SynthResult from a synth output directory; CodecError, naming
+    the file, on a file that does not decode or a grid whose lattice or class
+    count is not its dataset preset's."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -133,15 +134,12 @@ def _load_synth(cfg):
                 cpath = os.path.join(base, f"{tag}_cloud_{i:04d}.mply")
                 if not os.path.exists(gpath):
                     break
-                with open(gpath, "rb") as fh:
-                    gt = grid_decode(fh.read())
+                gt = decode_file(gpath, grid_decode)
                 if (gt.lattice, gt.num_classes) != preset:
                     # offset 6: the header fields after magic and version
                     raise CodecError(f"{gpath}: {gt.lattice} with {gt.num_classes} classes "
                                      f"does not fit the {ds} preset", 6)
-                with open(cpath, "rb") as fh:
-                    cloud = cloud_decode(fh.read())
-                sink[ds].append((cloud, gt))
+                sink[ds].append((decode_file(cpath, cloud_decode), gt))
                 i += 1
     return exp.SynthResult(
         taxonomy=taxonomy,

@@ -53,11 +53,6 @@ class MappingMatrix:
     def unified_of(self, label):
         return int(np.argmax(self.matrix[label]))
 
-    def label_of_unified(self, unified):
-        col = self.matrix[:, unified]
-        hits = np.nonzero(col)[0]
-        return int(hits[0]) if hits.size else None
-
 
 @dataclass(frozen=True)
 class MergeCandidate:

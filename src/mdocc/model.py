@@ -23,7 +23,10 @@ from .core import (
     StreamReader,
     StreamWriter,
     UnknownDataset,
+    colsum,
+    decode_file,
     rng_stream,
+    rowwise,
 )
 
 NUM_INPUT_FEATURES = 5
@@ -272,14 +275,17 @@ def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_
     x = np.concatenate(
         [v.reshape(-1, NUM_INPUT_FEATURES) for v in volumes], axis=0
     )
-    z1 = x @ params.w1 + params.b1
+    z1 = x @ params.w1
+    rowwise(np.add, z1, params.b1, out=z1)
     z2, norm_cache = dsnorm_forward(
         z1, dataset_id, norm_state, mode=mode, update_stats=update_stats, return_cache=True
     )
     a3 = np.maximum(z2, 0.0)
     z4 = _neighbor_mean_batch(a3, slices, params.hidden)
-    z5 = z4 @ params.w2 + params.b2
-    scores = z5 @ head_w + head_b
+    z5 = z4 @ params.w2
+    rowwise(np.add, z5, params.b2, out=z5)
+    scores = z5 @ head_w
+    rowwise(np.add, scores, head_b, out=scores)
     outs = [
         scores[sl].reshape(dims + (head_w.shape[1],)) for dims, sl in slices
     ]
@@ -294,6 +300,35 @@ def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_
     return outs, cache
 
 
+def _ce_terms(raw, labels, class_weights):
+    """The loss of :func:`loss_ce` without its gradient, plus what the
+    gradient is built from: exp(scores - row max) as (N, C) rows, their row
+    sums, each voxel's flat index of its label column and its weight.
+
+    Only the label column is divided by the row sum, expv[i, y] / s[i],
+    which is the softmax's entry there bit for bit.
+    """
+    if raw.shape[:3] != labels.shape:
+        raise DimMismatch(f"score dims {raw.shape[:3]} != label dims {labels.shape}")
+    num_classes = raw.shape[3]
+    flat = raw.reshape(-1, num_classes)
+    y = labels.reshape(-1).astype(np.int64)
+    n = y.size
+    w = np.asarray(class_weights, dtype=np.float64)
+    # the row max column by column; max is exact in any order
+    top = flat[:, 0].copy()
+    for c in range(1, num_classes):
+        np.maximum(top, flat[:, c], out=top)
+    expv = flat - top[:, None]
+    np.exp(expv, out=expv)
+    s = expv.sum(axis=1)
+    label_col = np.arange(n) * num_classes + y
+    wv = w[y]
+    p_label = expv.reshape(-1)[label_col] / s
+    loss = float(np.sum(wv * -np.log(np.maximum(p_label, 1e-300))) / n)
+    return loss, expv, s, label_col, wv
+
+
 def loss_ce(scores, gt, class_weights):
     """Weighted softmax cross-entropy averaged over voxels.
 
@@ -303,21 +338,11 @@ def loss_ce(scores, gt, class_weights):
     """
     raw = scores.scores if isinstance(scores, ScoreGrid) else np.asarray(scores, dtype=np.float64)
     labels = gt.labels if isinstance(gt, OccupancyGrid) else np.asarray(gt)
-    if raw.shape[:3] != labels.shape:
-        raise DimMismatch(f"score dims {raw.shape[:3]} != label dims {labels.shape}")
-    num_classes = raw.shape[3]
-    flat = raw.reshape(-1, num_classes)
-    y = labels.reshape(-1).astype(np.int64)
-    n = y.size
-    w = np.asarray(class_weights, dtype=np.float64)
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    p = expv / expv.sum(axis=1, keepdims=True)
-    wv = w[y]
-    loss = float(np.sum(wv * -np.log(np.maximum(p[np.arange(n), y], 1e-300))) / n)
-    grad = p * wv[:, None]
-    grad[np.arange(n), y] -= wv
-    grad /= n
+    loss, grad, s, label_col, wv = _ce_terms(raw, labels, class_weights)
+    grad /= s[:, None]
+    grad *= wv[:, None]
+    grad.reshape(-1)[label_col] -= wv
+    grad /= wv.size
     return loss, grad.reshape(raw.shape)
 
 
@@ -366,17 +391,17 @@ def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
     g = np.concatenate(gscores, axis=0)
     z5 = cache["z5"]
     gw_head = z5.T @ g
-    gb_head = g.sum(axis=0)
+    gb_head = colsum(g)
     gz5 = g @ head_w.T
     z4 = cache["z4"]
     gw2 = z4.T @ gz5
-    gb2 = gz5.sum(axis=0)
+    gb2 = colsum(gz5)
     gz4 = gz5 @ params.w2.T
     ga3 = _neighbor_mean_batch(gz4, cache["slices"], params.hidden, transpose=True)
     gz2 = ga3 * (cache["z2"] > 0.0)
     gz1, ggamma, gbeta = dsnorm_backward(gz2, cache["norm"], norm_state)
     gw1 = cache["x"].T @ gz1
-    gb1 = gz1.sum(axis=0)
+    gb1 = colsum(gz1)
     heads = {}
     for ds, (w, b) in params.heads.items():
         if ds == trained_head:
@@ -504,7 +529,11 @@ class TrainResult:
 def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     """Eval-mode loss over the whole head plus geometric IoU / mIoU of the
     argmax over the dataset's own block of it, on the training scenes
-    (confusion tallied over full coarse grids)."""
+    (confusion tallied over full coarse grids).
+
+    The loss is the per-scene mean of :func:`loss_ce`'s losses, bit for bit,
+    but comes from its gradient-free core: nothing reads a gradient here.
+    """
     from .metrics import ConfusionMatrix, geometric_iou, miou
 
     off, size = data.block
@@ -515,8 +544,7 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
         data.features, norm_id, params, norm_state, mode="eval", head_id=head_id
     )
     for out, labels in zip(outs, data.labels):
-        li, _ = loss_ce(out, labels, weights)
-        total += li
+        total += _ce_terms(out, labels, weights)[0]
         cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
     return (
         total / max(len(data), 1),
@@ -656,8 +684,7 @@ def save_checkpoint(path, params, norm_state):
 
 def load_checkpoint(path):
     """(params, norm_state) of an MCKPT v1 file written by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        return checkpoint_decode(fh.read())
+    return decode_file(path, checkpoint_decode)
 
 
 def checkpoint_decode(data):

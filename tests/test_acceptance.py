@@ -1,6 +1,7 @@
 """Verification gate: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to watch them stream)."""
 
+import hashlib
 import os
 import time
 
@@ -330,6 +331,25 @@ def test_10_catastrophic_forgetting(trend_runs):
         if final < peak:
             hits += 1
     report(10, "fine-tuning forgets the source domain", hits >= 4, f"{hits}/5 seeds dropped")
+
+
+def _float_hex_digest(records):
+    """sha256 over one line per record of its values, comma-separated, each
+    float as its exact hex form."""
+    lines = (",".join(v.hex() if isinstance(v, float) else str(v) for v in rec.values())
+             for rec in records)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_trend_seed0_golden(trend_runs):
+    """Seed 0's report rows (in sorted key order) and pretrain_finetune log,
+    bit for bit; a change to the training arithmetic that moves a bit shows
+    here."""
+    rows = trend_runs[0]["rows"]
+    assert _float_hex_digest(rows[k] for k in sorted(rows)) == (
+        "1a6474fe6f119de8e89055e675f04cd42b6928d85b2c63d20d5d276881357df7")
+    assert _float_hex_digest(trend_runs[0]["pt_log"]) == (
+        "8c18157f9c2b9d35aef05afcbc92405d1ad82817d49a7d2925b86e58a4b8e857")
 
 
 def test_11_cli_determinism(tmp_path):

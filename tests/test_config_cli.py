@@ -254,9 +254,11 @@ class TestCliErrors:
         assert main(["train", "--config", path]) == 3
 
 
-def one_line_of_output(capsys):
+def one_line_of_output(capsys, naming=None):
+    """True when the output is one line, naming the path ``naming`` if given."""
     out = capsys.readouterr()
-    return len((out.out + out.err).strip().splitlines()) == 1
+    lines = (out.out + out.err).strip().splitlines()
+    return len(lines) == 1 and (naming is None or str(naming) in lines[0])
 
 
 @pytest.fixture
@@ -308,6 +310,16 @@ class TestCliMalformedInputs:
     def test_truncated_mocc(self, probes, capsys):
         assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
         assert one_line_of_output(capsys)
+
+    def test_truncated_mocc_names_file(self, probes, capsys):
+        scene = probes / "trunc_scene" / "a32" / "scene_0000.mocc"
+        assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
+        assert one_line_of_output(capsys, naming=scene)
+
+    def test_truncated_checkpoint_names_file(self, probes, capsys):
+        ckpt = probes / "trunc.mckpt"
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(ckpt)]) == EXIT_IO
+        assert one_line_of_output(capsys, naming=ckpt)
 
     # MOCC header: magic 0..3, version 4..5, dims 6..17, voxel size 18..25,
     # origin 26..49, class count 50..51, labels from 52

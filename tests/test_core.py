@@ -12,9 +12,11 @@ from mdocc.core import (
     ScoreGrid,
     TruncatedPayload,
     VersionUnsupported,
+    colsum,
     grid_decode,
     grid_encode,
     rng_stream,
+    rowwise,
 )
 
 
@@ -159,3 +161,35 @@ class TestRngStream:
         a = rng_stream(42, "scene").random(100)
         b = rng_stream(43, "scene").random(100)
         assert not np.array_equal(a, b)
+
+
+class TestArrayKernels:
+    """The training loop's column sums and row-vector ops equal numpy's plain
+    ones bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 17])
+    @pytest.mark.parametrize("n", [1, 3, 20480])
+    def test_colsum_equals_axis0_sum(self, n, width):
+        rng = rng_stream(n * 31 + width, "colsum")
+        a = rng.normal(0.0, 1e3, (n, width))
+        b = rng.normal(0.0, 1.0, (n, width))
+        assert colsum(a).tobytes() == a.sum(axis=0).tobytes()
+        assert colsum(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+
+    def test_colsum_of_a_non_contiguous_view(self):
+        a = rng_stream(1, "colsum").normal(size=(300, 8))[:, ::2]
+        assert colsum(a).tobytes() == a.sum(axis=0).tobytes()
+        assert colsum(a, a).tobytes() == (a * a).sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 20480, 20481, 513 * 6])
+    def test_rowwise_equals_broadcasting(self, n):
+        rng = rng_stream(n, "rowwise")
+        a = rng.normal(size=(n, 8))
+        v = rng.normal(size=8)
+        for op in (np.add, np.subtract, np.multiply):
+            assert rowwise(op, a, v).tobytes() == op(a, v).tobytes()
+            out = a.copy()
+            assert rowwise(op, out, v, out=out) is out
+            assert out.tobytes() == op(a, v).tobytes()
+        view = a[:, :5]
+        assert rowwise(np.add, view, v[:5]).tobytes() == (view + v[:5]).tobytes()

@@ -11,10 +11,13 @@ from mdocc.model import (
     DivergedLoss,
     TrainConfig,
     TrainData,
+    _ce_terms,
+    _epoch_metrics,
     backward,
     balanced_batches,
     batch_forward,
     batch_loss,
+    checkpoint_decode,
     class_weights_from_counts,
     forward,
     init_params,
@@ -153,6 +156,45 @@ class TestLossCE:
     def test_dim_mismatch(self):
         with pytest.raises(Exception):
             loss_ce(np.zeros((1, 1, 1, 2)), np.zeros((2, 1, 1), dtype=int), np.ones(2))
+
+    @pytest.mark.parametrize("classes", [1, 2, 9, 17])
+    def test_bit_identical_to_full_softmax(self, classes):
+        # the textbook expressions: full softmax, then loss and gradient
+        rng = rng_stream(4, "ce")
+        scores = rng.normal(0.0, 3.0, (5, 4, 3, classes))
+        gt = rng.integers(0, classes, (5, 4, 3))
+        w = rng.uniform(0.1, 10.0, classes)
+        flat = scores.reshape(-1, classes)
+        y = gt.reshape(-1)
+        n = y.size
+        expv = np.exp(flat - flat.max(axis=1, keepdims=True))
+        p = expv / expv.sum(axis=1, keepdims=True)
+        wv = w[y]
+        ref_loss = float(np.sum(wv * -np.log(np.maximum(p[np.arange(n), y], 1e-300))) / n)
+        ref_grad = p * wv[:, None]
+        ref_grad[np.arange(n), y] -= wv
+        ref_grad /= n
+        loss, grad = loss_ce(scores, gt, w)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.reshape(scores.shape).tobytes()
+        assert _ce_terms(scores, gt, w)[0] == ref_loss
+        # one voxel at a time, so a one-ulp change in a probability is not
+        # rounded away in the sum
+        ref_terms = wv * -np.log(np.maximum(p[np.arange(n), y], 1e-300))
+        for i, idx in enumerate(np.ndindex(gt.shape)):
+            one = loss_ce(scores[idx][None, None, None], gt[idx].reshape(1, 1, 1), w)[0]
+            assert one == ref_terms[i]
+
+    def test_epoch_metrics_loss_is_mean_of_loss_ce(self):
+        rng = rng_stream(5, "ce")
+        data = tiny_traindata(rng, n_scenes=3)
+        params = init_params({"a": 3}, 6, 0)
+        state = NormState(6, ["a"])
+        weights = rng.uniform(0.5, 2.0, 3)
+        outs, _ = batch_forward(data.features, "a", params, state, mode="eval")
+        losses = [loss_ce(out, labels, weights)[0] for out, labels in zip(outs, data.labels)]
+        loss, _, _ = _epoch_metrics(data, "a", "a", params, state, weights)
+        assert loss == sum(losses) / len(losses)
 
 
 def _flatten_params(params, state, dataset_id):
@@ -406,16 +448,25 @@ class TestCheckpoint:
         assert b1 == b2
 
     def test_malformed_rejected(self, tmp_path):
+        # every truncation decodes from bytes; one file per fault kind goes
+        # through load_checkpoint, whose error keeps its kind and offset and
+        # names the file
         blob = save_checkpoint(tmp_path / "ok.mckpt", init_params({"a": 2}, 2, 0), NormState(2, ["a"]))
         path = tmp_path / "bad.mckpt"
         for cut in range(4, len(blob)):
-            path.write_bytes(blob[:cut])
             with pytest.raises(TruncatedPayload) as err:
-                load_checkpoint(path)
+                checkpoint_decode(blob[:cut])
             assert 0 <= err.value.offset <= cut
-        for bad, kind in ((b"XCKP" + blob[4:], BadMagic),
+        cut = len(blob) // 2
+        for bad, kind in ((blob[:cut], TruncatedPayload),
+                          (b"XCKP" + blob[4:], BadMagic),
                           (blob[:4] + b"\x09\x00" + blob[6:], VersionUnsupported),
                           (blob + b"\x00", CodecError)):
+            with pytest.raises(kind) as from_bytes:
+                checkpoint_decode(bad)
             path.write_bytes(bad)
-            with pytest.raises(kind):
+            with pytest.raises(kind) as from_file:
                 load_checkpoint(path)
+            assert type(from_file.value) is type(from_bytes.value)
+            assert from_file.value.offset == from_bytes.value.offset
+            assert str(from_file.value) == f"{path}: {from_bytes.value}"
