@@ -42,7 +42,6 @@ from .labelspace import (
     merge_cost,
     merged_score,
     reproject,
-    sequential_add,
     solve_unified,
     transcode,
 )
@@ -53,7 +52,6 @@ from .model import (
     TrainConfig,
     backward,
     balanced_batches,
-    forward,
     loss_ce,
     train,
 )

@@ -182,7 +182,7 @@ class NormState:
         return dup
 
 
-def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=None, return_cache=False):
+def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return_cache=False):
     """Normalize a (N, F) batch with Eq-style dataset-specific statistics.
 
     train mode uses the batch's own mean/variance (biased) and, unless
@@ -203,7 +203,7 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=None, return
         mu = colsum(x) / x.shape[0]
         d = rowwise(np.subtract, x, mu)
         var = colsum(d, d) / x.shape[0]
-        if update_stats is None or update_stats:
+        if update_stats:
             m = state.momentum
             stats["mean"] = (1.0 - m) * stats["mean"] + m * mu
             stats["var"] = (1.0 - m) * stats["var"] + m * var

@@ -14,6 +14,8 @@ from .core import Lattice, OccupancyGrid, ScoreGrid, rng_stream
 from .labelspace import (
     MergeCandidate,
     enumerate_candidates,
+    merged_score,
+    reproject,
     solve_unified,
     unified_from_pairs,
 )
@@ -24,6 +26,7 @@ from .model import (
     TrainData,
     batch_forward,
     head_blocks,
+    read_head,
     regime_of,
     route,
     train,
@@ -382,7 +385,7 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
             gts = []
             for i, f in enumerate(feats):
                 if use_slm:
-                    raw, hidden = _slm_scores(setup.result, specs, unified, ds, f, head)
+                    raw, hidden = _slm_scores(setup.result, unified, ds, f, head)
                 else:
                     raw, hidden = predict_scores(
                         setup.result.params, setup.result.norm_state, norm_id, f,
@@ -412,25 +415,22 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     return rows, all_preds
 
 
-def _slm_scores(result, specs, unified, ds, features, head):
-    """Full label-mapping read-out: every head's softmax scores (one backbone
-    pass with the input dataset's statistics per head) merged over the
-    unified space and reprojected into the evaluated dataset's taxonomy."""
-    from .core import ScoreGrid as _SG
-    from .labelspace import merged_score as _merge, reproject as _reproj
-
+def _slm_scores(result, unified, ds, features, head):
+    """Full label-mapping read-out: the softmax scores of every head, all
+    read off one backbone pass with the input dataset's statistics, merged
+    over the unified space and reprojected into the evaluated dataset's
+    taxonomy. Returns those scores and the pass's hidden volume."""
+    params = result.params
+    raw, hidden = predict_scores(params, result.norm_state, ds, features, head_id=head)
+    z5 = hidden.reshape(-1, params.hidden)
     order = list(unified.dataset_ids())
     grids = []
-    hidden = None
     for d in order:
-        raw, h = predict_scores(result.params, result.norm_state, ds, features, head_id=d)
-        if d == head:
-            hidden = h
-        sm = softmax_scores(raw)
-        grids.append(_SG(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
-    merged, _ = _merge(grids, [unified.mapping(d) for d in order])
-    re = _reproj(merged, unified.mapping(ds))
-    return re.scores, hidden
+        scores = raw if d == head else read_head(z5, params.head(d)).reshape(raw.shape[:3] + (-1,))
+        sm = softmax_scores(scores)
+        grids.append(ScoreGrid(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
+    merged, _ = merged_score(grids, [unified.mapping(d) for d in order])
+    return reproject(merged, unified.mapping(ds)).scores, hidden
 
 
 def _refine_grid(grid, hidden, params, head_id, block, eta):

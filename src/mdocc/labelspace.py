@@ -403,44 +403,6 @@ def unified_from_pairs(spaces, pairs):
     return _build_unified(cands, selection, j, spaces)
 
 
-def sequential_add(existing, existing_corpus, new_id, new_corpus, lam, tau, new_space):
-    """Fold a new dataset into an existing unified space.
-
-    The existing space acts as one pseudo-dataset whose corpus is the merged
-    score of the original corpora; a pair solve against the new dataset then
-    yields a fresh unified space, and the original datasets' transforms are
-    composed through it.
-    """
-    ids = [m.dataset_id for m in existing.mappings]
-    _check_corpus(existing_corpus)
-    n = len(existing_corpus[ids[0]])
-    if len(new_corpus) != n:
-        raise MisalignedCorpus(f"new corpus has {len(new_corpus)} scenes, expected {n}")
-    pseudo_id = "__unified__"
-    pseudo_grids = []
-    for i in range(n):
-        merged, _ = merged_score(
-            [existing_corpus[ds][i] for ds in ids], [existing.mapping(ds) for ds in ids]
-        )
-        pseudo_grids.append(merged)
-    pair_corpus = {pseudo_id: pseudo_grids, new_id: list(new_corpus)}
-    cands = enumerate_candidates(pair_corpus, tau)
-    pair_spaces = [(pseudo_id, existing.space), (new_id, new_space)]
-    pair = solve_unified(cands, lam, pair_spaces)
-    t_pseudo = pair.mapping(pseudo_id).matrix
-    mappings = []
-    for ds in ids:
-        composed = existing.mapping(ds).matrix.astype(np.int64) @ t_pseudo.astype(np.int64)
-        mappings.append(MappingMatrix(dataset_id=ds, matrix=composed.astype(bool)))
-    mappings.append(pair.mapping(new_id))
-    return UnifiedSpace(
-        space=pair.space,
-        mappings=tuple(mappings),
-        objective=pair.objective,
-        selected=pair.selected,
-    )
-
-
 def transcode(grid, unified, source_ds, target_ds=None, target_space=None):
     """Map hard labels through the unified space.
 

@@ -201,34 +201,13 @@ def _stencil_sum(x):
     return out
 
 
-def neighbor_mean(x, counts=None):
+def neighbor_mean(x):
     """Mean of each voxel with its in-grid 6-neighbors (border-aware)."""
-    if counts is None:
-        counts = _neighbor_counts(x.shape[:3])
-    return _stencil_sum(x) / counts[..., None]
+    return _stencil_sum(x) / _neighbor_counts(x.shape[:3])[..., None]
 
 
-def neighbor_mean_transpose(g, counts=None):
-    if counts is None:
-        counts = _neighbor_counts(g.shape[:3])
-    return _stencil_sum(g / counts[..., None])
-
-
-def forward(features, dataset_id, params, norm_state, mode="train",
-            update_stats=None, return_cache=False):
-    """Score every voxel of one (D, H, W, 5) feature volume.
-
-    The volume is a batch on its own for normalization purposes; use
-    batch_forward for multi-scene batches with joint batch statistics.
-    """
-    out, caches = batch_forward(
-        [features], dataset_id, params, norm_state, mode=mode, update_stats=update_stats
-    )
-    scores = out[0]
-    grid = ScoreGrid(dims=scores.shape[:3], num_classes=scores.shape[3], scores=scores)
-    if return_cache:
-        return grid, caches
-    return grid
+def neighbor_mean_transpose(g):
+    return _stencil_sum(g / _neighbor_counts(g.shape[:3])[..., None])
 
 
 def _scene_slices(volumes):
@@ -244,33 +223,29 @@ def _scene_slices(volumes):
     return slices
 
 
-def _neighbor_mean_batch(flat, slices, hidden, transpose=False):
+def _neighbor_mean_batch(flat, slices, transpose=False):
     """Apply the 6-neighborhood mean (or its adjoint) scene by scene on the
     concatenated voxel rows; scenes may have different grid dims."""
+    stencil = neighbor_mean_transpose if transpose else neighbor_mean
+    width = flat.shape[1]
+    # filled scene by scene, so only one scene's result is held at a time
     out = np.empty_like(flat)
     for dims, sl in slices:
-        counts = _neighbor_counts(dims)[..., None]
-        block = flat[sl].reshape(dims + (hidden,))
-        if transpose:
-            res = _stencil_sum(block / counts)
-        else:
-            res = _stencil_sum(block) / counts
-        out[sl] = res.reshape(-1, hidden)
+        out[sl] = stencil(flat[sl].reshape(dims + (width,))).reshape(-1, width)
     return out
 
 
-def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_stats=None,
-                  head_id=None):
-    """Forward a batch of feature volumes through backbone + one head.
+def backbone(volumes, norm_id, params, norm_state, mode="train", update_stats=True):
+    """Run a batch of (D, H, W, 5) feature volumes through the shared
+    backbone: affine -> dataset-specific norm (statistic set ``norm_id``) ->
+    ramp -> 6-neighborhood mean -> affine.
 
     Scenes in the batch may have different grid dims (a directly-merged
     stream mixes datasets); the normalization statistics are taken over all
-    voxels of all scenes jointly. ``head_id`` selects a classification head
-    other than the normalization dataset's own (used when reading several
-    heads off one backbone pass). Returns per-volume score arrays plus the
-    cache needed for backward.
+    voxels of all scenes jointly. Returns the (N, hidden) z5 rows of every
+    scene in batch order, which any head reads with :func:`read_head`, and
+    the cache that :func:`backward` needs (it holds z5 too).
     """
-    head_w, head_b = params.head(dataset_id if head_id is None else head_id)
     slices = _scene_slices(volumes)
     x = np.concatenate(
         [v.reshape(-1, NUM_INPUT_FEATURES) for v in volumes], axis=0
@@ -278,25 +253,36 @@ def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_
     z1 = x @ params.w1
     rowwise(np.add, z1, params.b1, out=z1)
     z2, norm_cache = dsnorm_forward(
-        z1, dataset_id, norm_state, mode=mode, update_stats=update_stats, return_cache=True
+        z1, norm_id, norm_state, mode=mode, update_stats=update_stats, return_cache=True
     )
     a3 = np.maximum(z2, 0.0)
-    z4 = _neighbor_mean_batch(a3, slices, params.hidden)
+    z4 = _neighbor_mean_batch(a3, slices)
     z5 = z4 @ params.w2
     rowwise(np.add, z5, params.b2, out=z5)
-    scores = z5 @ head_w
-    rowwise(np.add, scores, head_b, out=scores)
-    outs = [
-        scores[sl].reshape(dims + (head_w.shape[1],)) for dims, sl in slices
-    ]
-    cache = {
-        "x": x,
-        "z2": z2,
-        "norm": norm_cache,
-        "slices": slices,
-        "z4": z4,
-        "z5": z5,
-    }
+    return z5, {"x": x, "z2": z2, "norm": norm_cache, "slices": slices, "z4": z4, "z5": z5}
+
+
+def read_head(z5, head):
+    """(N, classes) scores of one head ``(weight, bias)`` on backbone rows."""
+    w, b = head
+    scores = z5 @ w
+    rowwise(np.add, scores, b, out=scores)
+    return scores
+
+
+def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_stats=True,
+                  head_id=None):
+    """Scores of one head on a batch of feature volumes: :func:`backbone`
+    with ``dataset_id``'s statistics, then :func:`read_head` on its rows.
+
+    ``head_id`` selects a classification head other than the normalization
+    dataset's own. Returns per-volume (D, H, W, classes) score arrays plus
+    the backbone's cache.
+    """
+    head = params.head(dataset_id if head_id is None else head_id)
+    z5, cache = backbone(volumes, dataset_id, params, norm_state, mode, update_stats)
+    scores = read_head(z5, head)
+    outs = [scores[sl].reshape(dims + (scores.shape[1],)) for dims, sl in cache["slices"]]
     return outs, cache
 
 
@@ -369,7 +355,7 @@ def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights, mode
 
 
 def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
-             mode="train", update_stats=None, head_id=None):
+             mode="train", update_stats=True, head_id=None):
     """Analytic gradients of the sum-reduced batch loss.
 
     Heads other than the trained one receive exact zero gradients; the
@@ -397,7 +383,7 @@ def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
     gw2 = z4.T @ gz5
     gb2 = colsum(gz5)
     gz4 = gz5 @ params.w2.T
-    ga3 = _neighbor_mean_batch(gz4, cache["slices"], params.hidden, transpose=True)
+    ga3 = _neighbor_mean_batch(gz4, cache["slices"], transpose=True)
     gz2 = ga3 * (cache["z2"] > 0.0)
     gz1, ggamma, gbeta = dsnorm_backward(gz2, cache["norm"], norm_state)
     gw1 = cache["x"].T @ gz1

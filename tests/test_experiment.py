@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from mdocc.align import CylGridSpec, cylindrical_voxelize
-from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
+from mdocc import model
+from mdocc.align import CylGridSpec, NormState, cylindrical_voxelize
+from mdocc.core import Lattice, OccupancyGrid, Range3D, ScoreGrid, rng_stream
 from mdocc.experiment import (
+    _slm_scores,
     coarse_labels,
     eval_intersection,
     gather_features,
     oracle_unified,
+    predict_scores,
     run_regime,
+    softmax_scores,
     synthesize,
 )
+from mdocc.labelspace import merged_score, reproject
 from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
-from mdocc.model import TrainConfig, batch_forward, head_blocks
+from mdocc.model import TrainConfig, TrainResult, batch_forward, head_blocks, init_params
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
@@ -181,3 +186,44 @@ class TestRunRegime:
             last = [row for row in result.log if row["dataset"] == ds][-1]
             assert last["iou"] == geometric_iou(cm, empty_id=0)
             assert last["miou"] == miou(cm, empty_id=0)
+
+
+class TestSlmScores:
+    def test_one_backbone_pass_reads_every_head(self, monkeypatch):
+        tax = taxonomy_preset("split")
+        specs = dataset_presets(tax)
+        unified = oracle_unified(tax, specs)
+        sizes = {ds: len(spec.label_space) for ds, spec in specs.items()}
+        params = init_params(sizes, hidden=6, seed=4)
+        state = NormState(6, list(sizes))
+        rng = rng_stream(4, "slm")
+        for ds in sizes:
+            state.stats(ds)["mean"] = rng.normal(size=6)
+            state.stats(ds)["var"] = rng.uniform(0.5, 2.0, 6)
+        feats = rng.normal(size=(4, 5, 3, 5))
+        result = TrainResult(params=params, norm_state=state, log=[], weights={})
+        # the per-head composition: one eval-mode pass per head, then softmax,
+        # merge over the unified space and reprojection
+        order = list(unified.dataset_ids())
+        grids = []
+        for d in order:
+            raw, _ = predict_scores(params, state, "b64", feats, head_id=d)
+            sm = softmax_scores(raw)
+            grids.append(ScoreGrid(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
+        merged, _ = merged_score(grids, [unified.mapping(d) for d in order])
+        want = reproject(merged, unified.mapping("b64")).scores
+        _, want_hidden = predict_scores(params, state, "b64", feats)
+
+        calls = []
+        real = model.dsnorm_forward
+
+        def counting(x, dataset_id, *args, **kwargs):
+            calls.append(dataset_id)
+            return real(x, dataset_id, *args, **kwargs)
+
+        monkeypatch.setattr(model, "dsnorm_forward", counting)
+        got, hidden = _slm_scores(result, unified, "b64", feats, "b64")
+        assert calls == ["b64"]
+        assert len(order) == 2
+        assert got.tobytes() == want.tobytes()
+        assert hidden.tobytes() == want_hidden.tobytes()

@@ -14,7 +14,6 @@ from mdocc.labelspace import (
     merged_score,
     parse_unified,
     reproject,
-    sequential_add,
     solve_unified,
     transcode,
     unified_from_pairs,
@@ -337,67 +336,6 @@ class TestSolver:
 def _selection_indices(candidates, unified):
     index = {c.members: i for i, c in enumerate(candidates)}
     return [index[c.members] for c in unified.selected]
-
-
-class TestSequentialAdd:
-    def test_adding_twin_keeps_size(self):
-        rng = rng_stream(12, "seq")
-        base = random_corpus(rng, {"a": 4})["a"]
-        twin = [ScoreGrid(g.dims, 4, g.scores.copy()) for g in base]
-        corpus = {"a": base, "b": twin}
-        sizes = {"a": 4, "b": 4}
-        cands = enumerate_candidates(corpus, tau=0.1)
-        uni = solve_unified(cands, 0.05, spaces_of(sizes))
-        assert len(uni.space) == 4
-        third = [ScoreGrid(g.dims, 4, g.scores.copy()) for g in base]
-        space_c = LabelSpace(tuple(f"c{i}" for i in range(4)), 0)
-        out = sequential_add(uni, corpus, "c", third, lam=0.05, tau=0.1, new_space=space_c)
-        assert len(out.space) == 4
-        assert set(out.dataset_ids()) == {"a", "b", "c"}
-        for m in out.mappings:
-            assert np.all(m.matrix.sum(axis=1) == 1)
-            assert np.all(m.matrix.sum(axis=0) <= 1)
-
-    def test_adding_novel_classes_grows_by_new_size(self):
-        rng = rng_stream(13, "seq")
-        base = random_corpus(rng, {"a": 3})["a"]
-        twin = [ScoreGrid(g.dims, 3, g.scores.copy()) for g in base]
-        uni = solve_unified(
-            enumerate_candidates({"a": base, "b": twin}, tau=0.1),
-            0.05,
-            spaces_of({"a": 3, "b": 3}),
-        )
-        # a new dataset with wildly different score structure: no cheap merges
-        novel = []
-        for g in base:
-            raw = np.zeros(g.dims + (2,))
-            raw[..., 0] = np.linspace(0, 1, raw[..., 0].size).reshape(raw.shape[:3])
-            raw[..., 1] = 1.0 - raw[..., 0]
-            novel.append(ScoreGrid(g.dims, 2, raw))
-        space_c = LabelSpace(("c0", "c1"), 0)
-        out = sequential_add(uni, {"a": base, "b": twin}, "c", novel, lam=0.001, tau=0.0,
-                             new_space=space_c)
-        assert len(out.space) == len(uni.space) + 2
-
-    def test_three_twins_sequential_matches_joint(self):
-        rng = rng_stream(14, "seq")
-        base = random_corpus(rng, {"a": 4}, voxels=16)["a"]
-        twins = {ds: [ScoreGrid(g.dims, 4, g.scores.copy()) for g in base] for ds in ("a", "b", "c")}
-        sizes = {"a": 4, "b": 4, "c": 4}
-        joint = solve_unified(
-            enumerate_candidates(twins, tau=0.1), 0.05, spaces_of(sizes)
-        )
-        pair = solve_unified(
-            enumerate_candidates({"a": twins["a"], "b": twins["b"]}, tau=0.1),
-            0.05,
-            spaces_of({"a": 4, "b": 4}),
-        )
-        space_c = LabelSpace(tuple(f"c{i}" for i in range(4)), 0)
-        seq = sequential_add(
-            pair, {"a": twins["a"], "b": twins["b"]}, "c", twins["c"],
-            lam=0.05, tau=0.1, new_space=space_c,
-        )
-        assert len(seq.space) == len(joint.space) == 4
 
 
 class TestTranscode:

@@ -19,7 +19,6 @@ from mdocc.model import (
     batch_loss,
     checkpoint_decode,
     class_weights_from_counts,
-    forward,
     init_params,
     load_checkpoint,
     loss_ce,
@@ -54,9 +53,9 @@ class TestForward:
         params = init_params({"a": 4}, hidden=5, seed=0)
         state = NormState(5, ["a"])
         feats = np.zeros((3, 3, 2, NUM_INPUT_FEATURES))
-        grid = forward(feats, "a", params, state, mode="train", update_stats=False)
+        (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
         # constant input stays constant through every (linear or pointwise) stage
-        flat = grid.scores.reshape(-1, 4)
+        flat = scores.reshape(-1, 4)
         assert np.allclose(flat, flat[0][None, :])
 
     def test_head_isolation_changes_scores(self):
@@ -64,9 +63,9 @@ class TestForward:
         params = init_params({"a": 3, "b": 3}, hidden=6, seed=1)
         state = NormState(6, ["a", "b"])
         feats = rng.normal(size=(2, 2, 2, NUM_INPUT_FEATURES))
-        ga = forward(feats, "a", params, state, mode="train", update_stats=False)
-        gb = forward(feats, "b", params, state, mode="train", update_stats=False)
-        assert not np.allclose(ga.scores, gb.scores)
+        (sa,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
+        (sb,), _ = batch_forward([feats], "b", params, state, mode="train", update_stats=False)
+        assert not np.allclose(sa, sb)
 
     def test_single_voxel_hand_composition(self):
         # 1-voxel grid: neighbor mean is identity, norm maps the voxel to beta
@@ -81,16 +80,16 @@ class TestForward:
         state.beta = np.array([1.5])
         feats = np.zeros((1, 1, 1, NUM_INPUT_FEATURES))
         feats[0, 0, 0, 0] = 7.0
-        grid = forward(feats, "a", params, state, mode="train", update_stats=False)
+        (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
         # batch of one voxel: xhat = 0 -> z2 = beta = 1.5 -> relu 1.5
         # -> mean 1.5 -> affine 3 * 1.5 - 0.25 = 4.25 -> head 4 * 4.25 + 1 = 18
-        assert np.allclose(grid.scores.reshape(-1), [18.0])
+        assert np.allclose(scores.reshape(-1), [18.0])
 
     def test_unknown_dataset(self):
         params = init_params({"a": 2}, hidden=4, seed=0)
         state = NormState(4, ["a"])
         with pytest.raises(KeyError):
-            forward(np.zeros((1, 1, 1, 5)), "zz", params, state)
+            batch_forward([np.zeros((1, 1, 1, 5))], "zz", params, state)
 
     def test_missing_head_is_the_package_unknown_dataset(self):
         params = init_params({"a": 2}, hidden=4, seed=0)
