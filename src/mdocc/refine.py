@@ -15,19 +15,14 @@ class VoxelQuerySet:
     """Fine-voxel query coordinates, one block of eta^3 per occupied coarse voxel."""
 
     coords: np.ndarray
-    source: np.ndarray
     eta: int
     coarse_dims: tuple
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 3)
-        source = np.asarray(self.source, dtype=np.int64).reshape(-1)
-        if coords.shape[0] != source.shape[0]:
-            raise ValueError("coords and source lengths disagree")
         if self.eta < 1:
             raise ValueError("eta must be >= 1")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "source", source)
         object.__setattr__(self, "coarse_dims", tuple(int(d) for d in self.coarse_dims))
 
     def __len__(self):
@@ -49,38 +44,51 @@ def split_voxels(coarse_coords, eta, coarse_dims):
     if eta < 1:
         raise ValueError("eta must be >= 1")
     coarse_coords = np.asarray(coarse_coords, dtype=np.int64).reshape(-1, 3)
-    n = coarse_coords.shape[0]
     offs = np.stack(
         np.meshgrid(np.arange(eta), np.arange(eta), np.arange(eta), indexing="ij"),
         axis=-1,
     ).reshape(-1, 3)
     coords = (coarse_coords[:, None, :] * eta + offs[None, :, :]).reshape(-1, 3)
-    source = np.repeat(np.arange(n, dtype=np.int64), eta**3)
-    return VoxelQuerySet(coords=coords, source=source, eta=int(eta), coarse_dims=coarse_dims)
+    return VoxelQuerySet(coords=coords, eta=int(eta), coarse_dims=coarse_dims)
 
 
 def sample_features(volume, fine_coords, eta):
     """Trilinearly sample a coarse (D, H, W, C) volume at fine-voxel centers.
 
+    Fine coordinates are integers (cast to int64, as in ``VoxelQuerySet``).
     Fine coordinate c corresponds to the continuous coarse index
-    (c + 0.5) / eta - 0.5, so queries at coarse voxel centers return that
-    voxel's features exactly; borders are edge-clamped.
+    u = (c + 0.5) / eta - 0.5, so queries at coarse voxel centers return that
+    voxel's features exactly; borders are edge-clamped. Returns (N, C).
+
+    u, its floor, its fraction and the clamped corner indices depend on one
+    axis' coordinate only, so they are tabulated per axis over the coordinates
+    present (widened to 0, so an empty query set is no special case) and
+    looked up per query. The result is bit for bit that of evaluating every
+    corner of every query directly: the tables use the same float
+    expressions, each corner weight is wx * wy * wz in that order, and the
+    corners are summed in order 0..7.
     """
     volume = np.asarray(volume, dtype=np.float64)
-    d, h, w, _ = volume.shape
-    coords = np.asarray(fine_coords, dtype=np.float64).reshape(-1, 3)
-    u = (coords + 0.5) / eta - 0.5
-    lo = np.floor(u).astype(np.int64)
-    frac = u - lo
+    rows = volume.reshape(-1, volume.shape[3])
+    coords = np.asarray(fine_coords, dtype=np.int64).reshape(-1, 3)
+    strides = (volume.shape[1] * volume.shape[2], volume.shape[2], 1)
+    weight, offset = [], []
+    for ax in range(3):
+        first = coords[:, ax].min(initial=0)
+        u = (np.arange(first, coords[:, ax].max(initial=0) + 1) + 0.5) / eta - 0.5
+        lo = np.floor(u).astype(np.int64)
+        frac = u - lo
+        at = coords[:, ax] - first
+        weight.append(((1.0 - frac)[at], frac[at]))
+        top = volume.shape[ax] - 1
+        offset.append((np.clip(lo, 0, top)[at] * strides[ax],
+                       np.clip(lo + 1, 0, top)[at] * strides[ax]))
     out = None
-    dims = np.array([d, h, w], dtype=np.int64)
     for corner in range(8):
-        bits = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1], dtype=np.int64)
-        idx = np.clip(lo + bits[None, :], 0, (dims - 1)[None, :])
-        weight = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
-        vals = volume[idx[:, 0], idx[:, 1], idx[:, 2]]
-        term = weight[:, None] * vals
-        out = term if out is None else out + term
+        bx, by, bz = (corner >> 2) & 1, (corner >> 1) & 1, corner & 1
+        vals = rows.take(offset[0][bx] + offset[1][by] + offset[2][bz], axis=0)
+        vals *= (weight[0][bx] * weight[1][by] * weight[2][bz])[:, None]
+        out = vals if out is None else np.add(out, vals, out=out)
     return out
 
 

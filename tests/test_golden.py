@@ -4,9 +4,11 @@ Every file the CLI writes for one small fixed config (synth, train mdt,
 learn-labels, eval with the unified document; then, with eta 2 and
 cross-domain cells, eval of the same checkpoint and of a single-regime one;
 then training under direct_merge and pretrain_finetune, and eval of the
-direct_merge checkpoint) and the raycast output of both dataset presets on
-fixed seeds must hash to the recorded values. A change that moves any byte
-of these artifacts fails here and has to declare which bits moved and why.
+direct_merge checkpoint; then eval of the mdt checkpoint with eta 3, where
+the coarse index (c + 0.5) / 3 of a fine voxel rounds) and the raycast
+output of both dataset presets on fixed seeds must hash to the recorded
+values. A change that moves any byte of these artifacts fails here and has
+to declare which bits moved and why.
 """
 
 import hashlib
@@ -152,6 +154,29 @@ BASELINES = {
         "23f53bf40020fd3378f66e6015d64b080555e4b3676996dd75efcab712fef22b",
 }
 
+# eval of the mdt checkpoint with eta 3 and cross cells; these overwrite the
+# eta 2 mdt files and report
+ETA3 = {
+    "pred/mdt/a32/pred_0000.mocc":
+        "3a33975e785819a69dde5c7118799afdf003970e2fc595eb3a4719a9224b53f9",
+    "pred/mdt/a32/pred_0001.mocc":
+        "acf130c4835c0ed2098dfb72e1d2e870fec8290198263a3d745f05f7186ad1ec",
+    "pred/mdt/b64/pred_0000.mocc":
+        "40036ab87ffedf3dc52123f1d6bf8b0bbc8bbd4e1ceb4dc098822615d6d15403",
+    "pred/mdt/b64/pred_0001.mocc":
+        "d29837ebbd6ed72514e6b468fa53dd6ec17df905781a69ea93e9faeb350e47f1",
+    "pred/mdt_cross/a32/pred_0000.mocc":
+        "ea1686bc53c184bc63695283076ca30c131fdfeaa4627a258f7f074362078656",
+    "pred/mdt_cross/a32/pred_0001.mocc":
+        "3acff5a5bafc14777a50cf7fd76125cee6c8c94153eddf4085e58829f8c1d5c2",
+    "pred/mdt_cross/b64/pred_0000.mocc":
+        "29650dfdfa6133c0c1ad4b716ad3eb9590da8c38739488c96cab94609baafd35",
+    "pred/mdt_cross/b64/pred_0001.mocc":
+        "3ead30e402583110ef5d86d1dce08e737493814a3993e4e250f8199b7ceb007a",
+    "report_mdt.csv":
+        "0178d1962e9d551ac9fea86fff4c5cc6178748965ad3a6d6b03cc2e5d4513a26",
+}
+
 # sha256 of the epoch, dataset and loss columns of train_log_direct_merge.csv
 DIRECT_MERGE_LOSS = "8365dd87d15df962fee0d45211fe2a39ef506d690ad4830f50cdaa029dbb6cce"
 
@@ -191,6 +216,7 @@ def cli_digests(tmp_path_factory):
     try:
         _write_config("base.cfg")
         _write_config("refined.cfg", eta=2, cross=True)
+        _write_config("eta3.cfg", eta=3, cross=True)
         ckpt = os.path.join("run", "ckpt_mdt.mckpt")
         unified = os.path.join("run", "unified.txt")
         assert main(["synth", "--config", "base.cfg"]) == EXIT_OK
@@ -208,6 +234,8 @@ def cli_digests(tmp_path_factory):
         merged = os.path.join("run", "ckpt_direct_merge.mckpt")
         assert main(["eval", "--config", "refined.cfg", "--checkpoint", merged]) == EXIT_OK
         baselines = _digests("run")
+        assert main(["eval", "--config", "eta3.cfg", "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        eta3 = _digests("run")
         with open(os.path.join("run", "train_log_direct_merge.csv"), "rb") as fh:
             losses = b"\n".join(b",".join(line.split(b",")[:3]) for line in fh.read().splitlines())
     finally:
@@ -215,7 +243,8 @@ def cli_digests(tmp_path_factory):
     return (pipeline,
             {k: v for k, v in refined.items() if pipeline.get(k) != v},
             {k: v for k, v in baselines.items() if refined.get(k) != v},
-            hashlib.sha256(losses).hexdigest())
+            hashlib.sha256(losses).hexdigest(),
+            {k: v for k, v in eta3.items() if baselines.get(k) != v})
 
 
 def test_cli_pipeline_artifacts(cli_digests):
@@ -232,6 +261,10 @@ def test_baseline_regime_artifacts(cli_digests):
 
 def test_direct_merge_logged_losses(cli_digests):
     assert cli_digests[3] == DIRECT_MERGE_LOSS
+
+
+def test_refined_eta3_eval_artifacts(cli_digests):
+    assert cli_digests[4] == ETA3
 
 
 @pytest.mark.parametrize("seed", [3, 1001])

@@ -42,7 +42,8 @@ class TestSplitVoxels:
         vox = np.array([[1, 2, 3], [0, 0, 0]])
         q = split_voxels(vox, 1, (4, 4, 4))
         assert np.array_equal(q.coords, vox)
-        assert q.source.tolist() == [0, 1]
+        # the queries of coarse voxel k are block k of eta^3 rows
+        assert np.array_equal(q.coords // q.eta, np.repeat(vox, q.eta**3, axis=0))
 
     def test_eta_two_enumerated_by_hand(self):
         q = split_voxels(np.array([[1, 0, 2]]), 2, (2, 1, 3))
@@ -84,7 +85,46 @@ class TestCoordinateTransforms:
         assert idx.tolist() == [[2, 0, 0], [-1, 4, 0]]
 
 
+def sample_features_per_corner(volume, fine_coords, eta):
+    """Reference: every corner of every query evaluated directly."""
+    volume = np.asarray(volume, dtype=np.float64)
+    d, h, w, _ = volume.shape
+    coords = np.asarray(fine_coords, dtype=np.float64).reshape(-1, 3)
+    u = (coords + 0.5) / eta - 0.5
+    lo = np.floor(u).astype(np.int64)
+    frac = u - lo
+    out = None
+    dims = np.array([d, h, w], dtype=np.int64)
+    for corner in range(8):
+        bits = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1], dtype=np.int64)
+        idx = np.clip(lo + bits[None, :], 0, (dims - 1)[None, :])
+        weight = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
+        vals = volume[idx[:, 0], idx[:, 1], idx[:, 2]]
+        term = weight[:, None] * vals
+        out = term if out is None else out + term
+    return out
+
+
 class TestSampleFeatures:
+    @pytest.mark.parametrize("shape", [(3, 1, 2, 5), (17, 9, 5, 17)])
+    @pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_per_corner_form(self, shape, eta):
+        # coordinates reach 2*eta fine voxels past each border, so the edge
+        # clamp is exercised on both sides of every axis
+        rng = rng_stream(9, "tri")
+        vol = rng.normal(size=shape)
+        coords = np.stack(
+            [rng.integers(-2 * eta, (d + 2) * eta + 1, 600) for d in shape[:3]], axis=1
+        )
+        got = sample_features(vol, coords, eta)
+        want = sample_features_per_corner(vol, coords, eta)
+        assert got.shape == want.shape == (600, shape[3])
+        assert got.tobytes() == want.tobytes()
+        none = np.zeros((0, 3), dtype=np.int64)
+        empty = sample_features(vol, none, eta)
+        assert empty.shape == (0, shape[3])
+        assert empty.tobytes() == sample_features_per_corner(vol, none, eta).tobytes()
+
     def test_coarse_center_exact_copy(self):
         # odd eta puts one fine-voxel center exactly on each coarse center
         rng = rng_stream(3, "tri")
