@@ -25,7 +25,6 @@ from .model import (
     TrainResult,
     head_blocks,
     load_checkpoint,
-    regime_of,
     route,
     save_checkpoint,
 )
@@ -182,16 +181,16 @@ def cmd_train(cfg):
 
 
 def _load_model(checkpoint, synth):
-    """The regime and TrainResult of a checkpoint; CodecError unless it
-    holds, for every dataset of ``synth`` that its regime reads (a single
-    model: its home), the routed statistic set and a head as wide as the
-    dataset blocks it scores."""
+    """The TrainResult of a checkpoint; CodecError unless it holds, for every
+    dataset of ``synth`` that its recorded regime reads (a single model: its
+    home, its first statistic set), the routed statistic set and a head as
+    wide as the dataset blocks it scores."""
     params, norm_state = load_checkpoint(checkpoint)
+    regime = params.regime
     stats_ids = norm_state.dataset_ids()
-    regime = regime_of(stats_ids)
-    ids = stats_ids if regime == "single" else list(synth.specs)
-    if not set(ids) <= set(synth.specs):
-        raise CodecError(f"{checkpoint}: single model of {ids[0]!r}, not a dataset here", 0)
+    ids = stats_ids[:1] if regime == "single" else list(synth.specs)
+    if not ids or not set(ids) <= set(synth.specs):
+        raise CodecError(f"{checkpoint}: single model of {ids}, not a dataset here", 0)
     widths = {}
     sizes = {ds: len(synth.specs[ds].label_space) for ds in ids}
     for ds, (offset, size) in head_blocks(regime, sizes).items():
@@ -202,17 +201,17 @@ def _load_model(checkpoint, synth):
     for head, width in widths.items():
         if head not in params.heads or params.heads[head][1].size != width:
             raise CodecError(f"{checkpoint}: {regime} needs a head {head!r} of {width} classes", 0)
-    result = TrainResult(params=params, norm_state=norm_state, log=[], weights={})
-    return regime, result
+    return TrainResult(params=params, norm_state=norm_state, log=[])
 
 
 def cmd_learn_labels(cfg, checkpoint):
     synth = _load_synth(cfg)
-    regime, result = _load_model(checkpoint, synth)
-    if regime != "mdt":
-        print(f"learn-labels needs an mdt checkpoint, got a {regime} one", file=sys.stderr)
+    result = _load_model(checkpoint, synth)
+    if result.params.regime != "mdt":
+        print(f"learn-labels needs an mdt checkpoint, got a {result.params.regime} one",
+              file=sys.stderr)
         return EXIT_USAGE
-    data = exp.prepare_regime(regime, synth, list(synth.specs), cfg.stride)
+    data = exp.prepare_regime("mdt", synth, list(synth.specs), cfg.stride)
     unified = exp.learn_unified(result, data, synth.specs, cfg.lam, cfg.tau)
     spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
     _write_text(
@@ -224,8 +223,8 @@ def cmd_learn_labels(cfg, checkpoint):
 
 def cmd_eval(cfg, checkpoint, unified_path=None):
     synth = _load_synth(cfg)
-    regime, result = _load_model(checkpoint, synth)
-    if regime == "pretrain_finetune":
+    result = _load_model(checkpoint, synth)
+    if result.params.regime == "pretrain_finetune":
         print(
             "pretrain_finetune checkpoints are assessed from their training log",
             file=sys.stderr,
@@ -238,7 +237,7 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
             unified = parse_unified(fh.read(), spaces)
     # cross-domain cells transcode through the unified space, so they appear
     # only with [eval] cross = true
-    setups = exp.regime_setups(regime, result, list(synth.specs), cfg.cross)
+    setups = exp.regime_setups(result, list(synth.specs), cfg.cross)
     rows, preds = exp.evaluate_setups(synth, setups, unified, cfg.stride, eta=cfg.eta)
     _write_text(os.path.join(cfg.out, f"report_{setups[0].name}.csv"), render_report(rows))
     for (sname, ds), grids in preds.items():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .model import REGIMES
+from .model import DEFAULT_REGIME, REGIMES
 
 
 class ConfigError(ValueError):
@@ -30,7 +30,7 @@ class ExperimentConfig:
     blobs: int = 6
     posts: int = 6
     # [train]
-    regime: str = "mdt"
+    regime: str = DEFAULT_REGIME
     epochs: int = 40
     pretrain_epochs: int = 20
     batch_size: int = 4

@@ -27,11 +27,10 @@ from .model import (
     batch_forward,
     head_blocks,
     read_head,
-    regime_of,
     route,
     train,
 )
-from .refine import identity_fine_head, refine_and_reassemble, sample_features, split_voxels, occupied_voxels
+from .refine import refine_and_reassemble, sample_features, split_voxels, occupied_voxels
 from .scenes import (
     SceneSpec,
     dataset_presets,
@@ -333,12 +332,12 @@ class Setup:
     """A trained model plus which dataset's head reads each evaluated dataset.
 
     The head, its block, the statistic set, the input crop and the read-out
-    all follow from the regime's routing (see ``evaluate_setups``).
+    all follow from the routing of the regime the model records (see
+    ``evaluate_setups``).
     """
 
     name: str
     result: object
-    regime: str
     head_of: dict  # evaluated dataset -> dataset whose head and taxonomy read it
 
 
@@ -362,8 +361,9 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     cells = []
     all_preds = {}
     for setup in setups:
-        rules = REGIME_TABLE[setup.regime]
-        blocks = head_blocks(setup.regime, {d: len(specs[d].label_space) for d in specs})
+        regime = setup.result.params.regime
+        rules = REGIME_TABLE[regime]
+        blocks = head_blocks(regime, {d: len(specs[d].label_space) for d in specs})
         for ds in specs:
             if ds not in setup.head_of:
                 continue
@@ -377,8 +377,8 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                 crop = None
             lattice = coarse_lattice(spec, crop, stride)
             feats = [cloud_features(cloud, crop, lattice) for cloud, _ in synth.eval_views[ds]]
-            head = route(setup.regime, reader)[1]
-            norm_id = route(setup.regime, ds if ds in setup.head_of.values() else reader)[0]
+            head = route(regime, reader)[1]
+            norm_id = route(regime, ds if ds in setup.head_of.values() else reader)[0]
             block = blocks[reader]
             use_slm = rules.slm and reader == ds and unified is not None
             preds = []
@@ -434,17 +434,17 @@ def _slm_scores(result, unified, ds, features, head):
 
 
 def _refine_grid(grid, hidden, params, head_id, block, eta):
-    """Coarse-to-fine upsample of a prediction grid using the model's hidden
-    features and an identity-style fine head."""
+    """Coarse-to-fine upsample of a prediction grid: the hidden features
+    sampled at each fine query are scored by the reading dataset's block of
+    the coarse head."""
     vox = occupied_voxels(grid, empty_id=0)
     queries = split_voxels(vox, eta, grid.dims)
     feats = sample_features(hidden, queries.coords, eta)
     w, b = params.head(head_id)
     off, size = block
-    fine_head = identity_fine_head(w[:, off : off + size], b[off : off + size])
     fine_dims = tuple(d * eta for d in grid.dims)
     return refine_and_reassemble(
-        queries, feats, fine_head, fine_dims, empty_id=0,
+        queries, feats, (w[:, off : off + size], b[off : off + size]), fine_dims, empty_id=0,
         voxel_size=grid.voxel_size_m / eta, origin=grid.origin,
     )
 
@@ -474,22 +474,22 @@ def _gt_on_lattice(gt_full, pred):
     return pred.lattice.resample(gt_full, empty_id=0)
 
 
-def regime_setups(regime, result, ids, cross):
-    """Evaluation setups of one model trained under ``regime``, over the
-    datasets ``ids``.
+def regime_setups(result, ids, cross):
+    """Evaluation setups of one model, under the regime it was trained
+    under, over the datasets ``ids``.
 
     A single model is named after its home dataset (its one statistic set);
     with ``cross`` it also reads every other dataset with its home head. An
     mdt model with ``cross`` adds ``mdt_cross``: each dataset read by the
     other dataset's head over its own realigned statistics, then transcoded.
     """
+    regime = result.params.regime
     if regime == "single":
         home = result.norm_state.dataset_ids()[0]
-        return [Setup(f"single_{home}", result, regime,
-                      {ds: home for ds in ids if cross or ds == home})]
-    setups = [Setup(regime, result, regime, {ds: ds for ds in ids})]
+        return [Setup(f"single_{home}", result, {ds: home for ds in ids if cross or ds == home})]
+    setups = [Setup(regime, result, {ds: ds for ds in ids})]
     if cross and regime == "mdt":
-        setups.append(Setup("mdt_cross", result, regime, dict(zip(ids, reversed(ids)))))
+        setups.append(Setup("mdt_cross", result, dict(zip(ids, reversed(ids)))))
     return setups
 
 
@@ -500,12 +500,8 @@ def standard_setups(results):
     ``results`` maps setup names single_a32/single_b64/direct_merge/mdt to
     TrainResults; pretrain_finetune is evaluated from its log, not here.
     """
-    return [
-        setup
-        for result in results.values()
-        for setup in regime_setups(regime_of(result.norm_state.dataset_ids()), result,
-                                   ("a32", "b64"), cross=True)
-    ]
+    return [setup for result in results.values()
+            for setup in regime_setups(result, ("a32", "b64"), cross=True)]
 
 
 def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,

@@ -36,7 +36,7 @@ MERGED_STATS_ID = "merged"
 PLAIN_STATS_ID = "plain"
 
 MCKPT_MAGIC = b"MCKP"
-MCKPT_VERSION = 1
+MCKPT_VERSION = 2
 
 
 class DivergedLoss(ArithmeticError):
@@ -68,6 +68,7 @@ REGIME_TABLE = {
                   merged=False, phased=False, slm=True),
 }
 REGIMES = tuple(REGIME_TABLE)
+DEFAULT_REGIME = "mdt"
 
 
 def route(regime, dataset_id):
@@ -89,25 +90,18 @@ def head_blocks(regime, class_counts):
     return blocks
 
 
-def regime_of(stats_ids):
-    """The regime whose routing registers exactly the statistic sets
-    ``stats_ids`` (MCKPT v1 does not record the regime): a shared set names
-    its regime, one per-dataset set is single, several are mdt."""
-    for regime, rules in REGIME_TABLE.items():
-        if rules.stats is not None and list(stats_ids) == [rules.stats]:
-            return regime
-    return "single" if len(stats_ids) == 1 else "mdt"
-
-
 @dataclass
 class ModelParams:
-    """Backbone weights plus one classification head per registered dataset."""
+    """Backbone weights plus one classification head per registered dataset,
+    and the regime (a ``REGIME_TABLE`` name) they were trained under, which
+    says how the model is read back."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     heads: dict  # dataset_id -> (weight (hidden, classes), bias (classes,))
+    regime: str
 
     @property
     def hidden(self):
@@ -126,12 +120,13 @@ class ModelParams:
             w2=self.w2.copy(),
             b2=self.b2.copy(),
             heads={k: (w.copy(), b.copy()) for k, (w, b) in self.heads.items()},
+            regime=self.regime,
         )
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    regime: str = "mdt"
+    regime: str = DEFAULT_REGIME
     epochs: int = 40
     batch_size: int = 4
     lr: float = 0.05
@@ -147,7 +142,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
-def init_params(head_sizes, hidden, seed):
+def init_params(head_sizes, hidden, seed, regime=DEFAULT_REGIME):
     """Seed-deterministic parameter initialization; one head per dataset."""
     rng = rng_stream(seed, "init")
     w1 = rng.normal(0.0, 1.0 / np.sqrt(NUM_INPUT_FEATURES), (NUM_INPUT_FEATURES, hidden))
@@ -160,31 +155,18 @@ def init_params(head_sizes, hidden, seed):
             rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, head_sizes[ds])),
             np.zeros(head_sizes[ds]),
         )
-    return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2, heads=heads)
+    return ModelParams(w1=w1, b1=b1, w2=w2, b2=b2, heads=heads, regime=regime)
 
 
 _COUNT_CACHE = {}
 
 
 def _neighbor_counts(dims):
+    """How many of each voxel and its 6 neighbors lie in the grid."""
     dims = tuple(dims)
-    cached = _COUNT_CACHE.get(dims)
-    if cached is not None:
-        return cached
-    cnt = np.ones(dims)
-    for ax in range(3):
-        pad = np.ones(dims)
-        sl_lo = [slice(None)] * 3
-        sl_lo[ax] = slice(0, 1)
-        pad[tuple(sl_lo)] = 0.0
-        cnt += pad
-        pad = np.ones(dims)
-        sl_hi = [slice(None)] * 3
-        sl_hi[ax] = slice(dims[ax] - 1, dims[ax])
-        pad[tuple(sl_hi)] = 0.0
-        cnt += pad
-    _COUNT_CACHE[dims] = cnt
-    return cnt
+    if dims not in _COUNT_CACHE:
+        _COUNT_CACHE[dims] = _stencil_sum(np.ones(dims + (1,)))[..., 0]
+    return _COUNT_CACHE[dims]
 
 
 def _stencil_sum(x):
@@ -509,7 +491,6 @@ class TrainResult:
     params: ModelParams
     norm_state: NormState
     log: list  # rows: dict(epoch, dataset, loss, iou, miou)
-    weights: dict
 
 
 def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
@@ -563,7 +544,7 @@ def train(regime, datasets, config):
         if head_sizes.setdefault(routes[ds][1], datasets[ds].num_classes) != datasets[ds].num_classes:
             raise ValueError(f"datasets scored by head {routes[ds][1]!r} must share its class count")
     norm_ids = list(dict.fromkeys(stats for stats, _ in routes.values()))
-    params = init_params(head_sizes, config.hidden, config.seed)
+    params = init_params(head_sizes, config.hidden, config.seed, regime)
     norm_state = NormState(config.hidden, norm_ids)
     weights = {}
     for head_id in head_sizes:
@@ -626,12 +607,12 @@ def train(regime, datasets, config):
         run_phase([ids[1]], config.epochs, config.pretrain_epochs)
     else:
         run_phase(ids, config.epochs, 0)
-    return TrainResult(params=params, norm_state=norm_state, log=log, weights=weights)
+    return TrainResult(params=params, norm_state=norm_state, log=log)
 
 
 def save_checkpoint(path, params, norm_state):
-    """Write MCKPT v1: magic | version | named f64 tensors | per-dataset
-    NormState blobs."""
+    """Write MCKPT v2: magic | version | regime name | named f64 tensors |
+    per-dataset NormState blobs."""
     tensors = [
         ("backbone.w1", params.w1),
         ("backbone.b1", params.b1),
@@ -647,6 +628,7 @@ def save_checkpoint(path, params, norm_state):
         tensors.append((f"head.{ds}.w", w))
         tensors.append((f"head.{ds}.b", b))
     stream = StreamWriter(MCKPT_MAGIC, MCKPT_VERSION)
+    stream.name(params.regime)
     stream.pack("I", len(tensors))
     for name, arr in tensors:
         arr = np.asarray(arr, dtype=np.float64)
@@ -669,13 +651,18 @@ def save_checkpoint(path, params, norm_state):
 
 
 def load_checkpoint(path):
-    """(params, norm_state) of an MCKPT v1 file written by :func:`save_checkpoint`."""
+    """(params, norm_state) of an MCKPT v2 file written by :func:`save_checkpoint`."""
     return decode_file(path, checkpoint_decode)
 
 
 def checkpoint_decode(data):
-    """(params, norm_state) of MCKPT v1 bytes; any fault raises a CodecError."""
+    """(params, norm_state) of MCKPT v2 bytes; any fault, a regime name not
+    in ``REGIME_TABLE`` included, raises a CodecError (a v1 file is
+    VersionUnsupported)."""
     with StreamReader(data, MCKPT_MAGIC, MCKPT_VERSION) as stream:
+        regime = stream.name()
+        if regime not in REGIME_TABLE:
+            raise ValueError(f"unknown regime {regime!r}")
         tensors = {}
         for _ in range(stream.unpack("I")[0]):
             key = stream.name()
@@ -704,6 +691,7 @@ def checkpoint_decode(data):
             w2=tensors["backbone.w2"],
             b2=tensors["backbone.b2"],
             heads=heads,
+            regime=regime,
         )
         h = norm_state.num_features
         expected = [(params.w1, (NUM_INPUT_FEATURES, h)), (params.w2, (h, h)), (params.b1, (h,)),

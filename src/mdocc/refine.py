@@ -92,9 +92,10 @@ def sample_features(volume, fine_coords, eta):
     return out
 
 
-def refine_and_reassemble(queries, features, fine_head, fine_dims, empty_id,
+def refine_and_reassemble(queries, features, head, fine_dims, empty_id,
                           voxel_size, origin):
-    """Score each query with the two-layer head and rebuild the fine volume.
+    """Score each query's features with ``head`` (weight (C, classes), bias
+    (classes,)), the coarse classification head, and rebuild the fine volume.
 
     The argmax label of every query lands at its fine coordinate; every
     non-query voxel receives ``empty_id``. ``fine_dims`` must equal
@@ -104,13 +105,13 @@ def refine_and_reassemble(queries, features, fine_head, fine_dims, empty_id,
     want = tuple(d * queries.eta for d in queries.coarse_dims)
     if fine_dims != want:
         raise DimMismatch(f"fine dims {fine_dims} != eta * coarse dims {want}")
-    w1, b1, w2, b2 = fine_head
-    num_classes = w2.shape[1]
+    w, b = head
+    num_classes = w.shape[1]
     if not 0 <= empty_id < num_classes:
         raise ValueError(f"empty_id {empty_id} out of range for {num_classes} classes")
     labels = np.full(fine_dims, empty_id, dtype=np.uint16)
     if len(queries):
-        scores = (np.asarray(features, dtype=np.float64) @ w1 + b1) @ w2 + b2
+        scores = np.asarray(features, dtype=np.float64) @ w + b
         picked = np.argmax(scores, axis=1).astype(np.uint16)
         c = queries.coords
         labels[c[:, 0], c[:, 1], c[:, 2]] = picked
@@ -121,11 +122,3 @@ def refine_and_reassemble(queries, features, fine_head, fine_dims, empty_id,
         labels=labels,
         num_classes=num_classes,
     )
-
-
-def identity_fine_head(head_w, head_b):
-    """Fine head whose first layer passes features through unchanged and whose
-    second layer reuses a coarse classification head."""
-    hidden = head_w.shape[0]
-    return (np.eye(hidden), np.zeros(hidden), np.asarray(head_w, dtype=np.float64),
-            np.asarray(head_b, dtype=np.float64))

@@ -268,7 +268,7 @@ def test_08_coarse_to_fine_contracts():
         sampled = sample_features(feats, queries.coords, eta)
         from mdocc.refine import refine_and_reassemble
 
-        head = (np.eye(5), np.zeros(5), rng.normal(size=(5, 4)), rng.normal(size=4))
+        head = (rng.normal(size=(5, 4)), rng.normal(size=4))
         fine = refine_and_reassemble(
             queries, sampled, head, tuple(d * eta for d in dims), 0, 0.4 / eta, (0, 0, 0)
         )
@@ -280,7 +280,7 @@ def test_08_coarse_to_fine_contracts():
 
     # eta = 1 refinement reproduces the unrefined prediction voxel-for-voxel,
     # hence identical metrics
-    from mdocc.refine import identity_fine_head, refine_and_reassemble as rr
+    from mdocc.refine import refine_and_reassemble as rr
 
     hidden = rng.normal(size=(8, 8, 4, 6))
     head_w, head_b = rng.normal(size=(6, 4)), rng.normal(size=4)
@@ -289,7 +289,7 @@ def test_08_coarse_to_fine_contracts():
     vox = occupied_voxels(coarse)
     q = split_voxels(vox, 1, coarse.dims)
     refined = rr(q, sample_features(hidden, q.coords, 1),
-                 identity_fine_head(head_w, head_b), coarse.dims, 0, 0.4, (0, 0, 0))
+                 (head_w, head_b), coarse.dims, 0, 0.4, (0, 0, 0))
     identity_ok = refined == coarse
     ok = ok and identity_ok
     report(8, "coarse-to-fine query contracts", ok,

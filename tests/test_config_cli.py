@@ -321,6 +321,28 @@ class TestCliMalformedInputs:
         assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(ckpt)]) == EXIT_IO
         assert one_line_of_output(capsys, naming=ckpt)
 
+    def test_checkpoint_of_unknown_regime(self, probes, capsys):
+        blob = (probes / "ok.mckpt").read_bytes()
+        assert blob[6:11] == b"\x03\x00mdt"
+        ckpt = probes / "mdx.mckpt"
+        ckpt.write_bytes(blob[:8] + b"mdx" + blob[11:])
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(ckpt)]) == EXIT_IO
+        assert one_line_of_output(capsys, naming=ckpt)
+
+    def test_single_checkpoint_without_statistic_set(self, probes, capsys):
+        ckpt = probes / "homeless.mckpt"
+        save_checkpoint(ckpt, init_params({"a32": 9}, 8, 0, regime="single"), NormState(8, []))
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(ckpt)]) == EXIT_IO
+        assert one_line_of_output(capsys, naming=ckpt)
+
+    def test_v1_checkpoint_names_file(self, probes, capsys):
+        # v1 is v2 without the regime name after the header
+        blob = (probes / "ok.mckpt").read_bytes()
+        ckpt = probes / "v1.mckpt"
+        ckpt.write_bytes(blob[:4] + b"\x01\x00" + blob[11:])
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(ckpt)]) == EXIT_IO
+        assert one_line_of_output(capsys, naming=ckpt)
+
     # MOCC header: magic 0..3, version 4..5, dims 6..17, voxel size 18..25,
     # origin 26..49, class count 50..51, labels from 52
     @pytest.mark.parametrize("at, value", [

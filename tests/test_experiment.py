@@ -201,7 +201,7 @@ class TestSlmScores:
             state.stats(ds)["mean"] = rng.normal(size=6)
             state.stats(ds)["var"] = rng.uniform(0.5, 2.0, 6)
         feats = rng.normal(size=(4, 5, 3, 5))
-        result = TrainResult(params=params, norm_state=state, log=[], weights={})
+        result = TrainResult(params=params, norm_state=state, log=[])
         # the per-head composition: one eval-mode pass per head, then softmax,
         # merge over the unified space and reprojection
         order = list(unified.dataset_ids())

@@ -75,7 +75,7 @@ PIPELINE = {
     "b64/scene_cloud_0002.mply":
         "a7e433c94e561ffbee7f36696054c347c22b54d3b8d2c4835777edbc7b701ccd",
     "ckpt_mdt.mckpt":
-        "259926ec97a1769d65946d1165b4b715ae65f75935ca0c478238d787d8bffa29",
+        "78cd6aca6c9fb744e910dddb0b449213af7a535b28fc28eaa9a288e1f5df4eda",
     "config.txt":
         "6f305233dc44bc74a3e47f5a1ae4d91fe911a220f919588716330c9a88cf65b3",
     "manifest.json":
@@ -98,7 +98,7 @@ PIPELINE = {
 
 REFINED = {
     "ckpt_single.mckpt":
-        "8dec0d3d6685bda71b2bf7a8fb5a2c5e683b3fc4c61a259c403cd23044c6ddc6",
+        "990c1d20c0a4023dfaffcc429d73635d76ac693839b964937abc2681e43dd892",
     "pred/mdt/a32/pred_0000.mocc":
         "10991f4a2d68f6e49cad52ae9a7cb383f289f666ed768781abc2ff5db84f4343",
     "pred/mdt/a32/pred_0001.mocc":
@@ -133,9 +133,9 @@ REFINED = {
 
 BASELINES = {
     "ckpt_direct_merge.mckpt":
-        "7eff171350b6a649fe54cc137bd9c93fe5ca61ede4bf7a84756ac490c7800211",
+        "e1883bc36282c5c2bee5254889e5552b161f019790ffc806bbab0555c26efc48",
     "ckpt_pretrain_finetune.mckpt":
-        "c6776c6f0afa522330cd99dc010bd9c1fdff6779eead6b2727de6bf8a33f34a6",
+        "c26bbe55e5ab609585cdf3395d64d8a7444fbeccd69a40b1fec0153df24a5df6",
     "pred/direct_merge/a32/pred_0000.mocc":
         "3b8c3bb25e12b6781ddc4827de5aa0e48809daf11653b74b379777a960af6d33",
     "pred/direct_merge/a32/pred_0001.mocc":

@@ -13,6 +13,7 @@ from mdocc.model import (
     TrainData,
     _ce_terms,
     _epoch_metrics,
+    _neighbor_counts,
     backward,
     balanced_batches,
     batch_forward,
@@ -24,8 +25,6 @@ from mdocc.model import (
     loss_ce,
     neighbor_mean,
     neighbor_mean_transpose,
-    regime_of,
-    route,
     save_checkpoint,
     sgd_step,
     train,
@@ -120,6 +119,13 @@ class TestNeighborMean:
         lhs = float((neighbor_mean(x) * y).sum())
         rhs = float((x * neighbor_mean_transpose(y)).sum())
         assert np.isclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (17, 9, 5), (64, 64, 5), (100, 100, 8)])
+    def test_counts_are_in_grid_neighbors(self, dims):
+        # 1 for the voxel itself plus one per axis for each in-grid neighbor
+        idx = np.indices(dims)
+        want = 1.0 + sum((i > 0).astype(float) + (i < d - 1) for i, d in zip(idx, dims))
+        assert _neighbor_counts(dims).tobytes() == want.tobytes()
 
 
 class TestLossCE:
@@ -406,14 +412,6 @@ class TestTrain:
         assert result.norm_state.dataset_ids() == ["merged"]
 
 
-class TestRouting:
-    def test_regime_of_inverts_route(self):
-        for regime in REGIMES:
-            ids = ["a", "b"][: REGIME_TABLE[regime].datasets]
-            stats = list(dict.fromkeys(route(regime, ds)[0] for ds in ids))
-            assert regime_of(stats) == regime
-
-
 class TestClassWeights:
     def test_inverse_frequency_clipped(self):
         # weights are total / (ref * count) with ref = 16, clipped to the band
@@ -438,6 +436,44 @@ class TestCheckpoint:
         assert np.array_equal(s2.stats(ids[0])["mean"], state.stats(ids[0])["mean"])
         assert s2.stats(ids[0])["count"] == state.stats(ids[0])["count"]
         assert s2.eps == state.eps and s2.momentum == state.momentum
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_regime_round_trip(self, tmp_path, regime):
+        rng = rng_stream(18, "ckpt")
+        ids = ["a", "b"][: REGIME_TABLE[regime].datasets]
+        data = {ds: tiny_traindata(rng, n_scenes=2) for ds in ids}
+        cfg = TrainConfig(regime=regime, epochs=1, pretrain_epochs=1, batch_size=2, seed=0, hidden=3)
+        result = train(regime, data, cfg)
+        assert result.params.regime == regime and result.params.copy().regime == regime
+        blob = save_checkpoint(tmp_path / "m.mckpt", result.params, result.norm_state)
+        params, state = load_checkpoint(tmp_path / "m.mckpt")
+        assert params.regime == regime
+        assert save_checkpoint(tmp_path / "again.mckpt", params, state) == blob
+
+    def test_one_dataset_mdt_stays_mdt(self, tmp_path):
+        # one per-dataset statistic set and one head, as a single model has
+        rng = rng_stream(19, "ckpt")
+        cfg = TrainConfig(regime="mdt", epochs=1, batch_size=2, seed=0, hidden=3)
+        result = train("mdt", {"a": tiny_traindata(rng, n_scenes=2)}, cfg)
+        assert result.norm_state.dataset_ids() == ["a"] and list(result.params.heads) == ["a"]
+        save_checkpoint(tmp_path / "m.mckpt", result.params, result.norm_state)
+        assert load_checkpoint(tmp_path / "m.mckpt")[0].regime == "mdt"
+
+    def test_regime_name_follows_header(self, tmp_path):
+        params = init_params({"a": 2}, 2, 0, regime="direct_merge")
+        blob = save_checkpoint(tmp_path / "m.mckpt", params, NormState(2, ["a"]))
+        assert blob[:6] == b"MCKP\x02\x00"
+        assert blob[6:20] == b"\x0c\x00direct_merge"
+        assert init_params({"a": 2}, 2, 0).regime == "mdt"
+
+    def test_unknown_regime_rejected(self, tmp_path):
+        params = init_params({"a": 2}, 2, 0)
+        params.regime = "mdx"
+        blob = save_checkpoint(tmp_path / "m.mckpt", params, NormState(2, ["a"]))
+        with pytest.raises(CodecError) as err:
+            checkpoint_decode(blob)
+        assert "mdx" in str(err.value)
+        assert err.value.offset == 11  # read up to the end of the name
 
     def test_save_deterministic(self, tmp_path):
         rng = rng_stream(17, "ckpt")

@@ -4,7 +4,6 @@ import pytest
 from mdocc.core import Lattice, OccupancyGrid, rng_stream
 from mdocc.refine import (
     DimMismatch,
-    identity_fine_head,
     occupied_voxels,
     refine_and_reassemble,
     sample_features,
@@ -160,12 +159,7 @@ class TestSampleFeatures:
 
 class TestRefineReassemble:
     def make_head(self, hidden, classes, rng):
-        return (
-            rng.normal(size=(hidden, hidden)),
-            rng.normal(size=hidden),
-            rng.normal(size=(hidden, classes)),
-            rng.normal(size=classes),
-        )
+        return rng.normal(size=(hidden, classes)), rng.normal(size=classes)
 
     def test_no_queries_all_empty(self):
         rng = rng_stream(4, "refine")
@@ -187,7 +181,7 @@ class TestRefineReassemble:
         q = split_voxels(vox, 1, grid.dims)
         sampled = sample_features(feats, q.coords, 1)
         out = refine_and_reassemble(
-            q, sampled, identity_fine_head(head_w, head_b), grid.dims, 0, 0.5, (0, 0, 0)
+            q, sampled, (head_w, head_b), grid.dims, 0, 0.5, (0, 0, 0)
         )
         assert np.array_equal(out.labels, coarse)
 

@@ -135,6 +135,8 @@ class TestFaultInjection:
         blob = small_checkpoint(tmp_path)
         params, _ = load_checkpoint(tmp_path / "small.mckpt")
         assert np.array_equal(checkpoint_decode(blob)[0].w1, params.w1)
+        # v2: the regime name right after the header is mutated like the rest
+        assert blob[4:11] == b"\x02\x00\x03\x00mdt" and params.regime == "mdt"
         assert_decodes_or_codec_error(checkpoint_decode, blob, seed=3)
 
     @pytest.mark.parametrize("part", ["w1", "head weight", "head bias", "running mean"])
