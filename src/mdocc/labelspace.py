@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import CodecError, DimMismatch, LabelSpace, OccupancyGrid, ScoreGrid, UnknownDataset
 
@@ -235,56 +234,14 @@ def _canonical_objective(candidates, selection, lam):
     return total
 
 
-def _assignment_bound(candidates, labels, lam):
-    """Optimal objective for the 2-dataset case via the assignment reduction."""
-    datasets = sorted({ds for ds, _ in labels})
-    if len(datasets) != 2:
-        return None
-    da, db = datasets
-    la = sorted(c for ds, c in labels if ds == da)
-    lb = sorted(c for ds, c in labels if ds == db)
-    pos_a = {c: i for i, c in enumerate(la)}
-    pos_b = {c: i for i, c in enumerate(lb)}
-    ma, mb = len(la), len(lb)
-    size = ma + mb
-    big = np.inf
-    m = np.full((size, size), big)
-    m[ma:, mb:] = 0.0
-    have_singletons = True
-    single_cost = {}
-    for cand in candidates:
-        if len(cand) == 1:
-            single_cost[cand.members[0]] = cand.cost
-        elif len(cand) == 2:
-            (d1, c1), (d2, c2) = cand.members
-            if d1 == da and d2 == db:
-                m[pos_a[c1], pos_b[c2]] = cand.cost + lam
-    for c in la:
-        key = (da, c)
-        if key in single_cost:
-            m[pos_a[c], mb + pos_a[c]] = single_cost[key] + lam
-        else:
-            have_singletons = False
-    for c in lb:
-        key = (db, c)
-        if key in single_cost:
-            m[ma + pos_b[c], pos_b[c]] = single_cost[key] + lam
-        else:
-            have_singletons = False
-    if not have_singletons:
-        return None
-    rows, cols = linear_sum_assignment(m)
-    return float(m[rows, cols].sum())
-
-
 def solve_unified(candidates, lam, spaces):
     """Select candidates minimizing sum(cost + lam) with exact cover of every
     dataset label.
 
     ``spaces`` is a sequence of (dataset_id, LabelSpace) pairs fixing the
-    dataset order and label universes. Two datasets get an assignment-problem
-    bound; the exact search is a deterministic branch-and-bound whose ties are
-    broken by fewer unified classes, then lexicographic candidate order.
+    dataset order and label universes. The exact search is a deterministic
+    branch-and-bound whose ties are broken by fewer unified classes, then
+    lexicographic candidate order.
     """
     candidates = list(candidates)
     spaces = list(spaces)
@@ -309,8 +266,9 @@ def solve_unified(candidates, lam, spaces):
     for li, lst in enumerate(by_label):
         share[li] = min((candidates[ci].cost + lam) / len(cand_members[ci]) for ci in lst)
 
-    bound = _assignment_bound(candidates, labels, lam)
-    best = {"tuple": None, "J": np.inf if bound is None else bound + 1e-9}
+    # incumbent (objective, class count, selection), compared as a tuple for the
+    # tie-break; it starts worse than any cover, even one of infinite cost
+    best = (np.inf, np.inf, None)
 
     order = sorted(range(len(candidates)), key=lambda ci: ((candidates[ci].cost + lam) / len(cand_members[ci]), ci))
     by_label_ordered = [[ci for ci in order if li in cand_members[ci]] for li in range(len(labels))]
@@ -327,17 +285,15 @@ def solve_unified(candidates, lam, spaces):
         return total
 
     def dfs(first_uncovered, running):
+        nonlocal best
         while first_uncovered < len(labels) and covered[first_uncovered]:
             first_uncovered += 1
         if first_uncovered == len(labels):
             sel = tuple(sorted(chosen))
             j = _canonical_objective(candidates, sel, lam)
-            tup = (j, len(sel), sel)
-            if best["tuple"] is None or tup < best["tuple"]:
-                best["tuple"] = tup
-                best["J"] = min(best["J"], j)
+            best = min(best, (j, len(sel), sel))
             return
-        if running + remaining_bound(first_uncovered) > best["J"] + 1e-9:
+        if running + remaining_bound(first_uncovered) > best[0] + 1e-9:
             return
         for ci in by_label_ordered[first_uncovered]:
             mems = cand_members[ci]
@@ -352,9 +308,9 @@ def solve_unified(candidates, lam, spaces):
                 covered[li] = False
 
     dfs(0, 0.0)
-    if best["tuple"] is None:
+    j, _, selection = best
+    if selection is None:
         raise InfeasibleCover("no feasible cover exists for the given candidates")
-    j, _, selection = best["tuple"]
     return _build_unified(candidates, selection, j, spaces)
 
 

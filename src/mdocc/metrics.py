@@ -7,14 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import DimMismatch
 from .labelspace import transcode
 
 
 REPORT_HEADER = "setup,dataset,iou,miou"
-
-
-class GeometryMismatch(ValueError):
-    pass
 
 
 class MissingTransform(ValueError):
@@ -35,7 +32,7 @@ class ConfusionMatrix:
         pred = np.asarray(pred).reshape(-1).astype(np.int64)
         gt = np.asarray(gt).reshape(-1).astype(np.int64)
         if pred.shape != gt.shape:
-            raise GeometryMismatch("prediction and ground truth sizes differ")
+            raise DimMismatch("prediction and ground truth sizes differ")
         flat = gt * self.num_classes + pred
         self.counts += np.bincount(flat, minlength=self.num_classes**2).reshape(
             self.num_classes, self.num_classes
@@ -51,9 +48,9 @@ def accumulate(cm, pred, gt, eval_range):
     """
     lattice = pred.lattice
     if lattice != gt.lattice:
-        raise GeometryMismatch(f"grid geometry differs: {lattice} vs {gt.lattice}")
+        raise DimMismatch(f"grid geometry differs: {lattice} vs {gt.lattice}")
     if pred.num_classes != gt.num_classes or pred.num_classes != cm.num_classes:
-        raise GeometryMismatch("class counts differ between matrices and grids")
+        raise DimMismatch("class counts differ between matrices and grids")
     keep = []
     lo, hi = eval_range.mins, eval_range.maxs
     for ax in range(3):

@@ -113,15 +113,6 @@ class ModelParams:
         except KeyError:
             raise UnknownDataset(dataset_id) from None
 
-    def copy(self):
-        return ModelParams(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            heads={k: (w.copy(), b.copy()) for k, (w, b) in self.heads.items()},
-            regime=self.regime,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mdocc.core import CodecError, LabelSpace, OccupancyGrid, ScoreGrid, rng_stream
 from mdocc.labelspace import (
@@ -331,6 +337,55 @@ class TestSolver:
             b = solve_unified(pruned, lam, spaces)
             assert a.objective == b.objective
             assert [c.members for c in a.selected] == [c.members for c in b.selected]
+
+
+def assignment_minimum(pair_cost, lam):
+    """Independent two-dataset oracle: the exact cover as an assignment problem.
+
+    Rows are a's labels then one slack row per b label; columns are b's labels
+    then one slack column per a label. Pairing a-label i with b-label j costs
+    pair_cost[i, j] + lam, a label left alone costs lam (its singleton), and
+    slack meets slack for free.
+    """
+    na, nb = pair_cost.shape
+    m = np.full((na + nb, nb + na), np.inf)
+    m[:na, :nb] = pair_cost + lam
+    m[np.arange(na), nb + np.arange(na)] = lam
+    m[na + np.arange(nb), np.arange(nb)] = lam
+    m[na:, nb:] = 0.0
+    rows, cols = linear_sum_assignment(m)
+    return float(m[rows, cols].sum())
+
+
+class TestAssignmentOracle:
+    def test_matches_assignment_at_cli_size(self):
+        # the CLI's taxonomies: 9 a32 labels by 8 b64 labels, every pair a candidate
+        rng = rng_stream(12, "solve")
+        for trial in range(12):
+            spaces = spaces_of({"a": 9, "b": 8})
+            pair_cost = rng.random((9, 8))
+            cands = [
+                MergeCandidate(members=((ds, c),), cost=0.0)
+                for ds, space in spaces
+                for c in range(len(space))
+            ]
+            cands += [
+                MergeCandidate(members=(("a", i), ("b", j)), cost=float(pair_cost[i, j]))
+                for i in range(9)
+                for j in range(8)
+            ]
+            lam = float(rng.uniform(0.05, 1.0))
+            uni = solve_unified(cands, lam, spaces)
+            assert np.isclose(uni.objective, assignment_minimum(pair_cost, lam), rtol=0, atol=1e-9)
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the one runtime dependency; scipy is only a test dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mdocc.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _selection_indices(candidates, unified):

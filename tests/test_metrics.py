@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mdocc.core import LabelSpace, OccupancyGrid, Range3D, rng_stream
+from mdocc.core import DimMismatch, LabelSpace, OccupancyGrid, Range3D, rng_stream
 from mdocc.labelspace import unified_from_pairs
 from mdocc.metrics import (
     ConfusionMatrix,
     EvalCell,
-    GeometryMismatch,
     MissingTransform,
     accumulate,
     cross_eval,
@@ -95,7 +94,7 @@ class TestAccumulate:
     def test_geometry_mismatch(self):
         a = grid_of(np.zeros((2, 2, 2)))
         b = grid_of(np.zeros((2, 2, 2)), voxel=0.25)
-        with pytest.raises(GeometryMismatch):
+        with pytest.raises(DimMismatch):
             accumulate(ConfusionMatrix(4), a, b, a.extent)
 
 
