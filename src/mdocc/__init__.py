@@ -49,7 +49,6 @@ from .metrics import ConfusionMatrix, accumulate, cross_eval, geometric_iou, mio
 from .model import (
     DivergedLoss,
     ModelParams,
-    TrainConfig,
     backward,
     balanced_batches,
     loss_ce,

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
 from .core import CodecError, Lattice, decode_file, grid_decode, grid_encode
@@ -21,14 +23,13 @@ from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
     REGIMES,
     DivergedLoss,
-    TrainConfig,
     TrainResult,
     head_blocks,
     load_checkpoint,
     route,
     save_checkpoint,
 )
-from .scenes import cloud_decode, cloud_encode, dataset_presets, taxonomy_preset
+from .scenes import ExtentTooSmall, cloud_decode, cloud_encode, dataset_presets, taxonomy_preset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,17 +86,14 @@ def _manifest(synth, cfg):
 
 
 def cmd_synth(cfg):
-    counts = {
-        "n_boxes": cfg.boxes,
-        "n_pillars": cfg.pillars,
-        "n_walls": cfg.walls,
-        "n_blobs": cfg.blobs,
-        "n_posts": cfg.posts,
-    }
-    synth = exp.synthesize(
-        cfg.seed, taxonomy_name=cfg.taxonomy, n_train=cfg.scenes,
-        n_eval=cfg.eval_scenes, scene_counts=counts,
-    )
+    try:
+        synth = exp.synthesize(
+            cfg.seed, taxonomy_name=cfg.taxonomy, n_train=cfg.scenes,
+            n_eval=cfg.eval_scenes, scene_counts=cfg.scene_counts,
+        )
+    except ExtentTooSmall as e:
+        # placement is randomized, so no static check predicts this
+        raise ConfigError(f"[data] object counts do not fit a scene: {e}") from None
     _write_text(os.path.join(cfg.out, "config.txt"), render_config(cfg))
     _write_text(os.path.join(cfg.out, "manifest.json"), _manifest(synth, cfg))
     for ds in synth.specs:
@@ -150,19 +148,6 @@ def _load_synth(cfg):
     )
 
 
-def _train_cfg(cfg):
-    return TrainConfig(
-        regime=cfg.regime,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        seed=cfg.seed,
-        hidden=cfg.hidden,
-        stride=cfg.stride,
-        pretrain_epochs=cfg.pretrain_epochs,
-    )
-
-
 def _log_csv(log):
     lines = ["epoch,dataset,loss,iou,miou"]
     for row in log:
@@ -174,7 +159,9 @@ def _log_csv(log):
 
 def cmd_train(cfg):
     synth = _load_synth(cfg)
-    result, _ = exp.run_regime(synth, _train_cfg(cfg), list(synth.specs))
+    # a diverging run is reported once, by its DivergedLoss
+    with np.errstate(all="ignore"):
+        result, _ = exp.run_regime(synth, cfg, list(synth.specs))
     save_checkpoint(os.path.join(cfg.out, f"ckpt_{cfg.regime}.mckpt"), result.params, result.norm_state)
     _write_text(os.path.join(cfg.out, f"train_log_{cfg.regime}.csv"), _log_csv(result.log))
     return EXIT_OK
@@ -210,6 +197,9 @@ def cmd_learn_labels(cfg, checkpoint):
     if result.params.regime != "mdt":
         print(f"learn-labels needs an mdt checkpoint, got a {result.params.regime} one",
               file=sys.stderr)
+        return EXIT_USAGE
+    if not all(synth.train_views.values()):
+        print(f"learn-labels needs training scenes, {cfg.out} has none", file=sys.stderr)
         return EXIT_USAGE
     data = exp.prepare_regime("mdt", synth, list(synth.specs), cfg.stride)
     unified = exp.learn_unified(result, data, synth.specs, cfg.lam, cfg.tau)

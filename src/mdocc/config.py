@@ -1,14 +1,19 @@
 """Experiment configuration: a flat, diffable key=value document with sections.
 
-Unknown sections or keys are rejected; serialization round-trips losslessly
-(floats via repr, everything in fixed order).
+``ExperimentConfig`` is the one record of a run's settings; synthesis,
+training and evaluation all read it. Unknown sections or keys are rejected,
+and so is any value the program cannot run; serialization round-trips
+losslessly (floats via repr, everything in fixed order).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
+from .experiment import coarse_lattice, eval_intersection
 from .model import DEFAULT_REGIME, REGIMES
+from .scenes import dataset_presets, default_scene_spec, taxonomy_preset
 
 
 class ConfigError(ValueError):
@@ -45,14 +50,34 @@ class ExperimentConfig:
     cross: bool = False
 
     def __post_init__(self):
-        if self.scenes < 0 or self.eval_scenes < 0:
-            raise ConfigError("scene counts must be >= 0")
+        if min(self.scenes, self.eval_scenes, self.pretrain_epochs) < 0:
+            raise ConfigError("scenes, eval_scenes and pretrain_epochs must be >= 0")
         if self.eta < 1:
             raise ConfigError("eta must be >= 1")
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {', '.join(REGIMES)}, got {self.regime!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if min(self.epochs, self.batch_size, self.hidden, self.stride) < 1:
+            raise ConfigError("epochs, batch_size, hidden and stride must be >= 1")
+        if math.isnan(self.lam) or math.isnan(self.tau):
+            raise ConfigError("lambda and tau must be numbers, got nan")
+        try:
+            specs = dataset_presets(taxonomy_preset(self.taxonomy))
+            default_scene_spec(0, **self.scene_counts)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        # each regime trains on every dataset's gt range or on their intersection
+        try:
+            for spec in specs.values():
+                for crop in (None, eval_intersection(specs)):
+                    coarse_lattice(spec, crop, self.stride)
+        except ValueError as e:
+            raise ConfigError(f"stride {self.stride}: {e}") from None
+
+    @property
+    def scene_counts(self):
+        """[data] archetype counts as ``SceneSpec`` keywords."""
+        return {"n_boxes": self.boxes, "n_pillars": self.pillars, "n_walls": self.walls,
+                "n_blobs": self.blobs, "n_posts": self.posts}
 
 
 # section -> ordered keys; key -> dataclass field name where they differ

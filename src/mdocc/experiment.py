@@ -5,7 +5,7 @@ cells."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .labelspace import (
 from .metrics import EvalCell, cross_eval
 from .model import (
     REGIME_TABLE,
-    TrainConfig,
     TrainData,
     batch_forward,
     head_blocks,
@@ -229,13 +228,14 @@ def prepare_regime(regime, synth, ids, stride):
     }
 
 
-def run_regime(synth, cfg_train, ids):
-    """Prepare data per ``cfg_train.regime``'s rules and train.
+def run_regime(synth, cfg, ids):
+    """Prepare data per ``cfg.regime``'s rules and train on it under ``cfg``,
+    an ExperimentConfig.
 
     Returns (TrainResult, prepared datasets dict).
     """
-    data = prepare_regime(cfg_train.regime, synth, ids, cfg_train.stride)
-    return train(cfg_train.regime, data, cfg_train), data
+    data = prepare_regime(cfg.regime, synth, ids, cfg.stride)
+    return train(data, cfg), data
 
 
 def predict_scores(params, norm_state, norm_id, features, head_id=None):
@@ -504,31 +504,33 @@ def standard_setups(results):
             for setup in regime_setups(result, ("a32", "b64"), cross=True)]
 
 
-def run_trend_experiment(seed, n_train=12, n_eval=6, epochs=40, lr=0.05,
-                         batch_size=4, hidden=8, stride=2, pretrain_epochs=30):
+def run_trend_experiment(seed, n_eval=6, epochs=40):
     """One full 4-regime experiment at a given seed.
 
-    All regimes share one identical hyper-parameter set. The b64 corpus is
-    deliberately smaller than a32 (real dataset pairs are badly unequal in
-    size; the balanced sampler exists to absorb exactly that). Returns the
-    report rows keyed (setup, dataset) plus the pretrain-finetune log for the
-    forgetting check.
+    All regimes share one ExperimentConfig (the defaults, with ``seed``,
+    ``epochs`` and 30 pretraining epochs) and differ only in its regime. The
+    b64 corpus is deliberately smaller than a32's 12 scenes, as real dataset
+    pairs are, for the balanced sampler to absorb. Returns the report rows
+    keyed (setup, dataset), the pretrain-finetune log for the forgetting
+    check, and the synth, TrainResults and oracle unified space behind them.
     """
+    from .config import ExperimentConfig  # config validates on this module's lattices
+
+    n_train = 12
     sizes = {"a32": n_train, "b64": max(2, int(round(n_train * 0.4)))}
     synth = synthesize(seed, taxonomy_name="split", n_train=sizes, n_eval=n_eval,
                        world_profiles=WORLD_PROFILES)
-    base = dict(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
-                hidden=hidden, stride=stride, pretrain_epochs=pretrain_epochs)
+    cfg = ExperimentConfig(seed=seed, epochs=epochs, pretrain_epochs=30)
     ids = list(synth.specs)
     results = {}
     for ds in ids:
-        results[f"single_{ds}"], _ = run_regime(synth, TrainConfig(regime="single", **base), [ds])
-    results["direct_merge"], _ = run_regime(synth, TrainConfig(regime="direct_merge", **base), ids)
-    results["mdt"], mdt_data = run_regime(synth, TrainConfig(regime="mdt", **base), ids)
-    res_pt, _ = run_regime(synth, TrainConfig(regime="pretrain_finetune", **base), ids)
+        results[f"single_{ds}"], _ = run_regime(synth, replace(cfg, regime="single"), [ds])
+    for regime in ("direct_merge", "mdt"):
+        results[regime], _ = run_regime(synth, replace(cfg, regime=regime), ids)
+    res_pt, _ = run_regime(synth, replace(cfg, regime="pretrain_finetune"), ids)
     unified = oracle_unified(synth.taxonomy, synth.specs)
     setups = standard_setups(results)
-    rows, _ = evaluate_setups(synth, setups, unified, stride)
+    rows, _ = evaluate_setups(synth, setups, unified, cfg.stride)
     table = {(r["setup"], r["dataset"]): r for r in rows}
-    return {"rows": table, "pt_log": res_pt.log, "pretrain_epochs": pretrain_epochs,
-            "synth": synth, "results": results, "mdt_data": mdt_data, "unified": unified}
+    return {"rows": table, "pt_log": res_pt.log, "pretrain_epochs": cfg.pretrain_epochs,
+            "synth": synth, "results": results, "unified": unified}

@@ -114,25 +114,6 @@ class ModelParams:
             raise UnknownDataset(dataset_id) from None
 
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    regime: str = DEFAULT_REGIME
-    epochs: int = 40
-    batch_size: int = 4
-    lr: float = 0.05
-    seed: int = 0
-    hidden: int = 8
-    stride: int = 2
-    pretrain_epochs: int = 20
-
-    def __post_init__(self):
-        if self.regime not in REGIME_TABLE:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-
-
 def init_params(head_sizes, hidden, seed, regime=DEFAULT_REGIME):
     """Seed-deterministic parameter initialization; one head per dataset."""
     rng = rng_stream(seed, "init")
@@ -511,8 +492,9 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     )
 
 
-def train(regime, datasets, config):
-    """Train under one of the four regimes; deterministic in config.seed.
+def train(datasets, config):
+    """Train under ``config``, an ExperimentConfig: its regime, seed and
+    [train] values. Deterministic in config.seed; the params record the regime.
 
     ``datasets`` is an ordered mapping dataset_id -> TrainData, already
     prepared (range-aligned for mdt, raw otherwise; direct_merge data must
@@ -523,8 +505,7 @@ def train(regime, datasets, config):
 
     Raises DivergedLoss when the loss stops being finite.
     """
-    if regime not in REGIME_TABLE:
-        raise ValueError(f"unknown regime {regime!r}")
+    regime = config.regime
     rules = REGIME_TABLE[regime]
     ids = list(datasets)
     if rules.datasets is not None and len(ids) != rules.datasets:

@@ -1,6 +1,10 @@
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,3 +405,54 @@ class TestCliMismatchedInputs:
         capsys.readouterr()
         assert main([command, "--config", twin_path, "--checkpoint", ckpt]) == EXIT_IO
         assert one_line_of_output(capsys)
+
+
+@pytest.fixture(scope="module")
+def probe_dirs(tmp_path_factory):
+    """Configs to probe from: a synth directory with an mdt checkpoint, one
+    with no scenes (and an mdt checkpoint trained on nothing), and a fresh
+    one-scene output directory of the default config."""
+    root = tmp_path_factory.mktemp("probes")
+    cfgs = {"fresh": ExperimentConfig(out=str(root / "fresh"), scenes=1, eval_scenes=0)}
+    for name, kw in (("run", {}), ("empty", dict(scenes=0, eval_scenes=0))):
+        cfg, path = tiny_cfg(root / name, **kw)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        cfgs[name] = cfg
+    return cfgs
+
+
+# command, directory, config overrides, exit code
+CLI_PROBES = {
+    "synth-unknown-taxonomy": ("synth", "fresh", {"taxonomy": "nope"}, EXIT_USAGE),
+    "synth-negative-count": ("synth", "fresh", {"boxes": "-1"}, EXIT_USAGE),
+    "synth-crowded-scene": ("synth", "fresh", {"boxes": "400"}, EXIT_USAGE),
+    "train-hidden-0": ("train", "run", {"hidden": "0"}, EXIT_USAGE),
+    "train-stride-0": ("train", "run", {"stride": "0"}, EXIT_USAGE),
+    "train-stride-3": ("train", "run", {"stride": "3"}, EXIT_USAGE),
+    "train-stride-negative": ("train", "run", {"stride": "-2"}, EXIT_USAGE),
+    "train-negative-pretrain": ("train", "run", {"pretrain_epochs": "-1"}, EXIT_USAGE),
+    "train-diverges": ("train", "run", {"lr": "1e308"}, EXIT_NUMERIC),
+    "learn-labels-lambda-nan": ("learn-labels", "run", {"lambda": "nan"}, EXIT_USAGE),
+    "learn-labels-no-scenes": ("learn-labels", "empty", {}, EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("probe", CLI_PROBES)
+def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
+    # a fresh interpreter, so numpy warnings and tracebacks reach the output
+    command, directory, overrides, code = CLI_PROBES[probe]
+    cfg = probe_dirs[directory]
+    text = render_config(cfg)
+    for key, value in overrides.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    path = tmp_path / "probe.cfg"
+    path.write_text(text)
+    argv = [sys.executable, "-m", "mdocc.cli", command, "--config", str(path)]
+    if command == "learn-labels":
+        argv += ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    output = run.stdout + run.stderr
+    assert run.returncode == code, output
+    assert len(output.splitlines()) == 1 and "Traceback" not in output, output

@@ -3,6 +3,7 @@ import pytest
 
 from mdocc import model
 from mdocc.align import CylGridSpec, NormState, cylindrical_voxelize
+from mdocc.config import ExperimentConfig
 from mdocc.core import Lattice, OccupancyGrid, Range3D, ScoreGrid, rng_stream
 from mdocc.experiment import (
     _slm_scores,
@@ -17,7 +18,7 @@ from mdocc.experiment import (
 )
 from mdocc.labelspace import merged_score, reproject
 from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
-from mdocc.model import TrainConfig, TrainResult, batch_forward, head_blocks, init_params
+from mdocc.model import TrainResult, batch_forward, head_blocks, init_params
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
@@ -174,7 +175,7 @@ class TestSynthesize:
 class TestRunRegime:
     def test_direct_merge_logs_block_argmax(self):
         synth = synthesize(3, n_train=2, n_eval=0)
-        cfg = TrainConfig(regime="direct_merge", epochs=2, batch_size=2, seed=0, hidden=6)
+        cfg = ExperimentConfig(regime="direct_merge", epochs=2, batch_size=2, seed=0, hidden=6)
         result, data = run_regime(synth, cfg, list(synth.specs))
         assert {ds: d.block for ds, d in data.items()} == {"a32": (0, 9), "b64": (9, 8)}
         for ds, d in data.items():

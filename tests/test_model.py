@@ -3,13 +3,13 @@ import pytest
 
 from mdocc.align import NormState
 import mdocc
+from mdocc.config import ExperimentConfig
 from mdocc.core import BadMagic, CodecError, TruncatedPayload, VersionUnsupported, rng_stream
 from mdocc.model import (
     NUM_INPUT_FEATURES,
     REGIME_TABLE,
     REGIMES,
     DivergedLoss,
-    TrainConfig,
     TrainData,
     _ce_terms,
     _epoch_metrics,
@@ -329,16 +329,16 @@ class TestTrain:
     def test_single_regime_loss_decreases(self):
         rng = rng_stream(8, "train")
         data = {"a": tiny_traindata(rng)}
-        cfg = TrainConfig(regime="single", epochs=30, batch_size=2, lr=0.1, seed=0, hidden=6)
-        result = train("single", data, cfg)
+        cfg = ExperimentConfig(regime="single", epochs=30, batch_size=2, lr=0.1, seed=0, hidden=6)
+        result = train(data, cfg)
         losses = [r["loss"] for r in result.log if r["dataset"] == "a"]
         assert losses[-1] < losses[0]
 
     def test_mdt_both_heads_improve_and_backbone_shared(self):
         rng = rng_stream(9, "train")
         data = {"a": tiny_traindata(rng), "b": tiny_traindata(rng, classes=4)}
-        cfg = TrainConfig(regime="mdt", epochs=30, batch_size=2, lr=0.1, seed=0, hidden=6)
-        result = train("mdt", data, cfg)
+        cfg = ExperimentConfig(regime="mdt", epochs=30, batch_size=2, lr=0.1, seed=0, hidden=6)
+        result = train(data, cfg)
         for ds in ("a", "b"):
             losses = [r["loss"] for r in result.log if r["dataset"] == ds]
             assert losses[-1] < losses[0]
@@ -356,13 +356,13 @@ class TestTrain:
     def test_single_vs_mdt_bit_identical_with_one_dataset(self):
         rng = rng_stream(11, "train")
         data_template = tiny_traindata(rng)
-        cfg = TrainConfig(regime="single", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
-        r1 = train("single", {"a": TrainData(
+        cfg = ExperimentConfig(regime="single", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
+        r1 = train({"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
             num_classes=3, block=(0, 3))}, cfg)
-        cfg2 = TrainConfig(regime="mdt", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
-        r2 = train("mdt", {"a": TrainData(
+        cfg2 = ExperimentConfig(regime="mdt", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
+        r2 = train({"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
             num_classes=3, block=(0, 3))}, cfg2)
@@ -373,30 +373,38 @@ class TestTrain:
     def test_head_isolation_during_training(self):
         rng = rng_stream(12, "train")
         data = {"a": tiny_traindata(rng), "b": tiny_traindata(rng, classes=4)}
-        cfg = TrainConfig(regime="pretrain_finetune", epochs=5, pretrain_epochs=5,
-                          batch_size=2, lr=0.05, seed=1, hidden=6)
-        result = train("pretrain_finetune", data, cfg)
+        cfg = ExperimentConfig(regime="pretrain_finetune", epochs=5, pretrain_epochs=5,
+                               batch_size=2, lr=0.05, seed=1, hidden=6)
+        result = train(data, cfg)
         # phase 2 trains only b; rerun phase 1 alone to compare a's head
-        cfg1 = TrainConfig(regime="single", epochs=5, batch_size=2, lr=0.05, seed=1, hidden=6)
-        only_a = train("single", {"a": data["a"]}, cfg1)
+        cfg1 = ExperimentConfig(regime="single", epochs=5, batch_size=2, lr=0.05, seed=1, hidden=6)
+        only_a = train({"a": data["a"]}, cfg1)
         # the a head after full PT equals the a head after pretraining alone
         assert np.allclose(result.params.heads["a"][0], only_a.params.heads["a"][0])
 
     def test_determinism(self):
         rng1 = rng_stream(13, "train")
         rng2 = rng_stream(13, "train")
-        cfg = TrainConfig(regime="single", epochs=8, batch_size=2, lr=0.05, seed=2, hidden=6)
-        r1 = train("single", {"a": tiny_traindata(rng1)}, cfg)
-        r2 = train("single", {"a": tiny_traindata(rng2)}, cfg)
+        cfg = ExperimentConfig(regime="single", epochs=8, batch_size=2, lr=0.05, seed=2, hidden=6)
+        r1 = train({"a": tiny_traindata(rng1)}, cfg)
+        r2 = train({"a": tiny_traindata(rng2)}, cfg)
         assert np.array_equal(r1.params.w1, r2.params.w1)
         assert r1.log == r2.log
 
     def test_diverged_loss(self):
         rng = rng_stream(14, "train")
         data = {"a": tiny_traindata(rng)}
-        cfg = TrainConfig(regime="single", epochs=50, batch_size=2, lr=1e9, seed=0, hidden=6)
+        cfg = ExperimentConfig(regime="single", epochs=50, batch_size=2, lr=1e9, seed=0, hidden=6)
         with np.errstate(all="ignore"), pytest.raises(DivergedLoss):
-            train("single", data, cfg)
+            train(data, cfg)
+
+    @pytest.mark.parametrize("regime", ["single", "direct_merge", "mdt"])
+    def test_regime_read_from_config(self, regime):
+        # the same one-dataset data, trained under each regime that takes it
+        rng = rng_stream(20, "train")
+        cfg = ExperimentConfig(regime=regime, epochs=1, batch_size=2, seed=0, hidden=3)
+        result = train({"a": tiny_traindata(rng, n_scenes=2)}, cfg)
+        assert result.params.regime == regime
 
     def test_direct_merge_one_head_union_sized(self):
         rng = rng_stream(15, "train")
@@ -405,8 +413,8 @@ class TestTrain:
         for l in b.labels:
             l += 0  # labels already inside the union bound
         data = {"a": a, "b": b}
-        cfg = TrainConfig(regime="direct_merge", epochs=3, batch_size=2, lr=0.05, seed=0, hidden=6)
-        result = train("direct_merge", data, cfg)
+        cfg = ExperimentConfig(regime="direct_merge", epochs=3, batch_size=2, lr=0.05, seed=0, hidden=6)
+        result = train(data, cfg)
         assert list(result.params.heads) == ["merged"]
         assert result.params.heads["merged"][0].shape[1] == 7
         assert result.norm_state.dataset_ids() == ["merged"]
@@ -442,8 +450,8 @@ class TestCheckpoint:
         rng = rng_stream(18, "ckpt")
         ids = ["a", "b"][: REGIME_TABLE[regime].datasets]
         data = {ds: tiny_traindata(rng, n_scenes=2) for ds in ids}
-        cfg = TrainConfig(regime=regime, epochs=1, pretrain_epochs=1, batch_size=2, seed=0, hidden=3)
-        result = train(regime, data, cfg)
+        cfg = ExperimentConfig(regime=regime, epochs=1, pretrain_epochs=1, batch_size=2, seed=0, hidden=3)
+        result = train(data, cfg)
         assert result.params.regime == regime
         blob = save_checkpoint(tmp_path / "m.mckpt", result.params, result.norm_state)
         params, state = load_checkpoint(tmp_path / "m.mckpt")
@@ -453,8 +461,8 @@ class TestCheckpoint:
     def test_one_dataset_mdt_stays_mdt(self, tmp_path):
         # one per-dataset statistic set and one head, as a single model has
         rng = rng_stream(19, "ckpt")
-        cfg = TrainConfig(regime="mdt", epochs=1, batch_size=2, seed=0, hidden=3)
-        result = train("mdt", {"a": tiny_traindata(rng, n_scenes=2)}, cfg)
+        cfg = ExperimentConfig(regime="mdt", epochs=1, batch_size=2, seed=0, hidden=3)
+        result = train({"a": tiny_traindata(rng, n_scenes=2)}, cfg)
         assert result.norm_state.dataset_ids() == ["a"] and list(result.params.heads) == ["a"]
         save_checkpoint(tmp_path / "m.mckpt", result.params, result.norm_state)
         assert load_checkpoint(tmp_path / "m.mckpt")[0].regime == "mdt"
