@@ -225,6 +225,9 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
         spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
         with open(unified_path, "r", encoding="utf-8") as fh:
             unified = parse_unified(fh.read(), spaces)
+    if not all(synth.eval_views.values()):
+        print(f"eval needs eval scenes, {cfg.out} has none", file=sys.stderr)
+        return EXIT_USAGE
     # cross-domain cells transcode through the unified space, so they appear
     # only with [eval] cross = true
     setups = exp.regime_setups(result, list(synth.specs), cfg.cross)

@@ -513,6 +513,10 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     pairs are, for the balanced sampler to absorb. Returns the report rows
     keyed (setup, dataset), the pretrain-finetune log for the forgetting
     check, and the synth, TrainResults and oracle unified space behind them.
+
+    Only the pretrain-finetune log is full, one row per dataset and epoch;
+    the single, direct_merge and mdt logs hold their first and last epochs'
+    rows, all that reads them.
     """
     from .config import ExperimentConfig  # config validates on this module's lattices
 
@@ -522,11 +526,14 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
                        world_profiles=WORLD_PROFILES)
     cfg = ExperimentConfig(seed=seed, epochs=epochs, pretrain_epochs=30)
     ids = list(synth.specs)
-    results = {}
-    for ds in ids:
-        results[f"single_{ds}"], _ = run_regime(synth, replace(cfg, regime="single"), [ds])
+
+    def train_logging_ends(regime, on):
+        data = prepare_regime(regime, synth, on, cfg.stride)
+        return train(data, replace(cfg, regime=regime), log_every_epoch=False)
+
+    results = {f"single_{ds}": train_logging_ends("single", [ds]) for ds in ids}
     for regime in ("direct_merge", "mdt"):
-        results[regime], _ = run_regime(synth, replace(cfg, regime=regime), ids)
+        results[regime] = train_logging_ends(regime, ids)
     res_pt, _ = run_regime(synth, replace(cfg, regime="pretrain_finetune"), ids)
     unified = oracle_unified(synth.taxonomy, synth.specs)
     setups = standard_setups(results)

@@ -106,9 +106,10 @@ def miou(cm, empty_id):
 class EvalCell:
     """One (training setup, evaluation dataset) cell of the report table.
 
-    ``pairs`` holds (prediction, ground truth) grids on one shared lattice;
-    predictions may live in a different taxonomy, in which case ``unified``
-    plus source/target dataset ids select the transcoding transform.
+    ``pairs`` holds (prediction, ground truth) grids on one shared lattice.
+    A cell read by another dataset's head names it in ``source_ds``; its
+    predictions live in that dataset's taxonomy, and ``unified`` plus the
+    source/target dataset ids select the transcoding transform.
     """
 
     setup: str
@@ -124,20 +125,21 @@ class EvalCell:
 def cross_eval(cells):
     """Accumulate every cell and emit report rows in the given order.
 
-    Cross-taxonomy predictions are transcoded into the target dataset's
-    space before accumulation; a class-count mismatch without a unified
-    transform raises MissingTransform.
+    A cell read by another dataset's head (``source_ds`` set) has its
+    predictions transcoded into the target dataset's space before
+    accumulation, and without a unified transform raises MissingTransform,
+    whatever the class counts and however many pairs it holds.
     """
     rows = []
     for cell in cells:
+        if cell.source_ds is not None and cell.unified is None:
+            raise MissingTransform(
+                f"{cell.setup} on {cell.dataset}: read by {cell.source_ds}'s head "
+                "and no unified transform was provided"
+            )
         cm = None
         for pred, gt in cell.pairs:
-            if pred.num_classes != gt.num_classes or cell.unified is not None:
-                if cell.unified is None:
-                    raise MissingTransform(
-                        f"{cell.setup} on {cell.dataset}: prediction taxonomy differs "
-                        "and no unified transform was provided"
-                    )
+            if cell.source_ds is not None:
                 pred = transcode(
                     pred,
                     cell.unified,

@@ -492,7 +492,7 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     )
 
 
-def train(datasets, config):
+def train(datasets, config, *, log_every_epoch=True):
     """Train under ``config``, an ExperimentConfig: its regime, seed and
     [train] values. Deterministic in config.seed; the params record the regime.
 
@@ -503,7 +503,13 @@ def train(datasets, config):
     schedule; regimes without a merged head draw balanced single-dataset
     batches.
 
-    Raises DivergedLoss when the loss stops being finite.
+    The log has one row per dataset and epoch. With ``log_every_epoch``
+    False it keeps only the first epoch's rows and the run's last (for a
+    phased regime, the last target epoch); those rows, the parameters and
+    the statistics are the same bytes either way, since the eval-mode log
+    pass leaves the running statistics alone.
+
+    Raises DivergedLoss when a step's loss stops being finite, in either mode.
     """
     regime = config.regime
     rules = REGIME_TABLE[regime]
@@ -532,6 +538,7 @@ def train(datasets, config):
         )
         weights[head_id] = class_weights_from_counts(counts)
     log = []
+    last_epoch = (config.pretrain_epochs if rules.phased else 0) + config.epochs - 1
 
     def step(batch, epoch):
         # batch: list of (dataset_id, scene_index); single-dataset for the
@@ -572,7 +579,8 @@ def train(datasets, config):
                 ]
             for batch in batches:
                 step(batch, epoch)
-            log_epoch(epoch)
+            if log_every_epoch or epoch in (0, last_epoch):
+                log_epoch(epoch)
 
     if rules.phased:
         run_phase([ids[0]], config.pretrain_epochs, 0)

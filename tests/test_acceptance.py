@@ -342,14 +342,19 @@ def _float_hex_digest(records):
 
 
 def test_trend_seed0_golden(trend_runs):
-    """Seed 0's report rows (in sorted key order) and pretrain_finetune log,
-    bit for bit; a change to the training arithmetic that moves a bit shows
-    here."""
+    """Seed 0's report rows (in sorted key order), pretrain_finetune log and
+    the epoch-0 and epoch-47 log rows of the other four trainings, bit for
+    bit; a change to the training arithmetic that moves a bit shows here."""
     rows = trend_runs[0]["rows"]
     assert _float_hex_digest(rows[k] for k in sorted(rows)) == (
         "1a6474fe6f119de8e89055e675f04cd42b6928d85b2c63d20d5d276881357df7")
     assert _float_hex_digest(trend_runs[0]["pt_log"]) == (
         "8c18157f9c2b9d35aef05afcbc92405d1ad82817d49a7d2925b86e58a4b8e857")
+    results = trend_runs[0]["results"]
+    ends = [row for name in ("single_a32", "single_b64", "direct_merge", "mdt")
+            for row in results[name].log if row["epoch"] in (0, 47)]
+    assert _float_hex_digest(ends) == (
+        "acc50274271b5b53bf7986c46b6b2ac2bad1af15add6b206d17e18b67bd06794")
 
 
 def test_11_cli_determinism(tmp_path):

@@ -216,6 +216,19 @@ class TestCliTrainEval:
             ["mdt", "a32"], ["mdt", "b64"], ["mdt_cross", "a32"], ["mdt_cross", "b64"],
         ]
 
+    @pytest.mark.parametrize("regime", ["mdt", "single"])
+    def test_twin_cross_eval_without_unified_fails_numeric(self, tmp_path, regime, capsys):
+        # both twin datasets have 8 classes, so no class count tells that a
+        # cross cell reads the other dataset's label ids
+        cfg, path = tiny_cfg(tmp_path / "twin", taxonomy="twin", cross=True)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", regime]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, f"ckpt_{regime}.mckpt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_NUMERIC
+        assert one_line_of_output(capsys)
+        assert not [f for f in os.listdir(cfg.out) if f.startswith("report_")]
+
     @pytest.mark.parametrize("regime", ["single", "direct_merge", "pretrain_finetune"])
     def test_learn_labels_needs_mdt(self, rundir, regime, capsys):
         cfg, path = rundir
@@ -435,6 +448,8 @@ CLI_PROBES = {
     "train-diverges": ("train", "run", {"lr": "1e308"}, EXIT_NUMERIC),
     "learn-labels-lambda-nan": ("learn-labels", "run", {"lambda": "nan"}, EXIT_USAGE),
     "learn-labels-no-scenes": ("learn-labels", "empty", {}, EXIT_USAGE),
+    "eval-no-scenes": ("eval", "empty", {}, EXIT_USAGE),
+    "eval-cross-no-scenes": ("eval", "empty", {"cross": "true"}, EXIT_USAGE),
 }
 
 
@@ -449,7 +464,7 @@ def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
     path = tmp_path / "probe.cfg"
     path.write_text(text)
     argv = [sys.executable, "-m", "mdocc.cli", command, "--config", str(path)]
-    if command == "learn-labels":
+    if command in ("learn-labels", "eval"):
         argv += ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)

@@ -223,7 +223,17 @@ class TestCrossEval:
         pred_a = grid_of([[[1]]], num_classes=3)
         gt_b = grid_of([[[1]]], num_classes=2)
         cell = EvalCell(setup="s", dataset="b", pairs=[(pred_a, gt_b)],
-                        eval_range=gt_b.extent, empty_id=0)
+                        eval_range=gt_b.extent, empty_id=0, source_ds="a")
+        with pytest.raises(MissingTransform):
+            cross_eval([cell])
+
+    @pytest.mark.parametrize("scenes", [1, 0])
+    def test_foreign_reader_needs_transform_at_equal_class_counts(self, scenes):
+        # equal class counts do not make another dataset's label ids readable
+        pred_a = grid_of([[[1]]], num_classes=2)
+        gt_b = grid_of([[[1]]], num_classes=2)
+        cell = EvalCell(setup="s", dataset="b", pairs=[(pred_a, gt_b)] * scenes,
+                        eval_range=gt_b.extent, empty_id=0, source_ds="a")
         with pytest.raises(MissingTransform):
             cross_eval([cell])
 

@@ -406,6 +406,29 @@ class TestTrain:
         result = train({"a": tiny_traindata(rng, n_scenes=2)}, cfg)
         assert result.params.regime == regime
 
+    @pytest.mark.parametrize("regime", ["mdt", "pretrain_finetune"])
+    def test_log_modes_agree(self, regime):
+        # logging only the ends moves no parameter, statistic or kept log byte
+        rng = rng_stream(21, "train")
+        data = {"a": tiny_traindata(rng), "b": tiny_traindata(rng, classes=4)}
+        cfg = ExperimentConfig(regime=regime, epochs=4, pretrain_epochs=3,
+                               batch_size=2, lr=0.05, seed=3, hidden=6)
+        full = train(data, cfg)
+        ends = train(data, cfg, log_every_epoch=False)
+
+        def blobs(result):
+            params, state = result.params, result.norm_state
+            arrays = [params.w1, params.b1, params.w2, params.b2, state.gamma, state.beta]
+            arrays += [a for head in params.heads.values() for a in head]
+            arrays += [state.stats(ds)[k] for ds in state.dataset_ids() for k in ("mean", "var")]
+            counts = [state.stats(ds)["count"] for ds in state.dataset_ids()]
+            return [a.tobytes() for a in arrays], counts
+
+        assert blobs(ends) == blobs(full)
+        last = cfg.epochs - 1 + (cfg.pretrain_epochs if regime == "pretrain_finetune" else 0)
+        assert ends.log == [r for r in full.log if r["epoch"] in (0, last)]
+        assert {r["epoch"] for r in ends.log} == {0, last}
+
     def test_direct_merge_one_head_union_sized(self):
         rng = rng_stream(15, "train")
         a = tiny_traindata(rng, classes=7)
