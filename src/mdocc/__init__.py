@@ -25,7 +25,6 @@ from .core import (
     LidarConfig,
     OccupancyGrid,
     Range3D,
-    ScoreGrid,
     TruncatedPayload,
     UnknownDataset,
     VersionUnsupported,

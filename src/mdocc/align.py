@@ -171,16 +171,6 @@ class NormState:
         except KeyError:
             raise UnknownDataset(dataset_id) from None
 
-    def copy(self):
-        dup = NormState(self.num_features, [], eps=self.eps, momentum=self.momentum)
-        dup.gamma = self.gamma.copy()
-        dup.beta = self.beta.copy()
-        dup._stats = {
-            ds: {"mean": s["mean"].copy(), "var": s["var"].copy(), "count": s["count"]}
-            for ds, s in self._stats.items()
-        }
-        return dup
-
 
 def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return_cache=False):
     """Normalize a (N, F) batch with Eq-style dataset-specific statistics.

@@ -28,6 +28,7 @@ from .model import (
     load_checkpoint,
     route,
     save_checkpoint,
+    train,
 )
 from .scenes import ExtentTooSmall, cloud_decode, cloud_encode, dataset_presets, taxonomy_preset
 
@@ -159,9 +160,7 @@ def _log_csv(log):
 
 def cmd_train(cfg):
     synth = _load_synth(cfg)
-    # a diverging run is reported once, by its DivergedLoss
-    with np.errstate(all="ignore"):
-        result, _ = exp.run_regime(synth, cfg, list(synth.specs))
+    result = train(exp.prepare_regime(cfg.regime, synth, list(synth.specs), cfg.stride), cfg)
     save_checkpoint(os.path.join(cfg.out, f"ckpt_{cfg.regime}.mckpt"), result.params, result.norm_state)
     _write_text(os.path.join(cfg.out, f"train_log_{cfg.regime}.csv"), _log_csv(result.log))
     return EXIT_OK
@@ -302,21 +301,24 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "report":
-            return cmd_report(args.out, args.inputs)
-        cfg = _load_cfg(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            if args.regime:
-                cfg.regime = args.regime
-            return cmd_train(cfg)
-        if args.command == "learn-labels":
-            return cmd_learn_labels(cfg, args.checkpoint)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.unified)
-        parser.error(f"unknown command {args.command}")
-        return EXIT_USAGE
+        # a numeric failure is reported once, by the DivergedLoss or
+        # FloatingPointError that training and the score read-out raise
+        with np.errstate(all="ignore"):
+            if args.command == "report":
+                return cmd_report(args.out, args.inputs)
+            cfg = _load_cfg(args)
+            if args.command == "synth":
+                return cmd_synth(cfg)
+            if args.command == "train":
+                if args.regime:
+                    cfg.regime = args.regime
+                return cmd_train(cfg)
+            if args.command == "learn-labels":
+                return cmd_learn_labels(cfg, args.checkpoint)
+            if args.command == "eval":
+                return cmd_eval(cfg, args.checkpoint, args.unified)
+            parser.error(f"unknown command {args.command}")
+            return EXIT_USAGE
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

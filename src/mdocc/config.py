@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .experiment import coarse_lattice, eval_intersection
 from .model import DEFAULT_REGIME, REGIMES
-from .scenes import dataset_presets, default_scene_spec, taxonomy_preset
+from .scenes import coarse_lattice, dataset_presets, default_scene_spec, eval_intersection, taxonomy_preset
 
 
 class ConfigError(ValueError):

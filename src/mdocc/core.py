@@ -331,40 +331,6 @@ class OccupancyGrid:
         return self.lattice.extent
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreGrid:
-    """Dense per-voxel class-score volume, shape (D, H, W, num_classes)."""
-
-    dims: tuple
-    num_classes: int
-    scores: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
-        scores = np.array(self.scores, dtype=np.float64)
-        want = dims + (self.num_classes,)
-        if scores.shape != want:
-            raise ValueError(f"score shape {scores.shape} does not match {want}")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", _freeze(scores))
-
-    def __eq__(self, other):
-        if not isinstance(other, ScoreGrid):
-            return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.num_classes == other.num_classes
-            and np.array_equal(self.scores, other.scores)
-        )
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Per-dataset sensor, range, grid, and taxonomy configuration."""

@@ -9,17 +9,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .align import CylGridSpec, crop_points, cylindrical_voxelize, intersect_ranges
-from .core import Lattice, OccupancyGrid, ScoreGrid, rng_stream
+from .align import CylGridSpec, crop_points, cylindrical_voxelize
+from .config import ExperimentConfig
+from .core import Lattice, OccupancyGrid, rng_stream
 from .labelspace import (
-    MergeCandidate,
     enumerate_candidates,
     merged_score,
     reproject,
     solve_unified,
     unified_from_pairs,
 )
-from .metrics import EvalCell, cross_eval
+from .metrics import EvalCell, cross_eval, require_transform
 from .model import (
     REGIME_TABLE,
     TrainData,
@@ -31,10 +31,11 @@ from .model import (
 )
 from .refine import refine_and_reassemble, sample_features, split_voxels, occupied_voxels
 from .scenes import (
-    SceneSpec,
+    coarse_lattice,
     dataset_presets,
     default_scene_spec,
     derive_dataset_view,
+    eval_intersection,
     gen_scene,
     taxonomy_preset,
 )
@@ -163,13 +164,6 @@ def coarse_labels(gt, stride, crop_range=None):
     return pool_labels(window, stride, gt.num_classes).astype(np.int64)
 
 
-def coarse_lattice(spec, crop_range, stride):
-    """The dataset's stride-coarsened lattice over ``crop_range`` (its
-    gt_range when None)."""
-    return Lattice.over(spec.gt_range if crop_range is None else crop_range,
-                        spec.voxel_size_m * stride)
-
-
 def cloud_features(cloud, crop_range, lattice):
     """Feature volume of one cloud on ``lattice``; the cloud is cropped to
     ``crop_range`` (when given) before cylindrical binning."""
@@ -203,10 +197,6 @@ def prepare_dataset(views, spec, crop_range, stride, label_offset=0, num_classes
     )
 
 
-def eval_intersection(specs):
-    return intersect_ranges([s.gt_range for s in specs.values()])
-
-
 def prepare_regime(regime, synth, ids, stride):
     """TrainData of the datasets ``regime`` trains on among ``ids`` (in
     order; a single model takes the first), prepared per its rules.
@@ -228,27 +218,20 @@ def prepare_regime(regime, synth, ids, stride):
     }
 
 
-def run_regime(synth, cfg, ids):
-    """Prepare data per ``cfg.regime``'s rules and train on it under ``cfg``,
-    an ExperimentConfig.
-
-    Returns (TrainResult, prepared datasets dict).
-    """
-    data = prepare_regime(cfg.regime, synth, ids, cfg.stride)
-    return train(data, cfg), data
-
-
 def predict_scores(params, norm_state, norm_id, features, head_id=None):
     """Eval-mode per-voxel scores plus the pre-head hidden feature volume.
 
     ``norm_id`` picks the dataset-specific statistics; ``head_id`` defaults
-    to the same dataset's head.
+    to the same dataset's head. Raises FloatingPointError when either is not
+    finite (finite weights can still overflow).
     """
     outs, cache = batch_forward(
         [features], norm_id, params, norm_state, mode="eval", head_id=head_id
     )
     dims = features.shape[:3]
     hidden = cache["z5"].reshape(dims + (params.hidden,))
+    if not (np.isfinite(outs[0]).all() and np.isfinite(hidden).all()):
+        raise FloatingPointError(f"non-finite scores under the {norm_id} statistics")
     return outs[0], hidden
 
 
@@ -274,18 +257,13 @@ def softmax_scores(scores):
 
 
 def prediction_corpus(result, data, specs):
-    """Per-dataset softmax score grids of an mdt model on its aligned lattice,
-    the corpus for unified label-space learning."""
-    corpus = {}
-    for ds in specs:
-        grids = []
-        d = data[ds]
-        for feats in d.features:
-            raw, _ = predict_scores(result.params, result.norm_state, ds, feats)
-            sm = softmax_scores(raw)
-            grids.append(ScoreGrid(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
-        corpus[ds] = grids
-    return corpus
+    """Per-dataset softmax score arrays of an mdt model on its aligned
+    lattice, the corpus for unified label-space learning."""
+    return {
+        ds: [softmax_scores(predict_scores(result.params, result.norm_state, ds, feats)[0])
+             for feats in data[ds].features]
+        for ds in specs
+    }
 
 
 def learn_unified(result, data, specs, lam, tau):
@@ -355,7 +333,13 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     single model's foreign input) takes its reader's set. Aligned regimes
     crop the input to the shared range; raw ones crop a foreign input to its
     reader's point range.
+
+    A cell that needs ``unified`` and lacks it is refused before any scene
+    is read.
     """
+    for setup in setups:
+        for ds, reader in setup.head_of.items():
+            require_transform(setup.name, ds, None if reader == ds else reader, unified)
     specs = synth.specs
     shared = eval_intersection(specs)
     cells = []
@@ -424,13 +408,12 @@ def _slm_scores(result, unified, ds, features, head):
     raw, hidden = predict_scores(params, result.norm_state, ds, features, head_id=head)
     z5 = hidden.reshape(-1, params.hidden)
     order = list(unified.dataset_ids())
-    grids = []
+    heads = []
     for d in order:
         scores = raw if d == head else read_head(z5, params.head(d)).reshape(raw.shape[:3] + (-1,))
-        sm = softmax_scores(scores)
-        grids.append(ScoreGrid(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
-    merged, _ = merged_score(grids, [unified.mapping(d) for d in order])
-    return reproject(merged, unified.mapping(ds)).scores, hidden
+        heads.append(softmax_scores(scores))
+    merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
+    return reproject(merged, unified.mapping(ds)), hidden
 
 
 def _refine_grid(grid, hidden, params, head_id, block, eta):
@@ -518,8 +501,6 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     the single, direct_merge and mdt logs hold their first and last epochs'
     rows, all that reads them.
     """
-    from .config import ExperimentConfig  # config validates on this module's lattices
-
     n_train = 12
     sizes = {"a32": n_train, "b64": max(2, int(round(n_train * 0.4)))}
     synth = synthesize(seed, taxonomy_name="split", n_train=sizes, n_eval=n_eval,
@@ -527,14 +508,15 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     cfg = ExperimentConfig(seed=seed, epochs=epochs, pretrain_epochs=30)
     ids = list(synth.specs)
 
-    def train_logging_ends(regime, on):
+    def train_regime(regime, on):
         data = prepare_regime(regime, synth, on, cfg.stride)
-        return train(data, replace(cfg, regime=regime), log_every_epoch=False)
+        return train(data, replace(cfg, regime=regime),
+                     log_every_epoch=regime == "pretrain_finetune")
 
-    results = {f"single_{ds}": train_logging_ends("single", [ds]) for ds in ids}
+    results = {f"single_{ds}": train_regime("single", [ds]) for ds in ids}
     for regime in ("direct_merge", "mdt"):
-        results[regime] = train_logging_ends(regime, ids)
-    res_pt, _ = run_regime(synth, replace(cfg, regime="pretrain_finetune"), ids)
+        results[regime] = train_regime(regime, ids)
+    res_pt = train_regime("pretrain_finetune", ids)
     unified = oracle_unified(synth.taxonomy, synth.specs)
     setups = standard_setups(results)
     rows, _ = evaluate_setups(synth, setups, unified, cfg.stride)

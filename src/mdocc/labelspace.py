@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CodecError, DimMismatch, LabelSpace, OccupancyGrid, ScoreGrid, UnknownDataset
+from .core import CodecError, DimMismatch, LabelSpace, OccupancyGrid, UnknownDataset
 
 
 class MisalignedCorpus(ValueError):
@@ -108,42 +108,39 @@ class UnifiedSpace:
 def merged_score(outputs, transforms):
     """Joint prediction scores over the unified space.
 
-    d = (sum_k T_k^T o_k) / (sum_k T_k^T 1), elementwise per voxel. Returns
-    the merged ScoreGrid together with the per-unified-class dataset-support
+    d = (sum_k T_k^T o_k) / (sum_k T_k^T 1), elementwise per voxel, over
+    (D, H, W, C_k) score arrays of equal dims. Returns the merged
+    (D, H, W, |L|) array together with the per-unified-class dataset-support
     counts; classes with zero support are undefined and left at 0.
     """
     outputs = list(outputs)
     transforms = list(transforms)
     if len(outputs) != len(transforms):
-        raise ValueError("need one transform per output grid")
-    dims = outputs[0].dims
-    for g in outputs:
-        if g.dims != dims:
-            raise DimMismatch(f"grid dims {g.dims} != {dims}")
+        raise ValueError("need one transform per score array")
+    dims = outputs[0].shape[:3]
     num_unified = transforms[0].num_unified
     acc = np.zeros(dims + (num_unified,))
     support = np.zeros(num_unified, dtype=np.int64)
-    for grid, t in zip(outputs, transforms):
-        if t.num_labels != grid.num_classes:
+    for scores, t in zip(outputs, transforms):
+        if scores.shape != dims + (t.num_labels,):
             raise DimMismatch(
-                f"{t.dataset_id}: transform rows {t.num_labels} != classes {grid.num_classes}"
+                f"{t.dataset_id}: scores {scores.shape} != dims {dims} x {t.num_labels} classes"
             )
-        acc += grid.scores @ t.matrix.astype(np.float64)
+        acc += scores @ t.matrix.astype(np.float64)
         support += t.matrix.sum(axis=0).astype(np.int64)
-    scores = np.zeros_like(acc)
+    merged = np.zeros_like(acc)
     backed = support > 0
-    scores[..., backed] = acc[..., backed] / support[backed]
-    return ScoreGrid(dims=dims, num_classes=num_unified, scores=scores), support
+    merged[..., backed] = acc[..., backed] / support[backed]
+    return merged, support
 
 
 def reproject(merged, transform):
-    """Restore dataset-specific scores from a unified ScoreGrid: o~ = T d."""
-    if transform.num_unified != merged.num_classes:
+    """Restore dataset-specific scores from unified ones: o~ = T d."""
+    if transform.num_unified != merged.shape[3]:
         raise DimMismatch(
-            f"transform width {transform.num_unified} != unified classes {merged.num_classes}"
+            f"transform width {transform.num_unified} != unified classes {merged.shape[3]}"
         )
-    scores = merged.scores @ transform.matrix.T.astype(np.float64)
-    return ScoreGrid(dims=merged.dims, num_classes=transform.num_labels, scores=scores)
+    return merged @ transform.matrix.T.astype(np.float64)
 
 
 def _check_corpus(corpus):
@@ -155,10 +152,10 @@ def _check_corpus(corpus):
         if len(corpus[ds]) != n:
             raise MisalignedCorpus(f"{ds}: scene count {len(corpus[ds])} != {n}")
     for i in range(n):
-        dims = corpus[ids[0]][i].dims
+        dims = corpus[ids[0]][i].shape[:3]
         for ds in ids:
-            if corpus[ds][i].dims != dims:
-                raise MisalignedCorpus(f"{ds}: scene {i} dims {corpus[ds][i].dims} != {dims}")
+            if corpus[ds][i].shape[:3] != dims:
+                raise MisalignedCorpus(f"{ds}: scene {i} dims {corpus[ds][i].shape[:3]} != {dims}")
     return ids, n
 
 
@@ -167,7 +164,8 @@ def merge_cost(candidate, corpus):
 
     For each member class the merged score is the member mean; the cost is the
     mean of |original - merged| over all member labels and all aligned corpus
-    voxels. Singletons cost exactly 0.
+    voxels. ``corpus`` maps dataset_id -> (D, H, W, C) score arrays, one per
+    aligned scene. Singletons cost exactly 0.
     """
     if len(candidate) == 1:
         return 0.0
@@ -179,7 +177,7 @@ def merge_cost(candidate, corpus):
     count = 0
     for i in range(n):
         member_scores = np.stack(
-            [corpus[ds][i].scores[..., c] for ds, c in candidate.members], axis=0
+            [corpus[ds][i][..., c] for ds, c in candidate.members], axis=0
         )
         merged = member_scores.mean(axis=0)
         total += np.abs(member_scores - merged[None]).sum()
@@ -195,7 +193,7 @@ def enumerate_candidates(corpus, tau):
     Ordering is deterministic: corpus insertion order, then label id.
     """
     ids, _ = _check_corpus(corpus)
-    sizes = {ds: corpus[ds][0].num_classes for ds in ids}
+    sizes = {ds: corpus[ds][0].shape[3] for ds in ids}
     singles = [
         MergeCandidate(members=((ds, c),), cost=0.0) for ds in ids for c in range(sizes[ds])
     ]
@@ -359,35 +357,25 @@ def unified_from_pairs(spaces, pairs):
     return _build_unified(cands, selection, j, spaces)
 
 
-def transcode(grid, unified, source_ds, target_ds=None, target_space=None):
-    """Map hard labels through the unified space.
-
-    With only a source the result lives in the unified taxonomy. With a target
-    dataset, unified classes lacking a preimage there fall back to the
-    target's empty class.
-    """
+def transcode(grid, unified, source_ds, target_ds, target_space):
+    """Map hard labels of ``source_ds`` into ``target_ds``'s taxonomy through
+    the unified space; unified classes lacking a preimage there fall back to
+    the target's empty class."""
     src = unified.mapping(source_ds)
     if grid.num_classes != src.num_labels:
         raise DimMismatch(f"grid classes {grid.num_classes} != mapping rows {src.num_labels}")
-    to_unified = np.argmax(src.matrix, axis=1)
-    if target_ds is None:
-        lut = to_unified
-        num_classes = len(unified.space)
-    else:
-        tgt = unified.mapping(target_ds)
-        empty_id = target_space.empty_id if target_space is not None else 0
-        back = np.full(len(unified.space), empty_id, dtype=np.int64)
-        rows, cols = np.nonzero(tgt.matrix)
-        back[cols] = rows
-        lut = back[to_unified]
-        num_classes = tgt.num_labels
+    tgt = unified.mapping(target_ds)
+    back = np.full(len(unified.space), target_space.empty_id, dtype=np.int64)
+    rows, cols = np.nonzero(tgt.matrix)
+    back[cols] = rows
+    lut = back[np.argmax(src.matrix, axis=1)]
     labels = lut[grid.labels.astype(np.int64)].astype(np.uint16)
     return OccupancyGrid(
         dims=grid.dims,
         voxel_size_m=grid.voxel_size_m,
         origin=grid.origin,
         labels=labels,
-        num_classes=num_classes,
+        num_classes=tgt.num_labels,
     )
 
 

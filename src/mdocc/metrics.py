@@ -3,7 +3,7 @@ cross-domain report table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,21 +122,28 @@ class EvalCell:
     target_space: object = None
 
 
+def require_transform(setup, dataset, source_ds, unified):
+    """Refuse, with MissingTransform, a cell read by another dataset's head
+    (``source_ds`` set) without a unified transform, whatever the class
+    counts and however many pairs it holds."""
+    if source_ds is not None and unified is None:
+        raise MissingTransform(
+            f"{setup} on {dataset}: read by {source_ds}'s head "
+            "and no unified transform was provided"
+        )
+
+
 def cross_eval(cells):
     """Accumulate every cell and emit report rows in the given order.
 
     A cell read by another dataset's head (``source_ds`` set) has its
     predictions transcoded into the target dataset's space before
-    accumulation, and without a unified transform raises MissingTransform,
-    whatever the class counts and however many pairs it holds.
+    accumulation; :func:`require_transform` refuses one without a unified
+    transform.
     """
     rows = []
     for cell in cells:
-        if cell.source_ds is not None and cell.unified is None:
-            raise MissingTransform(
-                f"{cell.setup} on {cell.dataset}: read by {cell.source_ds}'s head "
-                "and no unified transform was provided"
-            )
+        require_transform(cell.setup, cell.dataset, cell.source_ds, cell.unified)
         cm = None
         for pred, gt in cell.pairs:
             if cell.source_ds is not None:

@@ -18,8 +18,6 @@ import numpy as np
 from .align import NormState, dsnorm_backward, dsnorm_forward, dsnorm_update_shared
 from .core import (
     DimMismatch,
-    OccupancyGrid,
-    ScoreGrid,
     StreamReader,
     StreamWriter,
     UnknownDataset,
@@ -28,6 +26,7 @@ from .core import (
     rng_stream,
     rowwise,
 )
+from .metrics import ConfusionMatrix, geometric_iou, miou
 
 NUM_INPUT_FEATURES = 5
 
@@ -270,15 +269,13 @@ def _ce_terms(raw, labels, class_weights):
 
 
 def loss_ce(scores, gt, class_weights):
-    """Weighted softmax cross-entropy averaged over voxels.
-
-    Accepts a ScoreGrid (or raw (D, H, W, C) array) against an OccupancyGrid
-    (or raw label array). Returns the scalar loss and its gradient with
-    respect to the scores: (softmax - onehot) * weight / N per voxel.
+    """Weighted softmax cross-entropy averaged over voxels, of a (D, H, W, C)
+    score array against a (D, H, W) label array. Returns the scalar loss and
+    its gradient with respect to the scores: (softmax - onehot) * weight / N
+    per voxel.
     """
-    raw = scores.scores if isinstance(scores, ScoreGrid) else np.asarray(scores, dtype=np.float64)
-    labels = gt.labels if isinstance(gt, OccupancyGrid) else np.asarray(gt)
-    loss, grad, s, label_col, wv = _ce_terms(raw, labels, class_weights)
+    raw = np.asarray(scores, dtype=np.float64)
+    loss, grad, s, label_col, wv = _ce_terms(raw, np.asarray(gt), class_weights)
     grad /= s[:, None]
     grad *= wv[:, None]
     grad.reshape(-1)[label_col] -= wv
@@ -473,8 +470,6 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     The loss is the per-scene mean of :func:`loss_ce`'s losses, bit for bit,
     but comes from its gradient-free core: nothing reads a gradient here.
     """
-    from .metrics import ConfusionMatrix, geometric_iou, miou
-
     off, size = data.block
     cm = ConfusionMatrix(num_classes=size)
     total = 0.0
@@ -509,7 +504,9 @@ def train(datasets, config, *, log_every_epoch=True):
     the statistics are the same bytes either way, since the eval-mode log
     pass leaves the running statistics alone.
 
-    Raises DivergedLoss when a step's loss stops being finite, in either mode.
+    Raises DivergedLoss when a step's loss or a logged loss stops being
+    finite, in either mode; the last epoch is always logged, so this covers
+    the last update.
     """
     regime = config.regime
     rules = REGIME_TABLE[regime]
@@ -561,6 +558,8 @@ def train(datasets, config, *, log_every_epoch=True):
             l, iou, mi = _epoch_metrics(
                 datasets[ds], norm_id, head_id, params, norm_state, weights[head_id]
             )
+            if not np.isfinite(l):
+                raise DivergedLoss(f"non-finite {ds} loss after epoch {epoch}")
             log.append({"epoch": epoch, "dataset": ds, "loss": l, "iou": iou, "miou": mi})
 
     def run_phase(active_ids, epochs, epoch_base):
@@ -637,8 +636,8 @@ def load_checkpoint(path):
 
 def checkpoint_decode(data):
     """(params, norm_state) of MCKPT v2 bytes; any fault, a regime name not
-    in ``REGIME_TABLE`` included, raises a CodecError (a v1 file is
-    VersionUnsupported)."""
+    in ``REGIME_TABLE``, a non-finite number and a negative running variance
+    included, raises a CodecError (a v1 file is VersionUnsupported)."""
     with StreamReader(data, MCKPT_MAGIC, MCKPT_VERSION) as stream:
         regime = stream.name()
         if regime not in REGIME_TABLE:
@@ -681,4 +680,12 @@ def checkpoint_decode(data):
             expected += [(w, (h, b.size)), (b, (b.size,))]
         if any(arr.shape != shape for arr, shape in expected):
             raise ValueError(f"checkpoint tensor shapes disagree with its {h} features")
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name} is not finite")
+        for ds, st in stats.items():
+            if not (np.isfinite(st["mean"]).all() and np.isfinite(st["var"]).all()
+                    and (st["var"] >= 0).all()):
+                raise ValueError(f"statistics of {ds!r} hold a non-finite mean or variance, "
+                                 "or a negative variance")
     return params, norm_state

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import crop_points
+from .align import crop_points, intersect_ranges
 from .core import (
     DatasetSpec,
     LabelSpace,
@@ -186,6 +186,19 @@ def dataset_presets(taxonomy):
         label_space=taxonomy.spaces["b64"],
     )
     return {"a32": a, "b64": b}
+
+
+def eval_intersection(specs):
+    """The intersection of the datasets' gt ranges, where mdt trains and
+    every report cell is measured."""
+    return intersect_ranges([s.gt_range for s in specs.values()])
+
+
+def coarse_lattice(spec, crop_range, stride):
+    """The dataset's stride-coarsened lattice over ``crop_range`` (its
+    gt_range when None)."""
+    return Lattice.over(spec.gt_range if crop_range is None else crop_range,
+                        spec.voxel_size_m * stride)
 
 
 def default_scene_spec(seed, **counts):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mdocc.align import NormState, dsnorm_forward, intersect_ranges
-from mdocc.core import LabelSpace, OccupancyGrid, Range3D, ScoreGrid, rng_stream
+from mdocc.core import OccupancyGrid, Range3D, rng_stream
 from mdocc.labelspace import (
     MergeCandidate,
     enumerate_candidates,
@@ -202,8 +202,8 @@ def _twin_corpus(rng, n_classes=8, voxels=768, scenes=3, noise=0.05):
         a[np.arange(voxels), 0, 0, labels] = 1.0
         b = np.zeros((voxels, 1, 1, n_classes))
         b[np.arange(voxels), 0, 0, perm[flipped]] = 1.0
-        grids_a.append(ScoreGrid((voxels, 1, 1), n_classes, a))
-        grids_b.append(ScoreGrid((voxels, 1, 1), n_classes, b))
+        grids_a.append(a)
+        grids_b.append(b)
     truth = {(("a", int(c)), ("b", int(perm[c]))) for c in range(n_classes)}
     return {"a": grids_a, "b": grids_b}, truth
 
@@ -233,7 +233,7 @@ def test_07_pruning_soundness():
         for ds, k in sizes.items():
             raw = rng.random((64, 1, 1, k))
             raw /= raw.sum(axis=3, keepdims=True)
-            corpus[ds] = [ScoreGrid((64, 1, 1), k, raw)]
+            corpus[ds] = [raw]
         full = enumerate_candidates(corpus, tau=float("inf"))
         max_pair = max((c.cost for c in full if len(c) == 2), default=0.0)
         pruned = enumerate_candidates(corpus, tau=max_pair)

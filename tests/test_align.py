@@ -185,7 +185,7 @@ class TestDsnorm:
             dsnorm_forward(rng.normal(1.5, 2.0, (128, 1)), "a", state, mode="train")
         x = rng.normal(1.5, 2.0, (64, 1))
         y_run = dsnorm_forward(x, "a", state, mode="eval")
-        pop = state.copy()
+        pop = NormState(1, ["a"])
         pop._stats["a"]["mean"][:] = 1.5
         pop._stats["a"]["var"][:] = 4.0
         y_pop = dsnorm_forward(x, "a", pop, mode="eval")

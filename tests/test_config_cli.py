@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdocc import experiment
 from mdocc.align import NormState
 from mdocc.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mdocc.config import ConfigError, ExperimentConfig, parse_config, render_config
 from mdocc.core import OccupancyGrid, grid_encode
-from mdocc.model import init_params, save_checkpoint
+from mdocc.model import init_params, load_checkpoint, save_checkpoint
 
 
 class TestConfig:
@@ -228,6 +230,30 @@ class TestCliTrainEval:
         assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_NUMERIC
         assert one_line_of_output(capsys)
         assert not [f for f in os.listdir(cfg.out) if f.startswith("report_")]
+
+    def test_cross_eval_without_unified_refused_before_scene_work(self, rundir, tmp_path,
+                                                                   monkeypatch, capsys):
+        cfg, path = rundir
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        cross_path = tmp_path / "cross.cfg"
+        cross_path.write_text(render_config(dataclasses.replace(cfg, cross=True)))
+        calls = []
+
+        def counted(name):
+            real = getattr(experiment, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("cloud_features", "predict_scores"):
+            monkeypatch.setattr(experiment, name, counted(name))
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["eval", "--config", str(cross_path), "--checkpoint", ckpt]) == EXIT_NUMERIC
+        assert one_line_of_output(capsys)
+        assert calls == []
 
     @pytest.mark.parametrize("regime", ["single", "direct_merge", "pretrain_finetune"])
     def test_learn_labels_needs_mdt(self, rundir, regime, capsys):
@@ -453,21 +479,75 @@ CLI_PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe", CLI_PROBES)
-def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
-    # a fresh interpreter, so numpy warnings and tracebacks reach the output
-    command, directory, overrides, code = CLI_PROBES[probe]
-    cfg = probe_dirs[directory]
+def run_probe(cfg, tmp_path, command, overrides, extra, code):
+    """`mdocc <command> --config <cfg with overrides> <extra>` in a fresh
+    interpreter, so numpy warnings and tracebacks reach the output: it must
+    exit with ``code`` and print one line, with no traceback."""
     text = render_config(cfg)
     for key, value in overrides.items():
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     path = tmp_path / "probe.cfg"
     path.write_text(text)
-    argv = [sys.executable, "-m", "mdocc.cli", command, "--config", str(path)]
-    if command in ("learn-labels", "eval"):
-        argv += ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
+    argv = [sys.executable, "-m", "mdocc.cli", command, "--config", str(path), *extra]
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     output = run.stdout + run.stderr
     assert run.returncode == code, output
     assert len(output.splitlines()) == 1 and "Traceback" not in output, output
+    return output
+
+
+@pytest.mark.parametrize("probe", CLI_PROBES)
+def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
+    command, directory, overrides, code = CLI_PROBES[probe]
+    cfg = probe_dirs[directory]
+    extra = []
+    if command in ("learn-labels", "eval"):
+        extra = ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
+    run_probe(cfg, tmp_path, command, overrides, extra, code)
+
+
+@pytest.fixture(scope="module")
+def non_finite_models(probe_dirs, tmp_path_factory):
+    """The probe run's mdt checkpoint with one NaN weight, and with finite
+    backbone weights large enough to overflow the forward pass; the run's
+    directory gains a unified.txt for `eval --unified`."""
+    cfg = probe_dirs["run"]
+    ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+    path = os.path.join(cfg.out, "cfg.txt")
+    assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+    root = tmp_path_factory.mktemp("non_finite")
+    paths = {}
+    for kind in ("nan", "overflow"):
+        params, norm_state = load_checkpoint(ckpt)
+        if kind == "nan":
+            params.w1[0, 0] = np.nan
+        else:
+            params.w1 *= 1e200
+            params.w2 *= 1e200
+        paths[kind] = str(root / f"{kind}.mckpt")
+        save_checkpoint(paths[kind], params, norm_state)
+    return cfg, paths
+
+
+@pytest.mark.parametrize("kind, code", [("nan", EXIT_IO), ("overflow", EXIT_NUMERIC)])
+@pytest.mark.parametrize("command", ["eval", "eval-unified", "learn-labels"])
+def test_non_finite_model_one_line(non_finite_models, tmp_path, kind, code, command):
+    cfg, paths = non_finite_models
+    extra = ["--checkpoint", paths[kind]]
+    if command == "eval-unified":
+        command = "eval"
+        extra += ["--unified", os.path.join(cfg.out, "unified.txt")]
+    output = run_probe(cfg, tmp_path, command, {}, extra, code)
+    if kind == "nan":
+        assert paths[kind] in output
+
+
+def test_train_diverging_in_last_step_one_line(probe_dirs, tmp_path):
+    # one epoch of one step: only the log pass after it sees the diverged weights
+    out = tmp_path / "run"
+    shutil.copytree(probe_dirs["run"].out, out)
+    run_probe(probe_dirs["run"], tmp_path, "train",
+              {"out": str(out), "scenes": "2", "epochs": "1", "lr": "1e308"},
+              ["--regime", "single"], EXIT_NUMERIC)
+    assert not (out / "ckpt_single.mckpt").exists()

@@ -9,7 +9,6 @@ from mdocc.core import (
     LidarConfig,
     OccupancyGrid,
     Range3D,
-    ScoreGrid,
     TruncatedPayload,
     VersionUnsupported,
     colsum,
@@ -67,12 +66,6 @@ class TestTypes:
     def test_grid_shape_must_agree(self):
         with pytest.raises(ValueError):
             OccupancyGrid((2, 2, 2), 0.1, (0, 0, 0), np.zeros(7, dtype=np.uint16), 1)
-
-    def test_score_grid_finite(self):
-        bad = np.zeros((1, 1, 1, 2))
-        bad[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ScoreGrid((1, 1, 1), 2, bad)
 
     def test_grids_immutable(self):
         g = random_grid(np.random.default_rng(0))

@@ -4,7 +4,7 @@ import pytest
 from mdocc import model
 from mdocc.align import CylGridSpec, NormState, cylindrical_voxelize
 from mdocc.config import ExperimentConfig
-from mdocc.core import Lattice, OccupancyGrid, Range3D, ScoreGrid, rng_stream
+from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
 from mdocc.experiment import (
     _slm_scores,
     coarse_labels,
@@ -12,13 +12,13 @@ from mdocc.experiment import (
     gather_features,
     oracle_unified,
     predict_scores,
-    run_regime,
+    prepare_regime,
     softmax_scores,
     synthesize,
 )
 from mdocc.labelspace import merged_score, reproject
 from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
-from mdocc.model import TrainResult, batch_forward, head_blocks, init_params
+from mdocc.model import TrainResult, batch_forward, head_blocks, init_params, train
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
@@ -176,7 +176,8 @@ class TestRunRegime:
     def test_direct_merge_logs_block_argmax(self):
         synth = synthesize(3, n_train=2, n_eval=0)
         cfg = ExperimentConfig(regime="direct_merge", epochs=2, batch_size=2, seed=0, hidden=6)
-        result, data = run_regime(synth, cfg, list(synth.specs))
+        data = prepare_regime(cfg.regime, synth, list(synth.specs), cfg.stride)
+        result = train(data, cfg)
         assert {ds: d.block for ds, d in data.items()} == {"a32": (0, 9), "b64": (9, 8)}
         for ds, d in data.items():
             off, size = d.block
@@ -206,13 +207,10 @@ class TestSlmScores:
         # the per-head composition: one eval-mode pass per head, then softmax,
         # merge over the unified space and reprojection
         order = list(unified.dataset_ids())
-        grids = []
-        for d in order:
-            raw, _ = predict_scores(params, state, "b64", feats, head_id=d)
-            sm = softmax_scores(raw)
-            grids.append(ScoreGrid(dims=sm.shape[:3], num_classes=sm.shape[3], scores=sm))
-        merged, _ = merged_score(grids, [unified.mapping(d) for d in order])
-        want = reproject(merged, unified.mapping("b64")).scores
+        heads = [softmax_scores(predict_scores(params, state, "b64", feats, head_id=d)[0])
+                 for d in order]
+        merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
+        want = reproject(merged, unified.mapping("b64"))
         _, want_hidden = predict_scores(params, state, "b64", feats)
 
         calls = []

@@ -506,6 +506,20 @@ class TestCheckpoint:
         assert "mdx" in str(err.value)
         assert err.value.offset == 11  # read up to the end of the name
 
+    @pytest.mark.parametrize("fault", ["inf head weight", "nan running mean", "negative running variance"])
+    def test_non_finite_or_negative_variance_rejected(self, tmp_path, fault):
+        params = init_params({"a": 2}, 2, 0)
+        state = NormState(2, ["a"])
+        if fault == "inf head weight":
+            params.heads["a"][0][1, 0] = np.inf
+        elif fault == "nan running mean":
+            state.stats("a")["mean"][1] = np.nan
+        else:
+            state.stats("a")["var"][0] = -1.0
+        blob = save_checkpoint(tmp_path / "m.mckpt", params, state)
+        with pytest.raises(CodecError):
+            checkpoint_decode(blob)
+
     def test_save_deterministic(self, tmp_path):
         rng = rng_stream(17, "ckpt")
         params, state, ids, _, _ = make_instance(rng)
