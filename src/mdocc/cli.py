@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
-from .core import CodecError, Lattice, decode_file, grid_decode, grid_encode
+from .core import CodecError, decode_file, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
 from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
@@ -109,7 +109,9 @@ def cmd_synth(cfg):
 def _load_synth(cfg):
     """Rebuild a SynthResult from a synth output directory; CodecError, naming
     the file, on a file that does not decode or a grid whose lattice or class
-    count is not its dataset preset's."""
+    count is not its dataset preset's; and, naming the directory, on a
+    dataset whose scene or eval files, once they decode, are not as many as
+    the manifest's seeds."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -117,6 +119,7 @@ def _load_synth(cfg):
         manifest = json.loads(text)
         taxonomy = taxonomy_preset(manifest["taxonomy"])
         scene_seeds, eval_seeds = manifest["scene_seeds"], manifest["eval_seeds"]
+        counts = {"scene": len(scene_seeds), "eval": len(eval_seeds)}
     except (ValueError, KeyError, TypeError) as e:
         raise CodecError(f"{manifest_path}: malformed manifest: {e!r}", getattr(e, "pos", 0)) from None
     specs = dataset_presets(taxonomy)
@@ -124,7 +127,7 @@ def _load_synth(cfg):
     eval_views = {ds: [] for ds in specs}
     for ds, spec in specs.items():
         base = os.path.join(cfg.out, ds)
-        preset = (Lattice.over(spec.gt_range, spec.voxel_size_m), len(spec.label_space))
+        preset = (spec.lattice, len(spec.label_space))
         for tag, sink in (("scene", train_views), ("eval", eval_views)):
             i = 0
             while True:
@@ -139,6 +142,9 @@ def _load_synth(cfg):
                                      f"does not fit the {ds} preset", 6)
                 sink[ds].append((decode_file(cpath, cloud_decode), gt))
                 i += 1
+            if i != counts[tag]:
+                raise CodecError(f"{base}: {i} {tag} files, the manifest lists {counts[tag]} "
+                                 f"{tag} seeds", 0)
     return exp.SynthResult(
         taxonomy=taxonomy,
         specs=specs,

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError(f"regime must be one of {', '.join(REGIMES)}, got {self.regime!r}")
         if min(self.epochs, self.batch_size, self.hidden, self.stride) < 1:
             raise ConfigError("epochs, batch_size, hidden and stride must be >= 1")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if math.isnan(self.lam) or math.isnan(self.tau):
             raise ConfigError("lambda and tau must be numbers, got nan")
         try:

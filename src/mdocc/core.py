@@ -261,10 +261,12 @@ class Lattice:
             idx.append(np.clip(i, 0, src.dims[ax] - 1))
         labels = grid.labels[np.ix_(*idx)]
         labels[~(valid[0][:, None, None] & valid[1][None, :, None] & valid[2][None, None, :])] = empty_id
-        return OccupancyGrid(
-            dims=self.dims, voxel_size_m=self.voxel, origin=self.origin, labels=labels,
-            num_classes=grid.num_classes,
-        )
+        return self.grid(labels, grid.num_classes)
+
+    def grid(self, labels, num_classes):
+        """An :class:`OccupancyGrid` of ``labels`` on this lattice."""
+        return OccupancyGrid(dims=self.dims, voxel_size_m=self.voxel, origin=self.origin,
+                             labels=labels, num_classes=num_classes)
 
 
 def _freeze(arr):
@@ -346,12 +348,17 @@ class DatasetSpec:
         object.__setattr__(self, "grid_dims", tuple(int(d) for d in self.grid_dims))
         if not self.point_range.contains_range(self.gt_range) and self.gt_range != self.point_range:
             raise ValueError(f"{self.name}: gt_range must lie within point_range")
-        if Lattice.over(self.gt_range, self.voxel_size_m).dims != self.grid_dims:
+        if self.lattice.dims != self.grid_dims:
             raise ValueError(f"{self.name}: grid_dims {self.grid_dims} do not tile gt_range uniformly")
 
     @property
     def voxel_size_m(self):
         return float(self.gt_range.spans[0] / self.grid_dims[0])
+
+    @property
+    def lattice(self):
+        """The gt lattice: cubic voxels of ``voxel_size_m`` tiling ``gt_range``."""
+        return Lattice.over(self.gt_range, self.voxel_size_m)
 
 
 class StreamWriter:

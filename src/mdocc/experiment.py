@@ -11,7 +11,7 @@ import numpy as np
 
 from .align import CylGridSpec, crop_points, cylindrical_voxelize
 from .config import ExperimentConfig
-from .core import Lattice, OccupancyGrid, rng_stream
+from .core import Lattice, rng_stream
 from .labelspace import (
     enumerate_candidates,
     merged_score,
@@ -117,12 +117,12 @@ def synthesize(seed, taxonomy_name="split", n_train=12, n_eval=6, scene_counts=N
     )
 
 
-def gather_features(cyl_volume, cyl_spec, dims, voxel_size, origin):
-    """Read each cartesian voxel center's cylindrical-bin summary.
+def gather_features(cyl_volume, cyl_spec, lattice):
+    """Read the cylindrical-bin summary under each voxel center of
+    ``lattice``: a (D, H, W, C) float64 volume.
 
     Voxel centers outside the cylindrical extent read as all-zero features.
     """
-    lattice = Lattice(dims, voxel_size, origin)
     xs, ys, zs = (lattice.centers(ax) for ax in range(3))
     _, _, bins, inside = cyl_spec.locate(xs[:, None, None], ys[None, :, None], zs[None, None, :])
     out = cyl_volume[bins].astype(np.float64)
@@ -169,7 +169,7 @@ def cloud_features(cloud, crop_range, lattice):
     ``crop_range`` (when given) before cylindrical binning."""
     pts = cloud if crop_range is None else crop_points(cloud, crop_range)
     vol = cylindrical_voxelize(pts, DEFAULT_CYL)
-    return gather_features(vol, DEFAULT_CYL, lattice.dims, lattice.voxel, lattice.origin)
+    return gather_features(vol, DEFAULT_CYL, lattice)
 
 
 def prepare_dataset(views, spec, crop_range, stride, label_offset=0, num_classes=None):
@@ -235,19 +235,12 @@ def predict_scores(params, norm_state, norm_id, features, head_id=None):
     return outs[0], hidden
 
 
-def scores_to_grid(scores, voxel_size, origin, block):
-    """Argmax labels of a score volume over ``block`` (offset, size), the
-    reading dataset's slice of the head."""
+def scores_to_grid(scores, lattice, block):
+    """The grid on ``lattice`` of a score volume's argmax labels over
+    ``block`` (offset, size), the reading dataset's slice of the head."""
     off, size = block
     scores = scores[..., off : off + size]
-    labels = np.argmax(scores, axis=3).astype(np.uint16)
-    return OccupancyGrid(
-        dims=scores.shape[:3],
-        voxel_size_m=voxel_size,
-        origin=tuple(origin),
-        labels=labels,
-        num_classes=scores.shape[3],
-    )
+    return lattice.grid(np.argmax(scores, axis=3).astype(np.uint16), scores.shape[3])
 
 
 def softmax_scores(scores):
@@ -375,10 +368,10 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                         setup.result.params, setup.result.norm_state, norm_id, f,
                         head_id=head,
                     )
-                grid = scores_to_grid(raw, lattice.voxel, lattice.origin, block=block)
+                grid = scores_to_grid(raw, lattice, block)
                 if eta > 1:
                     grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
-                pred_int = crop_or_resample(grid, shared, eta, spec, stride)
+                pred_int = crop_or_resample(grid, shared)
                 gt_full = synth.eval_views[ds][i][1]
                 gt_int = _gt_on_lattice(gt_full, pred_int)
                 preds.append(pred_int)
@@ -417,24 +410,24 @@ def _slm_scores(result, unified, ds, features, head):
 
 
 def _refine_grid(grid, hidden, params, head_id, block, eta):
-    """Coarse-to-fine upsample of a prediction grid: the hidden features
-    sampled at each fine query are scored by the reading dataset's block of
-    the coarse head."""
+    """Coarse-to-fine upsample of a prediction grid onto its lattice with
+    eta^3 voxels per voxel: the hidden features sampled at each fine query
+    are scored by the reading dataset's block of the coarse head."""
     vox = occupied_voxels(grid, empty_id=0)
     queries = split_voxels(vox, eta, grid.dims)
     feats = sample_features(hidden, queries.coords, eta)
     w, b = params.head(head_id)
     off, size = block
-    fine_dims = tuple(d * eta for d in grid.dims)
+    fine = Lattice(tuple(d * eta for d in grid.dims), grid.voxel_size_m / eta, grid.origin)
     return refine_and_reassemble(
-        queries, feats, (w[:, off : off + size], b[off : off + size]), fine_dims, empty_id=0,
-        voxel_size=grid.voxel_size_m / eta, origin=grid.origin,
+        queries, feats, (w[:, off : off + size], b[off : off + size]), fine, empty_id=0,
     )
 
 
-def crop_or_resample(grid, shared, eta, spec, stride):
-    """Restrict a prediction grid to the shared evaluation lattice."""
-    return Lattice.over(shared, spec.voxel_size_m * stride / eta).resample(grid, empty_id=0)
+def crop_or_resample(grid, shared):
+    """A prediction grid restricted to ``shared``: resampled onto the
+    lattice of its own voxel size that tiles the shared range."""
+    return Lattice.over(shared, grid.voxel_size_m).resample(grid, empty_id=0)
 
 
 def _gt_on_lattice(gt_full, pred):
@@ -447,13 +440,7 @@ def _gt_on_lattice(gt_full, pred):
     ratio = pred.voxel_size_m / gt_full.voxel_size_m
     factor = int(round(ratio))
     if factor >= 2 and np.isclose(ratio, factor, rtol=1e-9):
-        return OccupancyGrid(
-            dims=pred.dims,
-            voxel_size_m=pred.voxel_size_m,
-            origin=pred.origin,
-            labels=coarse_labels(gt_full, factor, pred.extent),
-            num_classes=gt_full.num_classes,
-        )
+        return pred.lattice.grid(coarse_labels(gt_full, factor, pred.extent), gt_full.num_classes)
     return pred.lattice.resample(gt_full, empty_id=0)
 
 

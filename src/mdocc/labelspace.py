@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CodecError, DimMismatch, LabelSpace, OccupancyGrid, UnknownDataset
+from .core import CodecError, DimMismatch, LabelSpace, UnknownDataset
 
 
 class MisalignedCorpus(ValueError):
@@ -360,7 +360,7 @@ def unified_from_pairs(spaces, pairs):
 def transcode(grid, unified, source_ds, target_ds, target_space):
     """Map hard labels of ``source_ds`` into ``target_ds``'s taxonomy through
     the unified space; unified classes lacking a preimage there fall back to
-    the target's empty class."""
+    the target's empty class. The result is on the grid's lattice."""
     src = unified.mapping(source_ds)
     if grid.num_classes != src.num_labels:
         raise DimMismatch(f"grid classes {grid.num_classes} != mapping rows {src.num_labels}")
@@ -370,13 +370,7 @@ def transcode(grid, unified, source_ds, target_ds, target_space):
     back[cols] = rows
     lut = back[np.argmax(src.matrix, axis=1)]
     labels = lut[grid.labels.astype(np.int64)].astype(np.uint16)
-    return OccupancyGrid(
-        dims=grid.dims,
-        voxel_size_m=grid.voxel_size_m,
-        origin=grid.origin,
-        labels=labels,
-        num_classes=tgt.num_labels,
-    )
+    return grid.lattice.grid(labels, tgt.num_labels)
 
 
 def export_unified(unified, spaces, lam=None, tau=None):
@@ -410,7 +404,8 @@ def parse_unified(text, spaces):
 
     Raises CodecError, at the byte offset of the offending line, on a line
     that does not parse and on a label mapped twice; and at the end of the
-    text on a dataset without map lines and on a document whose datasets,
+    text on a dataset without map lines, on a dataset of ``spaces`` that the
+    ``datasets:`` record leaves out and on a document whose datasets,
     classes, empty class or mappings do not form a valid unified space.
     """
     space_of = dict(spaces)
@@ -455,6 +450,9 @@ def parse_unified(text, spaces):
     for ds in datasets:
         if ds not in maps:
             raise CodecError(f"unified document has no map lines for dataset {ds!r}", offset)
+    for ds in space_of:
+        if ds not in datasets:
+            raise CodecError(f"unified document leaves out dataset {ds!r}", offset)
     if empty_uid is None:
         raise CodecError("unified document has no empty: record", offset)
     try:

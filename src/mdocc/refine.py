@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimMismatch, OccupancyGrid
+from .core import DimMismatch
 
 
 @dataclass(frozen=True)
@@ -92,33 +92,26 @@ def sample_features(volume, fine_coords, eta):
     return out
 
 
-def refine_and_reassemble(queries, features, head, fine_dims, empty_id,
-                          voxel_size, origin):
+def refine_and_reassemble(queries, features, head, lattice, empty_id):
     """Score each query's features with ``head`` (weight (C, classes), bias
-    (classes,)), the coarse classification head, and rebuild the fine volume.
+    (classes,)), the coarse classification head, and rebuild the fine volume
+    as a grid on ``lattice``, the fine lattice.
 
     The argmax label of every query lands at its fine coordinate; every
-    non-query voxel receives ``empty_id``. ``fine_dims`` must equal
+    non-query voxel receives ``empty_id``. The lattice's dims must equal
     eta * coarse_dims per axis.
     """
-    fine_dims = tuple(int(v) for v in fine_dims)
     want = tuple(d * queries.eta for d in queries.coarse_dims)
-    if fine_dims != want:
-        raise DimMismatch(f"fine dims {fine_dims} != eta * coarse dims {want}")
+    if lattice.dims != want:
+        raise DimMismatch(f"fine dims {lattice.dims} != eta * coarse dims {want}")
     w, b = head
     num_classes = w.shape[1]
     if not 0 <= empty_id < num_classes:
         raise ValueError(f"empty_id {empty_id} out of range for {num_classes} classes")
-    labels = np.full(fine_dims, empty_id, dtype=np.uint16)
+    labels = np.full(lattice.dims, empty_id, dtype=np.uint16)
     if len(queries):
         scores = np.asarray(features, dtype=np.float64) @ w + b
         picked = np.argmax(scores, axis=1).astype(np.uint16)
         c = queries.coords
         labels[c[:, 0], c[:, 1], c[:, 2]] = picked
-    return OccupancyGrid(
-        dims=fine_dims,
-        voxel_size_m=float(voxel_size),
-        origin=tuple(origin),
-        labels=labels,
-        num_classes=num_classes,
-    )
+    return lattice.grid(labels, num_classes)

@@ -19,7 +19,6 @@ from .core import (
     LabelSpace,
     Lattice,
     LidarConfig,
-    OccupancyGrid,
     Range3D,
     StreamReader,
     StreamWriter,
@@ -72,8 +71,9 @@ class SceneSpec:
             raise ValueError("voxel_size_m must be > 0")
 
     @property
-    def dims(self):
-        return Lattice.over(self.extent, self.voxel_size_m).dims
+    def lattice(self):
+        """The scene lattice: cubic voxels of ``voxel_size_m`` tiling ``extent``."""
+        return Lattice.over(self.extent, self.voxel_size_m)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,8 @@ def gen_scene(spec):
     The lowest voxel layer is ground (a road band along x, sidewalk elsewhere);
     objects sit above it and never overlap each other.
     """
-    dims = spec.dims
+    lattice = spec.lattice
+    dims = lattice.dims
     nx, ny, nz = dims
     if nz < 4:
         raise ExtentTooSmall(f"need at least 4 voxel layers, got {nz}")
@@ -339,13 +340,7 @@ def gen_scene(spec):
             raise ExtentTooSmall(f"could not place post {i}")
         stamp(pos[0], pos[0] + 1, pos[1], pos[1] + 1, 1, 1 + height, fine.index("pedestrian"))
 
-    return OccupancyGrid(
-        dims=dims,
-        voxel_size_m=spec.voxel_size_m,
-        origin=(spec.extent.x_min, spec.extent.y_min, spec.extent.z_min),
-        labels=labels,
-        num_classes=len(fine),
-    )
+    return lattice.grid(labels, len(fine))
 
 
 def beam_directions(lidar):
@@ -394,12 +389,13 @@ def raycast(scene, lidar, sensor_pose):
     return np.stack([scene.lattice.centers(ax)[hits[:, ax]] for ax in range(3)], axis=1)
 
 
-def resample_labels(scene, proj, dims, voxel_size, origin):
-    """Look up the scene label under each target voxel center and project it.
+def resample_labels(scene, proj, lattice):
+    """The scene label under each voxel center of ``lattice``, projected
+    through ``proj``: a (D, H, W) uint16 array.
 
     Centers outside the scene read as empty (``Lattice.resample``).
     """
-    fine = Lattice(dims, voxel_size, origin).resample(scene, FINE_SPACE.empty_id)
+    fine = lattice.resample(scene, FINE_SPACE.empty_id)
     return np.asarray(proj)[fine.labels].astype(np.uint16)
 
 
@@ -408,26 +404,14 @@ def derive_dataset_view(scene, taxonomy, dataset):
 
     The cloud is the raycast of the dataset's sensor cropped to its point
     range; the GT grid is the scene relabeled through the dataset projection
-    and resampled onto the dataset's gt_range / grid_dims lattice.
+    and resampled onto the dataset's gt lattice (``DatasetSpec.lattice``).
     """
     sensor_pose = default_sensor_pose(scene, mount_z=SENSOR_MOUNT_Z.get(dataset.name))
     cloud = raycast(scene, dataset.lidar, sensor_pose)
     cloud = crop_points(cloud, dataset.point_range)
-    labels = resample_labels(
-        scene,
-        taxonomy.project(dataset.name),
-        dataset.grid_dims,
-        dataset.voxel_size_m,
-        dataset.gt_range.mins,
-    )
-    grid = OccupancyGrid(
-        dims=dataset.grid_dims,
-        voxel_size_m=dataset.voxel_size_m,
-        origin=tuple(dataset.gt_range.mins),
-        labels=labels,
-        num_classes=len(dataset.label_space),
-    )
-    return cloud, grid
+    lattice = dataset.lattice
+    labels = resample_labels(scene, taxonomy.project(dataset.name), lattice)
+    return cloud, lattice.grid(labels, len(dataset.label_space))
 
 
 def cloud_encode(cloud):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mdocc.align import NormState, dsnorm_forward, intersect_ranges
-from mdocc.core import OccupancyGrid, Range3D, rng_stream
+from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
 from mdocc.labelspace import (
     MergeCandidate,
     enumerate_candidates,
@@ -270,7 +270,7 @@ def test_08_coarse_to_fine_contracts():
 
         head = (rng.normal(size=(5, 4)), rng.normal(size=4))
         fine = refine_and_reassemble(
-            queries, sampled, head, tuple(d * eta for d in dims), 0, 0.4 / eta, (0, 0, 0)
+            queries, sampled, head, Lattice(tuple(d * eta for d in dims), 0.4 / eta, (0, 0, 0)), 0
         )
         in_query = np.zeros(fine.dims, dtype=bool)
         in_query[queries.coords[:, 0], queries.coords[:, 1], queries.coords[:, 2]] = True
@@ -289,7 +289,7 @@ def test_08_coarse_to_fine_contracts():
     vox = occupied_voxels(coarse)
     q = split_voxels(vox, 1, coarse.dims)
     refined = rr(q, sample_features(hidden, q.coords, 1),
-                 (head_w, head_b), coarse.dims, 0, 0.4, (0, 0, 0))
+                 (head_w, head_b), coarse.lattice, 0)
     identity_ok = refined == coarse
     ok = ok and identity_ok
     report(8, "coarse-to-fine query contracts", ok,

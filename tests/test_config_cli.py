@@ -15,7 +15,9 @@ from mdocc.align import NormState
 from mdocc.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mdocc.config import ConfigError, ExperimentConfig, parse_config, render_config
 from mdocc.core import OccupancyGrid, grid_encode
+from mdocc.labelspace import export_unified, unified_from_pairs
 from mdocc.model import init_params, load_checkpoint, save_checkpoint
+from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
 class TestConfig:
@@ -450,7 +452,9 @@ class TestCliMismatchedInputs:
 def probe_dirs(tmp_path_factory):
     """Configs to probe from: a synth directory with an mdt checkpoint, one
     with no scenes (and an mdt checkpoint trained on nothing), and a fresh
-    one-scene output directory of the default config."""
+    one-scene output directory of the default config; and two copies of the
+    first, one short of b64's last training scene and one with a unified
+    document of a32 alone."""
     root = tmp_path_factory.mktemp("probes")
     cfgs = {"fresh": ExperimentConfig(out=str(root / "fresh"), scenes=1, eval_scenes=0)}
     for name, kw in (("run", {}), ("empty", dict(scenes=0, eval_scenes=0))):
@@ -458,10 +462,20 @@ def probe_dirs(tmp_path_factory):
         assert main(["synth", "--config", path]) == EXIT_OK
         assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
         cfgs[name] = cfg
+    for name in ("short", "a32-only"):
+        cfgs[name] = dataclasses.replace(cfgs["run"], out=str(root / name))
+        shutil.copytree(cfgs["run"].out, cfgs[name].out)
+    last = cfgs["run"].scenes - 1
+    os.remove(os.path.join(cfgs["short"].out, "b64", f"scene_{last:04d}.mocc"))
+    os.remove(os.path.join(cfgs["short"].out, "b64", f"scene_cloud_{last:04d}.mply"))
+    spaces = [("a32", dataset_presets(taxonomy_preset("split"))["a32"].label_space)]
+    Path(cfgs["a32-only"].out, "unified.txt").write_text(
+        export_unified(unified_from_pairs(spaces, []), spaces))
     return cfgs
 
 
-# command, directory, config overrides, exit code
+# command, directory, config overrides, exit code; "eval-unified" is `eval`
+# with the directory's unified.txt
 CLI_PROBES = {
     "synth-unknown-taxonomy": ("synth", "fresh", {"taxonomy": "nope"}, EXIT_USAGE),
     "synth-negative-count": ("synth", "fresh", {"boxes": "-1"}, EXIT_USAGE),
@@ -476,6 +490,13 @@ CLI_PROBES = {
     "learn-labels-no-scenes": ("learn-labels", "empty", {}, EXIT_USAGE),
     "eval-no-scenes": ("eval", "empty", {}, EXIT_USAGE),
     "eval-cross-no-scenes": ("eval", "empty", {"cross": "true"}, EXIT_USAGE),
+    "train-lr-negative": ("train", "run", {"lr": "-0.05"}, EXIT_USAGE),
+    "train-lr-zero": ("train", "run", {"lr": "0.0"}, EXIT_USAGE),
+    "train-lr-nan": ("train", "run", {"lr": "nan"}, EXIT_USAGE),
+    "learn-labels-scene-missing": ("learn-labels", "short", {}, EXIT_IO),
+    "eval-scene-missing": ("eval", "short", {}, EXIT_IO),
+    "eval-unified-dataset-missing": ("eval-unified", "a32-only", {}, EXIT_IO),
+    "eval-unified-cross-dataset-missing": ("eval-unified", "a32-only", {"cross": "true"}, EXIT_IO),
 }
 
 
@@ -502,8 +523,11 @@ def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
     command, directory, overrides, code = CLI_PROBES[probe]
     cfg = probe_dirs[directory]
     extra = []
+    if command == "eval-unified":
+        command = "eval"
+        extra = ["--unified", os.path.join(cfg.out, "unified.txt")]
     if command in ("learn-labels", "eval"):
-        extra = ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
+        extra += ["--checkpoint", os.path.join(cfg.out, "ckpt_mdt.mckpt")]
     run_probe(cfg, tmp_path, command, overrides, extra, code)
 
 

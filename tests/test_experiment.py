@@ -8,6 +8,7 @@ from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
 from mdocc.experiment import (
     _slm_scores,
     coarse_labels,
+    crop_or_resample,
     eval_intersection,
     gather_features,
     oracle_unified,
@@ -29,7 +30,7 @@ class TestGatherFeatures:
         # place a recognizable bin summary at a known bin
         pts = np.array([[1.1, 0.1, 0.3]])
         vol = cylindrical_voxelize(pts, spec)
-        out = gather_features(vol, spec, (4, 4, 2), 0.5, (0.0, 0.0, 0.0))
+        out = gather_features(vol, spec, Lattice((4, 4, 2), 0.5, (0.0, 0.0, 0.0)))
         # the voxel whose center (1.25, 0.25, 0.25) shares that bin must carry
         # the same 5-vector
         r = np.hypot(1.25, 0.25)
@@ -42,7 +43,7 @@ class TestGatherFeatures:
     def test_outside_cylinder_zero(self):
         spec = CylGridSpec(bins=(4, 4, 2), radius_max_m=1.0, z_min_m=0.0, z_max_m=1.0)
         vol = np.ones(spec.bins + (5,))
-        out = gather_features(vol, spec, (6, 6, 2), 1.0, (0.0, 0.0, 0.0))
+        out = gather_features(vol, spec, Lattice((6, 6, 2), 1.0, (0.0, 0.0, 0.0)))
         # far corner voxels sit beyond the cylinder radius
         assert np.all(out[5, 5] == 0.0)
 
@@ -121,6 +122,21 @@ class TestLattices:
         assert lattice.origin == pytest.approx((0.0, -6.4, -0.85))
         with pytest.raises(ValueError):
             Lattice.over(shared, 0.3)
+
+    @pytest.mark.parametrize("eta", [1, 3])
+    def test_crop_or_resample_onto_the_shared_lattice(self, eta):
+        specs = dataset_presets(taxonomy_preset("split"))
+        shared = eval_intersection(specs)
+        coarse = Lattice.over(specs["a32"].gt_range, specs["a32"].voxel_size_m * 2)
+        lattice = Lattice(tuple(d * eta for d in coarse.dims), coarse.voxel / eta, coarse.origin)
+        labels = rng_stream(eta, "crop").integers(0, 9, lattice.dims)
+        grid = lattice.grid(labels, 9)
+        out = crop_or_resample(grid, shared)
+        assert out.lattice == Lattice.over(shared, grid.voxel_size_m)
+        # the old spelling of the voxel size, stride 2 then eta, is the same float
+        assert out.voxel_size_m == specs["a32"].voxel_size_m * 2 / eta
+        # a32's lattice covers the shared range, so every voxel keeps its label
+        assert np.array_equal(out.labels, grid.labels[grid.lattice.crop(shared)])
 
 
 class TestOracleUnified:

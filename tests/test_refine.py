@@ -165,7 +165,7 @@ class TestRefineReassemble:
         rng = rng_stream(4, "refine")
         q = split_voxels(np.zeros((0, 3), dtype=int), 2, (3, 3, 3))
         head = self.make_head(5, 4, rng)
-        out = refine_and_reassemble(q, np.zeros((0, 5)), head, (6, 6, 6), 0, 0.25, (0, 0, 0))
+        out = refine_and_reassemble(q, np.zeros((0, 5)), head, Lattice((6, 6, 6), 0.25, (0, 0, 0)), 0)
         assert np.all(out.labels == 0)
 
     def test_eta_one_identity_head_reproduces_coarse(self):
@@ -181,7 +181,7 @@ class TestRefineReassemble:
         q = split_voxels(vox, 1, grid.dims)
         sampled = sample_features(feats, q.coords, 1)
         out = refine_and_reassemble(
-            q, sampled, (head_w, head_b), grid.dims, 0, 0.5, (0, 0, 0)
+            q, sampled, (head_w, head_b), grid.lattice, 0
         )
         assert np.array_equal(out.labels, coarse)
 
@@ -195,7 +195,7 @@ class TestRefineReassemble:
         q = split_voxels(vox, eta, grid.dims)
         sampled = sample_features(feats, q.coords, eta)
         head = self.make_head(hidden, classes, rng)
-        out = refine_and_reassemble(q, sampled, head, (10, 10, 6), 0, 0.25, (0, 0, 0))
+        out = refine_and_reassemble(q, sampled, head, Lattice((10, 10, 6), 0.25, (0, 0, 0)), 0)
         # brute-force containment: every non-empty fine voxel descends from an
         # occupied coarse voxel
         occupied_coarse = {tuple(v) for v in vox.tolist()}
@@ -216,4 +216,4 @@ class TestRefineReassemble:
         q = split_voxels(np.array([[0, 0, 0]]), 2, (3, 3, 3))
         head = self.make_head(4, 3, rng_stream(8, "refine"))
         with pytest.raises(DimMismatch):
-            refine_and_reassemble(q, np.zeros((8, 4)), head, (5, 6, 6), 0, 0.25, (0, 0, 0))
+            refine_and_reassemble(q, np.zeros((8, 4)), head, Lattice((5, 6, 6), 0.25, (0, 0, 0)), 0)

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from mdocc.align import intersect_ranges
-from mdocc.core import LidarConfig, OccupancyGrid, Range3D, rng_stream
+from mdocc.core import Lattice, LidarConfig, OccupancyGrid, Range3D, rng_stream
 from mdocc.scenes import (
     FINE_SPACE,
     ExtentTooSmall,
@@ -195,13 +195,7 @@ class TestDatasetViews:
         # scene resampled onto the same lattice through the fine taxonomy
         from mdocc.scenes import resample_labels
 
-        fine_on_b = resample_labels(
-            scene,
-            np.arange(len(FINE_SPACE)),
-            presets["b64"].grid_dims,
-            presets["b64"].voxel_size_m,
-            presets["b64"].gt_range.mins,
-        )
+        fine_on_b = resample_labels(scene, np.arange(len(FINE_SPACE)), presets["b64"].lattice)
         fine_vehicles = sum(
             int(np.sum(fine_on_b == FINE_SPACE.index(n))) for n in ("car", "truck", "bus")
         )
@@ -233,6 +227,15 @@ class TestDatasetViews:
         cloud_a, _ = derive_dataset_view(scene, tax, presets["a32"])
         cloud_b, _ = derive_dataset_view(scene, tax, presets["b64"])
         assert cloud_b.shape[0] > cloud_a.shape[0]
+
+    @pytest.mark.parametrize("taxonomy", ["split", "twin"])
+    def test_gt_grids_on_the_spec_lattice(self, taxonomy):
+        tax = taxonomy_preset(taxonomy)
+        scene = gen_scene(default_scene_spec(seed=9))
+        for spec in dataset_presets(tax).values():
+            assert spec.lattice == Lattice(spec.grid_dims, spec.voxel_size_m, spec.gt_range.mins)
+            _, gt = derive_dataset_view(scene, tax, spec)
+            assert gt.lattice == spec.lattice
 
 
 def _crop_to(grid, rng):
