@@ -1,4 +1,26 @@
-"""The ray-march kernel: a vectorized numpy loop over uniform ray steps."""
+"""The ray-march kernel: a vectorized numpy loop that skips empty space.
+
+Each ray samples ``pose + dir * (step * s)`` at integer steps s, as a
+uniform march does, but after an empty sample it jumps over the samples that
+a Chebyshev distance field proves empty (Zuiderveld, Koning and Viergever,
+"Acceleration of ray-casting using 3D distance transforms", 1992; Cohen and
+Sheffer, "Proximity clouds", 1994). The samples it does evaluate are
+bit-identical to the uniform march's, and it returns the same hits.
+
+Why a jump keeps the hits. Let a sample in voxel v miss, with v at distance
+d >= 1 from the nearest occupied voxel, so every voxel within d - 1 of v is
+empty. At half-voxel steps the next k = 2d - 3 samples move the point at
+most k / 2 = d - 1.5 voxels along any axis. From a point inside v, that
+stays within d - 1 voxels of v, and the 0.5-voxel margin dwarfs the
+rounding error of a sample, so all k samples are empty (or off the grid,
+which is empty too). Every index coordinate
+``floor((pose + dir * (step * s) - origin) / voxel)`` is monotone in s,
+because each of those operations rounds monotonically. So the in-grid
+samples of a ray form one interval: if a skipped sample left the grid, the
+sample the ray lands on has left it too, and the ray ends with no hit, as
+the uniform march ends it. A jump of 2d - 2 would have no margin: rounding
+can tip an axis-aligned ray across a voxel boundary onto an occupied voxel.
+"""
 
 from __future__ import annotations
 
@@ -6,44 +28,89 @@ import numpy as np
 
 from .core import Lattice
 
+# distances are capped here and stored in uint8; a voxel reading DIST_CAP is
+# at least that far from every occupied voxel
+DIST_CAP = 16
+
+
+def empty_distance(labels, empty_id):
+    """Chebyshev distance, in voxels, from each voxel to the nearest voxel
+    whose label is not ``empty_id``, capped at :data:`DIST_CAP`: a uint8
+    array of ``labels``' shape.
+
+    Occupied voxels read 0. Space outside the grid counts as empty, so the
+    grid edge is no nearer than the occupied voxels. A voxel's distance is
+    the number of one-voxel dilations of the occupied set that miss it; the
+    dilations stop once they cover the grid.
+    """
+    occupied = np.asarray(labels) != empty_id
+    if not occupied.any():
+        return np.full(occupied.shape, DIST_CAP, np.uint8)
+    # dilate with the shortest axis outermost: shifts along a short innermost
+    # axis are strided, about 6 times slower on a 180 x 180 x 8 scene
+    order = np.argsort(occupied.shape, kind="stable")
+    reached = np.ascontiguousarray(occupied.transpose(order))
+    dist = np.zeros(reached.shape, np.uint8)
+    for _ in range(DIST_CAP):
+        if reached.all():
+            break
+        dist += ~reached
+        for ax in range(reached.ndim):
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            src = reached.copy()
+            reached[hi] |= src[lo]
+            reached[lo] |= src[hi]
+    return dist.transpose(np.argsort(order))
+
 
 def march_rays(pose, dirs, step, n_steps, labels, grid_origin, voxel, empty_id):
-    """March every ray in uniform steps and return first-hit voxel indices.
+    """March every ray along its samples and return first-hit voxel indices.
 
     Samples positions ``pose + dir * (step * s)`` for s = 1..n_steps and stops
     a ray at the first in-grid sample whose label differs from ``empty_id``,
-    or when the sample leaves the grid. Returns an (N, 3) int64 array with
-    rows of -1 for rays that hit nothing.
+    or when the sample leaves the grid. ``step`` must be positive. Returns an
+    (N, 3) int64 array with rows of -1 for rays that hit nothing.
+
+    Samples proven empty are skipped: after a miss at distance d (see
+    :func:`empty_distance`), a ray advances by 1 + max(floor((d - 1.5) *
+    voxel / step), 0) samples, which is 1 + max(2d - 3, 0) at the
+    half-voxel steps :func:`mdocc.scenes.raycast` takes. The skipped
+    samples move the point at most d - 1.5 voxels along any axis, so they
+    stay within the d - 1 empty voxels around the miss even after rounding;
+    and a ray that lands off the grid left it for good, because each index
+    coordinate is monotone in s (module docstring). The evaluated samples
+    are bit-identical to the uniform march's, and so are the hits.
     """
     pose = np.asarray(pose, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     labels = np.asarray(labels)
     lattice = Lattice(labels.shape, voxel, grid_origin)
     nd, nh, nw = labels.shape
+    step = float(step)
+    n_steps = int(n_steps)
+    flat_dist = empty_distance(labels, empty_id).ravel()
+    # samples a ray advances after a miss, indexed by the distance of the miss
+    advance = 1 + np.maximum(
+        np.floor((np.arange(DIST_CAP + 1) - 1.5) * (float(voxel) / step)), 0
+    ).astype(np.int64)
+    # one contiguous row per axis: numpy is several times faster on long
+    # rows than on (N, 3) blocks, and the per-element arithmetic is the same
+    dir_rows = np.ascontiguousarray(dirs.T)
     hits = np.full((dirs.shape[0], 3), -1, np.int64)
-    active = np.arange(dirs.shape[0])
-    for s in range(1, int(n_steps) + 1):
-        if active.size == 0:
-            break
-        t = float(step) * s
-        # keeping p bound until the next step is faster than passing the
-        # temporary (about 10% on the whole march, numpy 2.4, 2-core x86)
-        p = pose[None, :] + dirs[active] * t
-        idx = lattice.index_of(p)
-        # rays start inside the (convex) grid, so leaving it is final
-        inside = (
-            (idx[:, 0] >= 0)
-            & (idx[:, 0] < nd)
-            & (idx[:, 1] >= 0)
-            & (idx[:, 1] < nh)
-            & (idx[:, 2] >= 0)
-            & (idx[:, 2] < nw)
-        )
-        active = active[inside]
-        idx = idx[inside]
-        if active.size == 0:
-            break
-        hit = labels[idx[:, 0], idx[:, 1], idx[:, 2]] != empty_id
-        hits[active[hit]] = idx[hit]
-        active = active[~hit]
+    active = np.arange(dirs.shape[0] if n_steps >= 1 else 0)
+    s = np.ones(active.size, np.int64)
+    while active.size:
+        # step * s is the uniform march's scalar t, so every sample has its bits
+        t = step * s
+        i, j, k = (lattice.index_of(pose[ax] + dir_rows[ax][active] * t, ax) for ax in range(3))
+        # negative indices wrap to large unsigned ones; rays start inside the
+        # (convex) grid, so leaving it is final
+        inside = (i.view(np.uint64) < nd) & (j.view(np.uint64) < nh) & (k.view(np.uint64) < nw)
+        d = flat_dist[np.where(inside, (i * nh + j) * nw + k, 0)]
+        hit = inside & (d == 0)
+        hits[active[hit]] = np.stack([i[hit], j[hit], k[hit]], axis=1)
+        s = s + advance[d]
+        keep = inside & ~hit & (s <= n_steps)
+        active, s = active[keep], s[keep]
     return hits

@@ -403,7 +403,8 @@ def parse_unified(text, spaces):
     """Inverse of export_unified (requires the same dataset label spaces).
 
     Raises CodecError, at the byte offset of the offending line, on a line
-    that does not parse and on a label mapped twice; and at the end of the
+    that does not parse, on a label mapped twice and on a ``datasets:``
+    record that names a dataset twice; and at the end of the
     text on a dataset without map lines, on a dataset of ``spaces`` that the
     ``datasets:`` record leaves out and on a document whose datasets,
     classes, empty class or mappings do not form a valid unified space.
@@ -434,6 +435,8 @@ def parse_unified(text, spaces):
                 objective = float(value.strip())
             elif key == "datasets":
                 datasets = [d for d in value.strip().split(",") if d]
+                if len(set(datasets)) < len(datasets):
+                    raise ValueError("a dataset is named twice")
             elif line.startswith("map "):
                 head, _, uid = line.partition("->")
                 _, ds, label_id, _ = head.split()

@@ -364,10 +364,12 @@ def beam_directions(lidar):
 def raycast(scene, lidar, sensor_pose):
     """Cast one ray per (beam, azimuth step) and return hit points.
 
-    Rays march in uniform steps of half a voxel; each returns the center of
+    Rays sample in uniform steps of half a voxel; each returns the center of
     the first non-empty voxel it samples, or nothing once max range is
-    exceeded or the ray leaves the scene. Points come back (M, 3) float64 in
-    beam-major, azimuth-minor order.
+    exceeded or the ray leaves the scene. The march skips samples that a
+    distance field proves empty (:func:`mdocc.kernels.march_rays`); the
+    samples it evaluates and the hits are those of the uniform march. Points
+    come back (M, 3) float64 in beam-major, azimuth-minor order.
     """
     sensor_pose = np.asarray(sensor_pose, dtype=np.float64)
     if not scene.extent.contains_point(sensor_pose):

@@ -452,9 +452,9 @@ class TestCliMismatchedInputs:
 def probe_dirs(tmp_path_factory):
     """Configs to probe from: a synth directory with an mdt checkpoint, one
     with no scenes (and an mdt checkpoint trained on nothing), and a fresh
-    one-scene output directory of the default config; and two copies of the
-    first, one short of b64's last training scene and one with a unified
-    document of a32 alone."""
+    one-scene output directory of the default config; and three copies of the
+    first, one short of b64's last training scene, one with a unified
+    document of a32 alone and one whose unified document names a32 twice."""
     root = tmp_path_factory.mktemp("probes")
     cfgs = {"fresh": ExperimentConfig(out=str(root / "fresh"), scenes=1, eval_scenes=0)}
     for name, kw in (("run", {}), ("empty", dict(scenes=0, eval_scenes=0))):
@@ -462,7 +462,7 @@ def probe_dirs(tmp_path_factory):
         assert main(["synth", "--config", path]) == EXIT_OK
         assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
         cfgs[name] = cfg
-    for name in ("short", "a32-only"):
+    for name in ("short", "a32-only", "a32-twice"):
         cfgs[name] = dataclasses.replace(cfgs["run"], out=str(root / name))
         shutil.copytree(cfgs["run"].out, cfgs[name].out)
     last = cfgs["run"].scenes - 1
@@ -471,6 +471,11 @@ def probe_dirs(tmp_path_factory):
     spaces = [("a32", dataset_presets(taxonomy_preset("split"))["a32"].label_space)]
     Path(cfgs["a32-only"].out, "unified.txt").write_text(
         export_unified(unified_from_pairs(spaces, []), spaces))
+    spaces = [(ds, spec.label_space) for ds, spec in dataset_presets(taxonomy_preset("split")).items()]
+    text = export_unified(unified_from_pairs(spaces, []), spaces)
+    assert "datasets: a32,b64\n" in text
+    Path(cfgs["a32-twice"].out, "unified.txt").write_text(
+        text.replace("datasets: a32,b64\n", "datasets: a32,b64,a32\n"))
     return cfgs
 
 
@@ -497,6 +502,7 @@ CLI_PROBES = {
     "eval-scene-missing": ("eval", "short", {}, EXIT_IO),
     "eval-unified-dataset-missing": ("eval-unified", "a32-only", {}, EXIT_IO),
     "eval-unified-cross-dataset-missing": ("eval-unified", "a32-only", {"cross": "true"}, EXIT_IO),
+    "eval-unified-dataset-twice": ("eval-unified", "a32-twice", {}, EXIT_IO),
 }
 
 

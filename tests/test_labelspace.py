@@ -452,6 +452,7 @@ class TestUnifiedDoc:
         ("map b 0 empty -> 0\nmap b 1 vehicle -> 1\n", ""),  # dataset without map lines
         ("map a 2 truck -> 2", "map a 2 truck -> 2\nmap a 2 truck -> 2"),  # mapped twice
         ("datasets: a,b", "datasets: a,b,c"),  # unknown dataset
+        ("datasets: a,b", "datasets: a,b,a"),  # dataset named twice
         ("class 2: a/truck\n", ""),  # class ids not contiguous
         ("empty: 0\n", ""),
     ])
