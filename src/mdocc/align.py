@@ -207,29 +207,26 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return
     y = rowwise(np.multiply, xhat, state.gamma)
     rowwise(np.add, y, state.beta, out=y)
     if return_cache:
-        return y, {"xhat": xhat, "inv_std": inv_std, "mode": mode}
+        return y, {"xhat": xhat, "inv_std": inv_std}
     return y
 
 
 def dsnorm_backward(grad_y, cache, state):
-    """Gradients of dsnorm_forward wrt input, gamma, and beta.
+    """Gradients of a train-mode dsnorm_forward wrt input, gamma, and beta.
 
-    In train mode the input gradient is the full batch-statistics backward
-    (the mean/variance depend on x); in eval mode the stats are constants.
+    The input gradient is the full batch-statistics backward: the batch mean
+    and variance depend on x.
     """
     xhat = cache["xhat"]
     inv_std = cache["inv_std"]
     grad_gamma = colsum(grad_y, xhat)
     grad_beta = colsum(grad_y)
     gys = rowwise(np.multiply, grad_y, state.gamma)
-    if cache["mode"] == "train":
-        # inv_std * (gys - mean(gys) - xhat * mean(gys * xhat)), op by op
-        n = grad_y.shape[0]
-        grad_x = rowwise(np.subtract, gys, colsum(gys) / n)
-        grad_x -= rowwise(np.multiply, xhat, colsum(gys, xhat) / n)
-        rowwise(np.multiply, grad_x, inv_std, out=grad_x)
-    else:
-        grad_x = rowwise(np.multiply, gys, inv_std, out=gys)
+    # inv_std * (gys - mean(gys) - xhat * mean(gys * xhat)), op by op
+    n = grad_y.shape[0]
+    grad_x = rowwise(np.subtract, gys, colsum(gys) / n)
+    grad_x -= rowwise(np.multiply, xhat, colsum(gys, xhat) / n)
+    rowwise(np.multiply, grad_x, inv_std, out=grad_x)
     return grad_x, grad_gamma, grad_beta
 
 

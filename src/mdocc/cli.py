@@ -22,7 +22,6 @@ from .labelspace import export_unified, parse_unified
 from .metrics import REPORT_HEADER, MissingTransform, render_report
 from .model import (
     REGIMES,
-    DivergedLoss,
     TrainResult,
     head_blocks,
     load_checkpoint,
@@ -307,8 +306,8 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        # a numeric failure is reported once, by the DivergedLoss or
-        # FloatingPointError that training and the score read-out raise
+        # a numeric failure is reported once, by the FloatingPointError that
+        # training and the score read-out raise
         with np.errstate(all="ignore"):
             if args.command == "report":
                 return cmd_report(args.out, args.inputs)
@@ -328,7 +327,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergedLoss, MissingTransform, FloatingPointError) as e:
+    except (MissingTransform, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, CodecError, UnicodeDecodeError) as e:

@@ -59,8 +59,9 @@ class ExperimentConfig:
             raise ConfigError("epochs, batch_size, hidden and stride must be >= 1")
         if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if math.isnan(self.lam) or math.isnan(self.tau):
-            raise ConfigError("lambda and tau must be numbers, got nan")
+        # at lambda = +-inf the solver's bound never prunes; tau = inf keeps every pair
+        if not math.isfinite(self.lam) or math.isnan(self.tau):
+            raise ConfigError(f"lambda must be finite and tau not nan, got {self.lam}, {self.tau}")
         try:
             specs = dataset_presets(taxonomy_preset(self.taxonomy))
             default_scene_spec(0, **self.scene_counts)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Lattice
-
 # distances are capped here and stored in uint8; a voxel reading DIST_CAP is
 # at least that far from every occupied voxel
 DIST_CAP = 16
@@ -64,8 +62,9 @@ def empty_distance(labels, empty_id):
     return dist.transpose(np.argsort(order))
 
 
-def march_rays(pose, dirs, step, n_steps, labels, grid_origin, voxel, empty_id):
-    """March every ray along its samples and return first-hit voxel indices.
+def march_rays(pose, dirs, step, n_steps, grid, empty_id):
+    """March every ray through ``grid`` (an OccupancyGrid) and return
+    first-hit voxel indices.
 
     Samples positions ``pose + dir * (step * s)`` for s = 1..n_steps and stops
     a ray at the first in-grid sample whose label differs from ``empty_id``,
@@ -74,7 +73,7 @@ def march_rays(pose, dirs, step, n_steps, labels, grid_origin, voxel, empty_id):
 
     Samples proven empty are skipped: after a miss at distance d (see
     :func:`empty_distance`), a ray advances by 1 + max(floor((d - 1.5) *
-    voxel / step), 0) samples, which is 1 + max(2d - 3, 0) at the
+    grid.voxel_size_m / step), 0) samples, which is 1 + max(2d - 3, 0) at the
     half-voxel steps :func:`mdocc.scenes.raycast` takes. The skipped
     samples move the point at most d - 1.5 voxels along any axis, so they
     stay within the d - 1 empty voxels around the miss even after rounding;
@@ -84,15 +83,14 @@ def march_rays(pose, dirs, step, n_steps, labels, grid_origin, voxel, empty_id):
     """
     pose = np.asarray(pose, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    labels = np.asarray(labels)
-    lattice = Lattice(labels.shape, voxel, grid_origin)
-    nd, nh, nw = labels.shape
+    lattice = grid.lattice
+    nd, nh, nw = lattice.dims
     step = float(step)
     n_steps = int(n_steps)
-    flat_dist = empty_distance(labels, empty_id).ravel()
+    flat_dist = empty_distance(grid.labels, empty_id).ravel()
     # samples a ray advances after a miss, indexed by the distance of the miss
     advance = 1 + np.maximum(
-        np.floor((np.arange(DIST_CAP + 1) - 1.5) * (float(voxel) / step)), 0
+        np.floor((np.arange(DIST_CAP + 1) - 1.5) * (lattice.voxel / step)), 0
     ).astype(np.int64)
     # one contiguous row per axis: numpy is several times faster on long
     # rows than on (N, 3) blocks, and the per-element arithmetic is the same

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import NormState, dsnorm_backward, dsnorm_forward, dsnorm_update_shared
+from .align import (
+    NUM_CYL_FEATURES,
+    NormState,
+    dsnorm_backward,
+    dsnorm_forward,
+    dsnorm_update_shared,
+)
 from .core import (
     DimMismatch,
     StreamReader,
@@ -28,18 +34,12 @@ from .core import (
 )
 from .metrics import ConfusionMatrix, geometric_iou, miou
 
-NUM_INPUT_FEATURES = 5
-
 # statistic-set ids of the baseline regimes (shared plain normalization)
 MERGED_STATS_ID = "merged"
 PLAIN_STATS_ID = "plain"
 
 MCKPT_MAGIC = b"MCKP"
 MCKPT_VERSION = 2
-
-
-class DivergedLoss(ArithmeticError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class ModelParams:
 def init_params(head_sizes, hidden, seed, regime=DEFAULT_REGIME):
     """Seed-deterministic parameter initialization; one head per dataset."""
     rng = rng_stream(seed, "init")
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(NUM_INPUT_FEATURES), (NUM_INPUT_FEATURES, hidden))
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(NUM_CYL_FEATURES), (NUM_CYL_FEATURES, hidden))
     b1 = np.zeros(hidden)
     w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, hidden))
     b2 = np.zeros(hidden)
@@ -168,8 +168,8 @@ def _scene_slices(volumes):
     slices = []
     start = 0
     for v in volumes:
-        if v.ndim != 4 or v.shape[3] != NUM_INPUT_FEATURES:
-            raise DimMismatch(f"feature volume shape {v.shape} lacks {NUM_INPUT_FEATURES} features")
+        if v.ndim != 4 or v.shape[3] != NUM_CYL_FEATURES:
+            raise DimMismatch(f"feature volume shape {v.shape} lacks {NUM_CYL_FEATURES} features")
         n = int(np.prod(v.shape[:3]))
         slices.append((v.shape[:3], slice(start, start + n)))
         start += n
@@ -201,7 +201,7 @@ def backbone(volumes, norm_id, params, norm_state, mode="train", update_stats=Tr
     """
     slices = _scene_slices(volumes)
     x = np.concatenate(
-        [v.reshape(-1, NUM_INPUT_FEATURES) for v in volumes], axis=0
+        [v.reshape(-1, NUM_CYL_FEATURES) for v in volumes], axis=0
     )
     z1 = x @ params.w1
     rowwise(np.add, z1, params.b1, out=z1)
@@ -294,10 +294,10 @@ class Grads:
     beta: np.ndarray
 
 
-def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights, mode="train"):
-    """Pure sum-reduced batch loss (no stat updates); the finite-difference
-    reference for backward()."""
-    outs, _ = batch_forward(volumes, dataset_id, params, norm_state, mode=mode, update_stats=False)
+def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights):
+    """Pure sum-reduced train-mode batch loss (no stat updates); the
+    finite-difference reference for backward()."""
+    outs, _ = batch_forward(volumes, dataset_id, params, norm_state, update_stats=False)
     total = 0.0
     for out, gt in zip(outs, gts):
         li, _ = loss_ce(out, gt, class_weights)
@@ -306,16 +306,15 @@ def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights, mode
 
 
 def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
-             mode="train", update_stats=True, head_id=None):
-    """Analytic gradients of the sum-reduced batch loss.
+             update_stats=True, head_id=None):
+    """Analytic gradients of the sum-reduced train-mode batch loss.
 
     Heads other than the trained one receive exact zero gradients; the
     dataset's running statistics are refreshed (not differentiated) unless
     ``update_stats`` is False.
     """
     outs, cache = batch_forward(
-        volumes, dataset_id, params, norm_state, mode=mode, update_stats=update_stats,
-        head_id=head_id,
+        volumes, dataset_id, params, norm_state, update_stats=update_stats, head_id=head_id
     )
     trained_head = dataset_id if head_id is None else head_id
     head_w, head_b = params.head(trained_head)
@@ -359,24 +358,31 @@ def sgd_step(params, norm_state, grads, dataset_id, lr):
     dsnorm_update_shared(norm_state, grads.gamma, grads.beta, lr)
 
 
-def class_weights_from_counts(counts, clip=(0.1, 10.0), ref=16.0):
-    """Inverse-frequency weights ``total / (ref * count)``, clipped to ``clip``.
+WEIGHT_CLIP = (0.1, 10.0)  # (low, high) bounds of every class weight
+WEIGHT_REF = 16.0  # a class holding 1/16 of the voxels weighs 1
 
-    ``total`` is ``counts.sum()``; absent classes get the upper clip. ``ref``
-    is a fixed constant rather than the head's class count, so one rule serves
-    heads of every width. ``train`` passes the counts of the whole corpus
-    routed to a head: a per-dataset head weights its dataset at
-    ``1 / (ref * frequency)``, but each block of an amalgamated union head is
-    scaled up by the union total over its dataset's share (about 13x for b64
-    in the trend experiment), so the blocks are not on the per-dataset scale.
-    As ``loss_ce`` averages over voxels, that scale also acts as a step size.
+
+def class_weights_from_counts(counts):
+    """Inverse-frequency weights ``total / (WEIGHT_REF * count)``, clipped to
+    ``WEIGHT_CLIP``.
+
+    ``total`` is ``counts.sum()``; absent classes get the upper clip. The
+    reference is a fixed constant rather than the head's class count, so one
+    rule serves heads of every width. ``train`` passes the counts of the whole
+    corpus routed to a head: a per-dataset head weights its dataset at
+    ``1 / (WEIGHT_REF * frequency)``, but each block of an amalgamated union
+    head is scaled up by the union total over its dataset's share (about 13x
+    for b64 in the trend experiment), so the blocks are not on the per-dataset
+    scale. As ``loss_ce`` averages over voxels, that scale also acts as a
+    step size.
     """
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
-    w = np.full(counts.size, clip[1])
+    lo, hi = WEIGHT_CLIP
+    w = np.full(counts.size, hi)
     present = counts > 0
-    w[present] = total / (ref * counts[present])
-    return np.clip(w, clip[0], clip[1])
+    w[present] = total / (WEIGHT_REF * counts[present])
+    return np.clip(w, lo, hi)
 
 
 def merged_batches(sizes, batch_size, seed):
@@ -504,7 +510,7 @@ def train(datasets, config, *, log_every_epoch=True):
     the statistics are the same bytes either way, since the eval-mode log
     pass leaves the running statistics alone.
 
-    Raises DivergedLoss when a step's loss or a logged loss stops being
+    Raises FloatingPointError when a step's loss or a logged loss stops being
     finite, in either mode; the last epoch is always logged, so this covers
     the last update.
     """
@@ -547,7 +553,7 @@ def train(datasets, config, *, log_every_epoch=True):
             vols, gts, norm_id, params, norm_state, weights[head_id], head_id=head_id
         )
         if not np.isfinite(loss):
-            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+            raise FloatingPointError(f"non-finite loss at epoch {epoch}")
         sgd_step(params, norm_state, grads, head_id, config.lr)
 
     def log_epoch(epoch):
@@ -559,7 +565,7 @@ def train(datasets, config, *, log_every_epoch=True):
                 datasets[ds], norm_id, head_id, params, norm_state, weights[head_id]
             )
             if not np.isfinite(l):
-                raise DivergedLoss(f"non-finite {ds} loss after epoch {epoch}")
+                raise FloatingPointError(f"non-finite {ds} loss after epoch {epoch}")
             log.append({"epoch": epoch, "dataset": ds, "loss": l, "iou": iou, "miou": mi})
 
     def run_phase(active_ids, epochs, epoch_base):
@@ -673,7 +679,7 @@ def checkpoint_decode(data):
             regime=regime,
         )
         h = norm_state.num_features
-        expected = [(params.w1, (NUM_INPUT_FEATURES, h)), (params.w2, (h, h)), (params.b1, (h,)),
+        expected = [(params.w1, (NUM_CYL_FEATURES, h)), (params.w2, (h, h)), (params.b1, (h,)),
                     (params.b2, (h,)), (norm_state.beta, (h,))]
         expected += [(s["mean"], (h,)) for s in stats.values()]
         for w, b in heads.values():

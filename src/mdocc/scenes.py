@@ -377,16 +377,7 @@ def raycast(scene, lidar, sensor_pose):
     dirs = beam_directions(lidar)
     step = scene.voxel_size_m / 2.0
     n_steps = int(np.floor(lidar.max_range_m / step))
-    hits = march_rays(
-        sensor_pose,
-        dirs,
-        step,
-        n_steps,
-        scene.labels,
-        np.asarray(scene.origin),
-        scene.voxel_size_m,
-        0,
-    )
+    hits = march_rays(sensor_pose, dirs, step, n_steps, scene, 0)
     hits = hits[hits[:, 0] >= 0]
     return np.stack([scene.lattice.centers(ax)[hits[:, ax]] for ax in range(3)], axis=1)
 

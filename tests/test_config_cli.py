@@ -492,6 +492,8 @@ CLI_PROBES = {
     "train-negative-pretrain": ("train", "run", {"pretrain_epochs": "-1"}, EXIT_USAGE),
     "train-diverges": ("train", "run", {"lr": "1e308"}, EXIT_NUMERIC),
     "learn-labels-lambda-nan": ("learn-labels", "run", {"lambda": "nan"}, EXIT_USAGE),
+    "learn-labels-lambda-inf": ("learn-labels", "run", {"lambda": "inf"}, EXIT_USAGE),
+    "learn-labels-lambda-minus-inf": ("learn-labels", "run", {"lambda": "-inf"}, EXIT_USAGE),
     "learn-labels-no-scenes": ("learn-labels", "empty", {}, EXIT_USAGE),
     "eval-no-scenes": ("eval", "empty", {}, EXIT_USAGE),
     "eval-cross-no-scenes": ("eval", "empty", {"cross": "true"}, EXIT_USAGE),

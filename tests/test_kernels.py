@@ -7,12 +7,12 @@ from mdocc.core import Lattice
 from mdocc.kernels import DIST_CAP, empty_distance, march_rays
 
 
-def uniform_march(pose, dirs, step, n_steps, labels, grid_origin, voxel, empty_id):
+def uniform_march(pose, dirs, step, n_steps, grid, empty_id):
     """The brute-force reference: every ray samples every step s = 1..n_steps."""
     pose = np.asarray(pose, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    labels = np.asarray(labels)
-    lattice = Lattice(labels.shape, voxel, grid_origin)
+    labels = grid.labels
+    lattice = grid.lattice
     nd, nh, nw = labels.shape
     hits = np.full((dirs.shape[0], 3), -1, np.int64)
     active = np.arange(dirs.shape[0])
@@ -71,7 +71,8 @@ def random_case(seed):
     step = voxel * float(rng.choice([0.5, 0.5, 0.5, 0.25, 0.4, 0.75, 1.0]))
     # short marches end inside a jump; long ones leave the grid
     n_steps = int(rng.choice([1, 3, int(rng.integers(2, 40)), 400]))
-    return pose, dirs, step, n_steps, labels, origin, voxel, empty_id
+    grid = Lattice(shape, voxel, origin).grid(labels, empty_id + 5)
+    return pose, dirs, step, n_steps, grid, empty_id
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -92,10 +93,11 @@ def test_march_edge_grids(fill):
     rng = np.random.default_rng(7)
     rand = rng.normal(size=(2000, 3))
     dirs = np.concatenate([AXIS_DIRS, rand / np.linalg.norm(rand, axis=1, keepdims=True)])
+    grid = Lattice(labels.shape, 0.5, origin).grid(labels, 5)
     for n_steps in (0, 1, 5, 17, 100):
-        args = (pose, dirs, 0.25, n_steps, labels, origin, 0.5, 0)
+        args = (pose, dirs, 0.25, n_steps, grid, 0)
         np.testing.assert_array_equal(march_rays(*args), uniform_march(*args))
-    hits = march_rays(pose, dirs, 0.25, 100, labels, origin, 0.5, 0)
+    hits = march_rays(pose, dirs, 0.25, 100, grid, 0)
     if fill == "empty":
         assert (hits == -1).all()
     elif fill == "full":
@@ -107,10 +109,10 @@ def test_march_edge_grids(fill):
 
 
 def test_numpy_path_misses_marked():
-    labels = np.zeros((4, 4, 4), dtype=np.uint16)
+    grid = Lattice((4, 4, 4), 1.0, np.zeros(3)).grid(np.zeros((4, 4, 4), dtype=np.uint16), 1)
     dirs = np.array([[1.0, 0.0, 0.0]])
     pose = np.array([0.5, 0.5, 0.5])
-    hits = march_rays(pose, dirs, 0.25, 100, labels, np.zeros(3), 1.0, 0)
+    hits = march_rays(pose, dirs, 0.25, 100, grid, 0)
     assert hits.tolist() == [[-1, -1, -1]]
 
 

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from mdocc.align import NormState
-import mdocc
+from mdocc.align import NUM_CYL_FEATURES, NormState
 from mdocc.config import ExperimentConfig
-from mdocc.core import BadMagic, CodecError, TruncatedPayload, VersionUnsupported, rng_stream
+from mdocc.core import (
+    BadMagic,
+    CodecError,
+    TruncatedPayload,
+    UnknownDataset,
+    VersionUnsupported,
+    rng_stream,
+)
 from mdocc.model import (
-    NUM_INPUT_FEATURES,
     REGIME_TABLE,
     REGIMES,
-    DivergedLoss,
     TrainData,
     _ce_terms,
     _epoch_metrics,
@@ -40,7 +44,7 @@ def make_instance(rng, dims=(4, 4, 4), classes=(3, 4), scenes=2, margin=1e-3):
     state.gamma = rng.normal(1.0, 0.3, 6)
     state.beta = rng.normal(0.0, 0.3, 6)
     while True:
-        vols = [rng.normal(0.5, 1.0, dims + (NUM_INPUT_FEATURES,)) for _ in range(scenes)]
+        vols = [rng.normal(0.5, 1.0, dims + (NUM_CYL_FEATURES,)) for _ in range(scenes)]
         gts = [rng.integers(0, classes[0], dims) for _ in range(scenes)]
         _, cache = batch_forward(vols, ids[0], params, state, mode="train", update_stats=False)
         if np.min(np.abs(cache["z2"])) > margin:
@@ -51,7 +55,7 @@ class TestForward:
     def test_zero_features_zero_biases_uniform_scores(self):
         params = init_params({"a": 4}, hidden=5, seed=0)
         state = NormState(5, ["a"])
-        feats = np.zeros((3, 3, 2, NUM_INPUT_FEATURES))
+        feats = np.zeros((3, 3, 2, NUM_CYL_FEATURES))
         (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
         # constant input stays constant through every (linear or pointwise) stage
         flat = scores.reshape(-1, 4)
@@ -61,7 +65,7 @@ class TestForward:
         rng = rng_stream(1, "fwd")
         params = init_params({"a": 3, "b": 3}, hidden=6, seed=1)
         state = NormState(6, ["a", "b"])
-        feats = rng.normal(size=(2, 2, 2, NUM_INPUT_FEATURES))
+        feats = rng.normal(size=(2, 2, 2, NUM_CYL_FEATURES))
         (sa,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
         (sb,), _ = batch_forward([feats], "b", params, state, mode="train", update_stats=False)
         assert not np.allclose(sa, sb)
@@ -77,7 +81,7 @@ class TestForward:
         state = NormState(1, ["a"], eps=1e-12)
         state.gamma = np.array([2.0])
         state.beta = np.array([1.5])
-        feats = np.zeros((1, 1, 1, NUM_INPUT_FEATURES))
+        feats = np.zeros((1, 1, 1, NUM_CYL_FEATURES))
         feats[0, 0, 0, 0] = 7.0
         (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
         # batch of one voxel: xhat = 0 -> z2 = beta = 1.5 -> relu 1.5
@@ -94,11 +98,11 @@ class TestForward:
         params = init_params({"a": 2}, hidden=4, seed=0)
         try:
             params.head("zz")
-        except mdocc.UnknownDataset:
+        except UnknownDataset:
             pass
         else:
-            pytest.fail("a missing head must raise mdocc.UnknownDataset")
-        with pytest.raises(mdocc.UnknownDataset):
+            pytest.fail("a missing head must raise mdocc.core.UnknownDataset")
+        with pytest.raises(UnknownDataset):
             NormState(4, ["a"]).stats("zz")
 
 
@@ -315,7 +319,7 @@ class TestBalancedBatches:
 def tiny_traindata(rng, n_scenes=6, dims=(4, 4, 2), classes=3, separable=True):
     feats, labels = [], []
     for _ in range(n_scenes):
-        f = rng.normal(0.0, 0.5, dims + (NUM_INPUT_FEATURES,))
+        f = rng.normal(0.0, 0.5, dims + (NUM_CYL_FEATURES,))
         y = rng.integers(0, classes, dims)
         if separable:
             # plant learnable structure: feature 0 carries the class id
@@ -395,7 +399,7 @@ class TestTrain:
         rng = rng_stream(14, "train")
         data = {"a": tiny_traindata(rng)}
         cfg = ExperimentConfig(regime="single", epochs=50, batch_size=2, lr=1e9, seed=0, hidden=6)
-        with np.errstate(all="ignore"), pytest.raises(DivergedLoss):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             train(data, cfg)
 
     @pytest.mark.parametrize("regime", ["single", "direct_merge", "mdt"])
@@ -446,11 +450,11 @@ class TestTrain:
 class TestClassWeights:
     def test_inverse_frequency_clipped(self):
         # weights are total / (ref * count) with ref = 16, clipped to the band
-        w = class_weights_from_counts([100, 1, 0], clip=(0.1, 10.0))
+        w = class_weights_from_counts([100, 1, 0])
         assert w[2] == 10.0  # absent class: upper clip
         assert w[0] == 0.1  # dominant class: 101 / 1600 clipped up
         assert w[1] == 101 / 16  # in-band class, unclipped
-        w = class_weights_from_counts([10000, 1, 0], clip=(0.1, 10.0))
+        w = class_weights_from_counts([10000, 1, 0])
         assert w[1] == 10.0  # present but rare: saturates at the upper clip
 
 
