@@ -5,6 +5,7 @@ cells."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -474,6 +475,37 @@ def standard_setups(results):
             for setup in regime_setups(result, ("a32", "b64"), cross=True)]
 
 
+def train_regimes(synth, jobs, cfg):
+    """Train each (regime, ids) job of ``jobs`` on ``synth`` under ``cfg``
+    with its regime set, one job per forked worker process, and return the
+    TrainResults in job order.
+
+    The parent prepares each job's data with ``prepare_regime`` and submits
+    it in order, so jobs listed longest first keep the workers busiest. The
+    pool has one worker per usable core, at most one per job. Training is
+    deterministic and reads nothing the other jobs write, so the results are
+    the bytes in-process ``train`` calls give. Only pretrain_finetune logs
+    every epoch. When a job raises, the jobs not yet started are cancelled
+    and its exception is raised here; no worker outlives the call.
+    """
+    # imported here: at module top they slow every `import mdocc.cli`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [
+            pool.submit(train, prepare_regime(regime, synth, ids, cfg.stride),
+                        replace(cfg, regime=regime),
+                        log_every_epoch=regime == "pretrain_finetune")
+            for regime, ids in jobs
+        ]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_trend_experiment(seed, n_eval=6, epochs=40):
     """One full 4-regime experiment at a given seed.
 
@@ -483,6 +515,13 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     pairs are, for the balanced sampler to absorb. Returns the report rows
     keyed (setup, dataset), the pretrain-finetune log for the forgetting
     check, and the synth, TrainResults and oracle unified space behind them.
+
+    The five trainings (two single models, direct_merge, mdt and
+    pretrain_finetune) run concurrently in forked worker processes, one per
+    usable core (``train_regimes``), at the same bytes as one after another.
+    The acceptance suite's trend fixture runs its seeds one after another: a
+    pool worker is daemonic and may not fork a pool of its own, so seeds
+    across cores would replace this pool, not add to it.
 
     Only the pretrain-finetune log is full, one row per dataset and epoch;
     the single, direct_merge and mdt logs hold their first and last epochs'
@@ -494,16 +533,13 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
                        world_profiles=WORLD_PROFILES)
     cfg = ExperimentConfig(seed=seed, epochs=epochs, pretrain_epochs=30)
     ids = list(synth.specs)
-
-    def train_regime(regime, on):
-        data = prepare_regime(regime, synth, on, cfg.stride)
-        return train(data, replace(cfg, regime=regime),
-                     log_every_epoch=regime == "pretrain_finetune")
-
-    results = {f"single_{ds}": train_regime("single", [ds]) for ds in ids}
-    for regime in ("direct_merge", "mdt"):
-        results[regime] = train_regime(regime, ids)
-    res_pt = train_regime("pretrain_finetune", ids)
+    # longest first (measured), so the short jobs fill in behind the long ones
+    res_pt, merged, single_a, mdt, single_b = train_regimes(synth, [
+        ("pretrain_finetune", ids), ("direct_merge", ids), ("single", ids[:1]),
+        ("mdt", ids), ("single", ids[1:]),
+    ], cfg)
+    results = {f"single_{ids[0]}": single_a, f"single_{ids[1]}": single_b,
+               "direct_merge": merged, "mdt": mdt}
     unified = oracle_unified(synth.taxonomy, synth.specs)
     setups = standard_setups(results)
     rows, _ = evaluate_setups(synth, setups, unified, cfg.stride)

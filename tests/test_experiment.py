@@ -1,3 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +23,7 @@ from mdocc.experiment import (
     prepare_regime,
     softmax_scores,
     synthesize,
+    train_regimes,
 )
 from mdocc.labelspace import merged_score, reproject
 from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
@@ -204,6 +212,84 @@ class TestRunRegime:
             last = [row for row in result.log if row["dataset"] == ds][-1]
             assert last["iou"] == geometric_iou(cm, empty_id=0)
             assert last["miou"] == miou(cm, empty_id=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_synth():
+    return synthesize(3, n_train=2, n_eval=0)
+
+
+def assert_same_result(got, want):
+    """Two TrainResults are the same bytes: every parameter array, every
+    statistic set's mean, variance and count, and every log row."""
+    gp, wp = got.params, want.params
+    assert gp.regime == wp.regime
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(gp, name).tobytes() == getattr(wp, name).tobytes(), name
+    assert list(gp.heads) == list(wp.heads)
+    for ds in wp.heads:
+        for g, w in zip(gp.heads[ds], wp.heads[ds]):
+            assert g.tobytes() == w.tobytes(), ds
+    gs, ws = got.norm_state, want.norm_state
+    assert gs.gamma.tobytes() == ws.gamma.tobytes()
+    assert gs.beta.tobytes() == ws.beta.tobytes()
+    assert gs.dataset_ids() == ws.dataset_ids()
+    for ds in ws.dataset_ids():
+        g, w = gs.stats(ds), ws.stats(ds)
+        assert g["mean"].tobytes() == w["mean"].tobytes(), ds
+        assert g["var"].tobytes() == w["var"].tobytes(), ds
+        assert g["count"] == w["count"], ds
+    assert exact_rows(got.log) == exact_rows(want.log)
+
+
+def exact_rows(log):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in log]
+
+
+class TestTrainRegimes:
+    CFG = ExperimentConfig(seed=0, epochs=2, pretrain_epochs=2, batch_size=2, hidden=6)
+
+    def test_pooled_equals_in_process(self, tiny_synth):
+        ids = list(tiny_synth.specs)
+        jobs = [("pretrain_finetune", ids), ("direct_merge", ids), ("single", ids[:1]),
+                ("mdt", ids), ("single", ids[1:])]
+        got = train_regimes(tiny_synth, jobs, self.CFG)
+        assert multiprocessing.active_children() == []
+        assert len(got) == len(jobs)
+        for (regime, on), result in zip(jobs, got):
+            want = train(prepare_regime(regime, tiny_synth, on, self.CFG.stride),
+                         replace(self.CFG, regime=regime),
+                         log_every_epoch=regime == "pretrain_finetune")
+            assert_same_result(result, want)
+        # pretrain_finetune logs every one of its 2 + 2 epochs, not just the
+        # first and last
+        assert {row["epoch"] for row in got[0].log} == {0, 1, 2, 3}
+
+    def test_worker_error_is_raised_and_no_worker_outlives(self, tiny_synth):
+        ids = list(tiny_synth.specs)
+        # pretrain_finetune given one dataset fails its check inside the worker
+        jobs = [("single", ids[:1]), ("pretrain_finetune", ids[:1]), ("single", ids[1:])]
+        with pytest.raises(ValueError, match="pretrain_finetune trains on exactly 2 datasets, got 1"):
+            train_regimes(tiny_synth, jobs, self.CFG)
+        assert multiprocessing.active_children() == []
+
+    def test_diverged_worker_raises_floating_point_error(self, tiny_synth):
+        cfg = replace(self.CFG, lr=1e9, epochs=50)
+        jobs = [("single", list(tiny_synth.specs)[:1])]
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            train_regimes(tiny_synth, jobs, cfg)
+        assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_the_pool_out():
+    # the worker pool is imported when trend training starts, so it adds
+    # nothing to the start-up of every command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, mdocc.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSlmScores:
