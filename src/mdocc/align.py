@@ -172,14 +172,15 @@ class NormState:
             raise UnknownDataset(dataset_id) from None
 
 
-def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return_cache=False):
+def dsnorm_forward(x, dataset_id, state, mode="train"):
     """Normalize a (N, F) batch with Eq-style dataset-specific statistics.
 
-    train mode uses the batch's own mean/variance (biased) and, unless
-    ``update_stats`` is False, folds them into the dataset's running stats by
-    exponential moving average. eval mode uses the stored running stats of
+    train mode uses the batch's own mean/variance (biased) and folds them
+    into the dataset's running stats by exponential moving average; its
+    output never reads them. eval mode uses the stored running stats of
     ``dataset_id`` only. Output is gamma * (x - mu) / sqrt(var + eps) + beta
-    with the single shared gamma/beta.
+    with the single shared gamma/beta. Returns (output, the cache that
+    :func:`dsnorm_backward` reads).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -193,11 +194,10 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return
         mu = colsum(x) / x.shape[0]
         d = rowwise(np.subtract, x, mu)
         var = colsum(d, d) / x.shape[0]
-        if update_stats:
-            m = state.momentum
-            stats["mean"] = (1.0 - m) * stats["mean"] + m * mu
-            stats["var"] = (1.0 - m) * stats["var"] + m * var
-            stats["count"] += 1
+        m = state.momentum
+        stats["mean"] = (1.0 - m) * stats["mean"] + m * mu
+        stats["var"] = (1.0 - m) * stats["var"] + m * var
+        stats["count"] += 1
     else:
         mu = stats["mean"]
         var = stats["var"]
@@ -206,9 +206,7 @@ def dsnorm_forward(x, dataset_id, state, mode="train", update_stats=True, return
     xhat = rowwise(np.multiply, d, inv_std, out=d)
     y = rowwise(np.multiply, xhat, state.gamma)
     rowwise(np.add, y, state.beta, out=y)
-    if return_cache:
-        return y, {"xhat": xhat, "inv_std": inv_std}
-    return y
+    return y, {"xhat": xhat, "inv_std": inv_std}
 
 
 def dsnorm_backward(grad_y, cache, state):

@@ -24,6 +24,7 @@ from .model import (
     REGIMES,
     TrainResult,
     head_blocks,
+    head_widths,
     load_checkpoint,
     route,
     save_checkpoint,
@@ -182,14 +183,12 @@ def _load_model(checkpoint, synth):
     ids = stats_ids[:1] if regime == "single" else list(synth.specs)
     if not ids or not set(ids) <= set(synth.specs):
         raise CodecError(f"{checkpoint}: single model of {ids}, not a dataset here", 0)
-    widths = {}
-    sizes = {ds: len(synth.specs[ds].label_space) for ds in ids}
-    for ds, (offset, size) in head_blocks(regime, sizes).items():
-        stats, head = route(regime, ds)
+    for ds in ids:
+        stats = route(regime, ds)[0]
         if stats not in stats_ids:
             raise CodecError(f"{checkpoint}: no statistic set {stats!r} for {ds}", 0)
-        widths[head] = max(widths.get(head, 0), offset + size)
-    for head, width in widths.items():
+    sizes = {ds: len(synth.specs[ds].label_space) for ds in ids}
+    for head, width in head_widths(regime, head_blocks(regime, sizes)).items():
         if head not in params.heads or params.heads[head][1].size != width:
             raise CodecError(f"{checkpoint}: {regime} needs a head {head!r} of {width} classes", 0)
     return TrainResult(params=params, norm_state=norm_state, log=[])

@@ -173,7 +173,7 @@ def cloud_features(cloud, crop_range, lattice):
     return gather_features(vol, DEFAULT_CYL, lattice)
 
 
-def prepare_dataset(views, spec, crop_range, stride, label_offset=0, num_classes=None):
+def prepare_dataset(views, spec, crop_range, stride, label_offset=0):
     """TrainData for one dataset: features and coarse labels on one lattice.
 
     ``crop_range`` None keeps the dataset's own ranges (raw preparation);
@@ -192,9 +192,8 @@ def prepare_dataset(views, spec, crop_range, stride, label_offset=0, num_classes
     return TrainData(
         features=feats,
         labels=labels,
-        num_classes=num_classes or len(spec.label_space),
-        empty_id=label_offset + spec.label_space.empty_id,
         block=(label_offset, len(spec.label_space)),
+        empty_id=spec.label_space.empty_id,
     )
 
 
@@ -211,12 +210,8 @@ def prepare_regime(regime, synth, ids, stride):
     ids = list(ids)[: rules.datasets]
     crop = eval_intersection(specs) if rules.aligned else None
     blocks = head_blocks(regime, {ds: len(specs[ds].label_space) for ds in ids})
-    union = sum(size for _, size in blocks.values()) if rules.merged else None
-    return {
-        ds: prepare_dataset(synth.train_views[ds], specs[ds], crop, stride,
-                            label_offset=blocks[ds][0], num_classes=union)
-        for ds in ids
-    }
+    return {ds: prepare_dataset(synth.train_views[ds], specs[ds], crop, stride, blocks[ds][0])
+            for ds in ids}
 
 
 def predict_scores(params, norm_state, norm_id, features, head_id=None):

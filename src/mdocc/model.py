@@ -89,6 +89,13 @@ def head_blocks(regime, class_counts):
     return blocks
 
 
+def head_widths(regime, blocks):
+    """Width of each head that scores a dataset of ``blocks`` (the ordered
+    mapping dataset_id -> (offset, size) of :func:`head_blocks`): the end of
+    its last block."""
+    return {route(regime, ds)[1]: offset + size for ds, (offset, size) in blocks.items()}
+
+
 @dataclass
 class ModelParams:
     """Backbone weights plus one classification head per registered dataset,
@@ -188,7 +195,7 @@ def _neighbor_mean_batch(flat, slices, transpose=False):
     return out
 
 
-def backbone(volumes, norm_id, params, norm_state, mode="train", update_stats=True):
+def backbone(volumes, norm_id, params, norm_state, mode="train"):
     """Run a batch of (D, H, W, 5) feature volumes through the shared
     backbone: affine -> dataset-specific norm (statistic set ``norm_id``) ->
     ramp -> 6-neighborhood mean -> affine.
@@ -205,9 +212,7 @@ def backbone(volumes, norm_id, params, norm_state, mode="train", update_stats=Tr
     )
     z1 = x @ params.w1
     rowwise(np.add, z1, params.b1, out=z1)
-    z2, norm_cache = dsnorm_forward(
-        z1, norm_id, norm_state, mode=mode, update_stats=update_stats, return_cache=True
-    )
+    z2, norm_cache = dsnorm_forward(z1, norm_id, norm_state, mode=mode)
     a3 = np.maximum(z2, 0.0)
     z4 = _neighbor_mean_batch(a3, slices)
     z5 = z4 @ params.w2
@@ -223,8 +228,7 @@ def read_head(z5, head):
     return scores
 
 
-def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_stats=True,
-                  head_id=None):
+def batch_forward(volumes, dataset_id, params, norm_state, mode="train", head_id=None):
     """Scores of one head on a batch of feature volumes: :func:`backbone`
     with ``dataset_id``'s statistics, then :func:`read_head` on its rows.
 
@@ -233,7 +237,7 @@ def batch_forward(volumes, dataset_id, params, norm_state, mode="train", update_
     the backbone's cache.
     """
     head = params.head(dataset_id if head_id is None else head_id)
-    z5, cache = backbone(volumes, dataset_id, params, norm_state, mode, update_stats)
+    z5, cache = backbone(volumes, dataset_id, params, norm_state, mode)
     scores = read_head(z5, head)
     outs = [scores[sl].reshape(dims + (scores.shape[1],)) for dims, sl in cache["slices"]]
     return outs, cache
@@ -289,15 +293,15 @@ class Grads:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    heads: dict
+    head: tuple  # (weight, bias) gradients of the trained head only
     gamma: np.ndarray
     beta: np.ndarray
 
 
 def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights):
-    """Pure sum-reduced train-mode batch loss (no stat updates); the
-    finite-difference reference for backward()."""
-    outs, _ = batch_forward(volumes, dataset_id, params, norm_state, update_stats=False)
+    """Sum-reduced train-mode batch loss; the finite-difference reference for
+    backward()."""
+    outs, _ = batch_forward(volumes, dataset_id, params, norm_state)
     total = 0.0
     for out, gt in zip(outs, gts):
         li, _ = loss_ce(out, gt, class_weights)
@@ -305,19 +309,13 @@ def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights):
     return total
 
 
-def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
-             update_stats=True, head_id=None):
-    """Analytic gradients of the sum-reduced train-mode batch loss.
-
-    Heads other than the trained one receive exact zero gradients; the
-    dataset's running statistics are refreshed (not differentiated) unless
-    ``update_stats`` is False.
+def backward(volumes, gts, dataset_id, params, norm_state, class_weights, head_id=None):
+    """Analytic gradients of the sum-reduced train-mode batch loss, with the
+    trained head's alone; the dataset's running statistics are refreshed,
+    not differentiated.
     """
-    outs, cache = batch_forward(
-        volumes, dataset_id, params, norm_state, update_stats=update_stats, head_id=head_id
-    )
-    trained_head = dataset_id if head_id is None else head_id
-    head_w, head_b = params.head(trained_head)
+    outs, cache = batch_forward(volumes, dataset_id, params, norm_state, head_id=head_id)
+    head_w = params.head(dataset_id if head_id is None else head_id)[0]
     total = 0.0
     gscores = []
     for out, gt in zip(outs, gts):
@@ -338,13 +336,8 @@ def backward(volumes, gts, dataset_id, params, norm_state, class_weights,
     gz1, ggamma, gbeta = dsnorm_backward(gz2, cache["norm"], norm_state)
     gw1 = cache["x"].T @ gz1
     gb1 = colsum(gz1)
-    heads = {}
-    for ds, (w, b) in params.heads.items():
-        if ds == trained_head:
-            heads[ds] = (gw_head, gb_head)
-        else:
-            heads[ds] = (np.zeros_like(w), np.zeros_like(b))
-    return total, Grads(w1=gw1, b1=gb1, w2=gw2, b2=gb2, heads=heads, gamma=ggamma, beta=gbeta)
+    return total, Grads(w1=gw1, b1=gb1, w2=gw2, b2=gb2, head=(gw_head, gb_head),
+                        gamma=ggamma, beta=gbeta)
 
 
 def sgd_step(params, norm_state, grads, dataset_id, lr):
@@ -353,7 +346,7 @@ def sgd_step(params, norm_state, grads, dataset_id, lr):
     params.w2 -= lr * grads.w2
     params.b2 -= lr * grads.b2
     w, b = params.heads[dataset_id]
-    gw, gb = grads.heads[dataset_id]
+    gw, gb = grads.head
     params.heads[dataset_id] = (w - lr * gw, b - lr * gb)
     dsnorm_update_shared(norm_state, grads.gamma, grads.beta, lr)
 
@@ -387,17 +380,14 @@ def class_weights_from_counts(counts):
 
 def merged_batches(sizes, batch_size, seed):
     """Plain merged-dataset schedule: one shuffled pass over the union of all
-    samples, chunked into batches that freely mix datasets."""
+    samples, chunked into batches of (dataset_id, scene_index) pairs that
+    freely mix datasets."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     pool = [(ds, i) for ds in sizes for i in range(sizes[ds])]
-    rng = rng_stream(seed, "sampler/merged")
-    order = rng.permutation(len(pool))
-    batches = []
-    for lo in range(0, len(pool), batch_size):
-        chunk = [pool[k] for k in order[lo : lo + batch_size]]
-        batches.append(chunk)
-    return batches
+    order = rng_stream(seed, "sampler/merged").permutation(len(pool))
+    return [[pool[k] for k in order[lo : lo + batch_size]]
+            for lo in range(0, len(pool), batch_size)]
 
 
 def balanced_batches(sizes, batch_size, seed):
@@ -407,33 +397,21 @@ def balanced_batches(sizes, batch_size, seed):
     draws all its samples from one dataset; datasets alternate in order.
     Within a dataset, indices are a seeded permutation; shorter datasets wrap
     around with fresh permutations to match the longest. The largest dataset
-    is covered exactly once. Returns a list of (dataset_id, indices) batches.
+    is covered exactly once. Returns batches of (dataset_id, scene_index)
+    pairs, as :func:`merged_batches` does.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    ids = list(sizes)
-    if not ids:
-        return []
-    longest = max(sizes.values())
-    n_batches = -(-longest // batch_size)
-    slot_sizes = [batch_size] * (n_batches - 1) + [longest - batch_size * (n_batches - 1)]
+    longest = max(sizes.values(), default=0)
     streams = {}
-    for ds in ids:
-        size = sizes[ds]
+    for ds, size in sizes.items():
         rng = rng_stream(seed, f"sampler/{ds}")
         idx = []
         while len(idx) < longest:
             idx.extend(rng.permutation(size).tolist())
-        streams[ds] = np.asarray(idx[:longest], dtype=np.int64)
-    schedule = []
-    pos = {ds: 0 for ds in ids}
-    for b in range(n_batches):
-        for ds in ids:
-            take = slot_sizes[b]
-            lo = pos[ds]
-            schedule.append((ds, streams[ds][lo : lo + take]))
-            pos[ds] = lo + take
-    return schedule
+        streams[ds] = idx[:longest]
+    return [[(ds, i) for i in streams[ds][lo : lo + batch_size]]
+            for lo in range(0, longest, batch_size) for ds in sizes]
 
 
 @dataclass
@@ -441,15 +419,14 @@ class TrainData:
     """Prepared training stream for one dataset: per-scene feature volumes and
     coarse ground-truth label arrays over the same lattice.
 
-    ``num_classes`` is the width of the head the labels index; ``block`` is
-    the (offset, size) of the dataset's own classes within it: the whole head,
-    or the dataset's block when its labels are offset into an amalgamated
-    union.
+    ``block`` is the (offset, size) of the dataset's own classes within the
+    head that scores it: the whole head, or the dataset's block when its
+    labels are offset into an amalgamated union. ``empty_id`` is the empty
+    class of the dataset's own label space.
     """
 
     features: list
     labels: list
-    num_classes: int
     block: tuple
     empty_id: int = 0
 
@@ -488,8 +465,8 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
         cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
     return (
         total / max(len(data), 1),
-        geometric_iou(cm, empty_id=data.empty_id - off),
-        miou(cm, empty_id=data.empty_id - off),
+        geometric_iou(cm, empty_id=data.empty_id),
+        miou(cm, empty_id=data.empty_id),
     )
 
 
@@ -502,13 +479,17 @@ def train(datasets, config, *, log_every_epoch=True):
     already carry labels in the amalgamated union space). ``REGIME_TABLE``
     and ``route`` give each dataset's statistic set, head and batch
     schedule; regimes without a merged head draw balanced single-dataset
-    batches.
+    batches. A phased regime trains on its first dataset for
+    ``pretrain_epochs``, then on its second; the others train on all of
+    them. Each head is as wide as :func:`head_widths` says its datasets'
+    blocks reach.
 
     The log has one row per dataset and epoch. With ``log_every_epoch``
     False it keeps only the first epoch's rows and the run's last (for a
     phased regime, the last target epoch); those rows, the parameters and
     the statistics are the same bytes either way, since the eval-mode log
-    pass leaves the running statistics alone.
+    pass leaves the running statistics alone. An epoch whose datasets hold
+    no scene takes no step and logs nothing.
 
     Raises FloatingPointError when a step's loss or a logged loss stops being
     finite, in either mode; the last epoch is always logged, so this covers
@@ -520,78 +501,40 @@ def train(datasets, config, *, log_every_epoch=True):
     if rules.datasets is not None and len(ids) != rules.datasets:
         raise ValueError(f"{regime} trains on exactly {rules.datasets} datasets, got {len(ids)}")
     routes = {ds: route(regime, ds) for ds in ids}
-    head_sizes = {}
-    for ds in ids:
-        if head_sizes.setdefault(routes[ds][1], datasets[ds].num_classes) != datasets[ds].num_classes:
-            raise ValueError(f"datasets scored by head {routes[ds][1]!r} must share its class count")
-    norm_ids = list(dict.fromkeys(stats for stats, _ in routes.values()))
-    params = init_params(head_sizes, config.hidden, config.seed, regime)
-    norm_state = NormState(config.hidden, norm_ids)
+    widths = head_widths(regime, {ds: datasets[ds].block for ds in ids})
+    params = init_params(widths, config.hidden, config.seed, regime)
+    norm_state = NormState(config.hidden, list(dict.fromkeys(s for s, _ in routes.values())))
     weights = {}
-    for head_id in head_sizes:
-        stacked = [
-            l.reshape(-1)
-            for ds in ids
-            if routes[ds][1] == head_id
-            for l in datasets[ds].labels
-        ]
-        counts = np.bincount(
-            np.concatenate(stacked) if stacked else np.zeros(0, dtype=np.int64),
-            minlength=head_sizes[head_id],
-        )
+    for head_id, width in widths.items():
+        labels = [l.reshape(-1) for ds in ids if routes[ds][1] == head_id
+                  for l in datasets[ds].labels]
+        counts = np.bincount(np.concatenate([np.zeros(0, np.int64), *labels]), minlength=width)
         weights[head_id] = class_weights_from_counts(counts)
+    sampler = merged_batches if rules.merged else balanced_batches
+    phases = ([(ids[:1], config.pretrain_epochs), (ids[1:], config.epochs)] if rules.phased
+              else [(ids, config.epochs)])
+    epochs = [active for active, count in phases for _ in range(count)]
+    logged = [ds for ds in ids if len(datasets[ds])]
     log = []
-    last_epoch = (config.pretrain_epochs if rules.phased else 0) + config.epochs - 1
-
-    def step(batch, epoch):
-        # batch: list of (dataset_id, scene_index); single-dataset for the
-        # balanced schedule, possibly mixed for direct merging
-        vols = [datasets[ds].features[i] for ds, i in batch]
-        gts = [datasets[ds].labels[i] for ds, i in batch]
-        norm_id, head_id = routes[batch[0][0]]
-        loss, grads = backward(
-            vols, gts, norm_id, params, norm_state, weights[head_id], head_id=head_id
-        )
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-        sgd_step(params, norm_state, grads, head_id, config.lr)
-
-    def log_epoch(epoch):
-        for ds in ids:
-            if not len(datasets[ds]):
-                continue
+    for epoch, active in enumerate(epochs):
+        sizes = {ds: len(datasets[ds]) for ds in active if len(datasets[ds])}
+        for batch in sampler(sizes, config.batch_size, seed=config.seed + 7919 * epoch):
+            norm_id, head_id = routes[batch[0][0]]
+            loss, grads = backward([datasets[ds].features[i] for ds, i in batch],
+                                   [datasets[ds].labels[i] for ds, i in batch],
+                                   norm_id, params, norm_state, weights[head_id], head_id=head_id)
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
+            sgd_step(params, norm_state, grads, head_id, config.lr)
+        if not sizes or not (log_every_epoch or epoch in (0, len(epochs) - 1)):
+            continue
+        for ds in logged:
             norm_id, head_id = routes[ds]
-            l, iou, mi = _epoch_metrics(
-                datasets[ds], norm_id, head_id, params, norm_state, weights[head_id]
-            )
-            if not np.isfinite(l):
+            loss, iou, mi = _epoch_metrics(datasets[ds], norm_id, head_id, params, norm_state,
+                                           weights[head_id])
+            if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite {ds} loss after epoch {epoch}")
-            log.append({"epoch": epoch, "dataset": ds, "loss": l, "iou": iou, "miou": mi})
-
-    def run_phase(active_ids, epochs, epoch_base):
-        for e in range(epochs):
-            epoch = epoch_base + e
-            sizes = {ds: len(datasets[ds]) for ds in active_ids if len(datasets[ds])}
-            if not sizes:
-                continue
-            epoch_seed = config.seed + 7919 * epoch
-            if rules.merged:
-                batches = merged_batches(sizes, config.batch_size, seed=epoch_seed)
-            else:
-                batches = [
-                    [(ds, i) for i in idxs]
-                    for ds, idxs in balanced_batches(sizes, config.batch_size, seed=epoch_seed)
-                ]
-            for batch in batches:
-                step(batch, epoch)
-            if log_every_epoch or epoch in (0, last_epoch):
-                log_epoch(epoch)
-
-    if rules.phased:
-        run_phase([ids[0]], config.pretrain_epochs, 0)
-        run_phase([ids[1]], config.epochs, config.pretrain_epochs)
-    else:
-        run_phase(ids, config.epochs, 0)
+            log.append({"epoch": epoch, "dataset": ds, "loss": loss, "iou": iou, "miou": mi})
     return TrainResult(params=params, norm_state=norm_state, log=log)
 
 

@@ -70,7 +70,7 @@ def test_03_dsnorm_exactness_and_isolation():
     worst = 0.0
     for _ in range(50):
         x = rng.normal(rng.normal(0, 3), rng.uniform(0.5, 2.5), (64, 4))
-        y = dsnorm_forward(x, "a", state, mode="train", update_stats=False)
+        y, _ = dsnorm_forward(x, "a", state, mode="train")
         want = state.gamma * (x - x.mean(0)) / np.sqrt(x.var(0) + state.eps) + state.beta
         worst = max(worst, float(np.max(np.abs(y - want))))
     formula_ok = worst < 1e-12
@@ -107,7 +107,7 @@ def test_04_gradient_correctness():
         w = class_weights_from_counts(
             np.bincount(np.concatenate([g.reshape(-1) for g in gts]), minlength=3)
         )
-        _, grads = backward(vols, gts, ids[0], params, state, w, update_stats=False)
+        _, grads = backward(vols, gts, ids[0], params, state, w)
         for name, arr in _flatten_params(params, state, ids[0]):
             g = _grad_of(grads, state, name, ids[0])
             for idx in np.ndindex(arr.shape):
@@ -308,6 +308,7 @@ def trend_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_09_mdt_trend(trend_runs):
     def iou(run, setup, ds):
         return run["rows"][(setup, ds)]["iou"]
@@ -321,6 +322,7 @@ def test_09_mdt_trend(trend_runs):
            f"cross b64 {x_b}/5, cross a32 {x_a}/5, in a32 {in_a}/5, in b64 {in_b}/5")
 
 
+@pytest.mark.slow
 def test_10_catastrophic_forgetting(trend_runs):
     hits = 0
     for run in trend_runs:
@@ -341,6 +343,7 @@ def _float_hex_digest(records):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@pytest.mark.slow
 def test_trend_seed0_golden(trend_runs):
     """Seed 0's report rows (in sorted key order), pretrain_finetune log and
     the epoch-0 and epoch-47 log rows of the other four trainings, bit for

@@ -123,7 +123,7 @@ class TestDsnorm:
     def test_constant_batch_maps_to_zero(self):
         state = NormState(3, ["a"])
         x = np.full((16, 3), 7.5)
-        y = dsnorm_forward(x, "a", state, mode="train")
+        y, _ = dsnorm_forward(x, "a", state, mode="train")
         assert np.allclose(y, 0.0)
 
     def test_closed_form_mean3_var4(self):
@@ -131,7 +131,7 @@ class TestDsnorm:
         state.gamma = np.array([2.0])
         state.beta = np.array([1.0])
         x = np.array([[1.0], [5.0]])  # mean 3, biased variance 4
-        y = dsnorm_forward(x, "a", state, mode="train", update_stats=False)
+        y, _ = dsnorm_forward(x, "a", state, mode="train")
         assert np.allclose(y, x - 2.0, atol=1e-10)
 
     def test_formula_exactness(self):
@@ -141,7 +141,7 @@ class TestDsnorm:
         state.beta = rng.normal(size=6)
         for _ in range(20):
             x = rng.normal(3.0, 2.0, (32, 6))
-            y = dsnorm_forward(x, "a", state, mode="train", update_stats=False)
+            y, _ = dsnorm_forward(x, "a", state, mode="train")
             mu = x.mean(axis=0)
             var = x.var(axis=0)
             want = state.gamma * (x - mu) / np.sqrt(var + state.eps) + state.beta
@@ -175,7 +175,7 @@ class TestDsnorm:
         state._stats["a"]["mean"][:] = 2.0
         state._stats["a"]["var"][:] = 4.0
         x = np.array([[4.0]])
-        y = dsnorm_forward(x, "a", state, mode="eval")
+        y, _ = dsnorm_forward(x, "a", state, mode="eval")
         assert np.allclose(y, (4.0 - 2.0) / np.sqrt(4.0 + state.eps))
 
     def test_eval_after_convergence_matches_population(self):
@@ -184,11 +184,11 @@ class TestDsnorm:
         for _ in range(1000):
             dsnorm_forward(rng.normal(1.5, 2.0, (128, 1)), "a", state, mode="train")
         x = rng.normal(1.5, 2.0, (64, 1))
-        y_run = dsnorm_forward(x, "a", state, mode="eval")
+        y_run, _ = dsnorm_forward(x, "a", state, mode="eval")
         pop = NormState(1, ["a"])
         pop._stats["a"]["mean"][:] = 1.5
         pop._stats["a"]["var"][:] = 4.0
-        y_pop = dsnorm_forward(x, "a", pop, mode="eval")
+        y_pop, _ = dsnorm_forward(x, "a", pop, mode="eval")
         assert np.max(np.abs(y_run - y_pop)) < 0.05
 
     def test_unknown_dataset(self):
@@ -218,10 +218,10 @@ class TestDsnorm:
         w = rng.normal(size=(10, 3))  # random linear functional as the loss
 
         def loss(xv):
-            y = dsnorm_forward(xv, "a", state, mode="train", update_stats=False)
+            y, _ = dsnorm_forward(xv, "a", state, mode="train")
             return float((w * y).sum())
 
-        y, cache = dsnorm_forward(x, "a", state, mode="train", update_stats=False, return_cache=True)
+        y, cache = dsnorm_forward(x, "a", state, mode="train")
         gx, ggamma, gbeta = dsnorm_backward(w, cache, state)
         h = 1e-6
         for i in range(10):

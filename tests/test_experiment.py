@@ -27,7 +27,7 @@ from mdocc.experiment import (
 )
 from mdocc.labelspace import merged_score, reproject
 from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
-from mdocc.model import TrainResult, batch_forward, head_blocks, init_params, train
+from mdocc.model import TrainResult, batch_forward, head_blocks, head_widths, init_params, train
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
 
@@ -181,6 +181,13 @@ class TestOracleUnified:
         sizes = {ds: len(spec.label_space) for ds, spec in specs.items()}
         assert head_blocks("direct_merge", sizes) == {"a32": (0, 9), "b64": (9, 8)}
         assert head_blocks("mdt", sizes) == {"a32": (0, 9), "b64": (0, 8)}
+
+    def test_head_widths_end_at_last_block(self):
+        sizes = {"a32": 9, "b64": 8}
+        assert head_widths("direct_merge", head_blocks("direct_merge", sizes)) == {"merged": 17}
+        for regime in ("mdt", "pretrain_finetune"):
+            assert head_widths(regime, head_blocks(regime, sizes)) == sizes
+        assert head_widths("single", head_blocks("single", {"b64": 8})) == {"b64": 8}
 
 
 class TestSynthesize:

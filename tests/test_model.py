@@ -24,6 +24,7 @@ from mdocc.model import (
     batch_loss,
     checkpoint_decode,
     class_weights_from_counts,
+    head_widths,
     init_params,
     load_checkpoint,
     loss_ce,
@@ -46,7 +47,7 @@ def make_instance(rng, dims=(4, 4, 4), classes=(3, 4), scenes=2, margin=1e-3):
     while True:
         vols = [rng.normal(0.5, 1.0, dims + (NUM_CYL_FEATURES,)) for _ in range(scenes)]
         gts = [rng.integers(0, classes[0], dims) for _ in range(scenes)]
-        _, cache = batch_forward(vols, ids[0], params, state, mode="train", update_stats=False)
+        _, cache = batch_forward(vols, ids[0], params, state, mode="train")
         if np.min(np.abs(cache["z2"])) > margin:
             return params, state, ids, vols, gts
 
@@ -56,7 +57,7 @@ class TestForward:
         params = init_params({"a": 4}, hidden=5, seed=0)
         state = NormState(5, ["a"])
         feats = np.zeros((3, 3, 2, NUM_CYL_FEATURES))
-        (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
+        (scores,), _ = batch_forward([feats], "a", params, state, mode="train")
         # constant input stays constant through every (linear or pointwise) stage
         flat = scores.reshape(-1, 4)
         assert np.allclose(flat, flat[0][None, :])
@@ -66,8 +67,8 @@ class TestForward:
         params = init_params({"a": 3, "b": 3}, hidden=6, seed=1)
         state = NormState(6, ["a", "b"])
         feats = rng.normal(size=(2, 2, 2, NUM_CYL_FEATURES))
-        (sa,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
-        (sb,), _ = batch_forward([feats], "b", params, state, mode="train", update_stats=False)
+        (sa,), _ = batch_forward([feats], "a", params, state, mode="train")
+        (sb,), _ = batch_forward([feats], "b", params, state, mode="train")
         assert not np.allclose(sa, sb)
 
     def test_single_voxel_hand_composition(self):
@@ -83,7 +84,7 @@ class TestForward:
         state.beta = np.array([1.5])
         feats = np.zeros((1, 1, 1, NUM_CYL_FEATURES))
         feats[0, 0, 0, 0] = 7.0
-        (scores,), _ = batch_forward([feats], "a", params, state, mode="train", update_stats=False)
+        (scores,), _ = batch_forward([feats], "a", params, state, mode="train")
         # batch of one voxel: xhat = 0 -> z2 = beta = 1.5 -> relu 1.5
         # -> mean 1.5 -> affine 3 * 1.5 - 0.25 = 4.25 -> head 4 * 4.25 + 1 = 18
         assert np.allclose(scores.reshape(-1), [18.0])
@@ -224,26 +225,19 @@ def _flatten_params(params, state, dataset_id):
 
 def _grad_of(grads, state, name, dataset_id):
     if name.startswith("head."):
-        return grads.heads[dataset_id][0] if name.endswith(".w") else grads.heads[dataset_id][1]
+        return grads.head[0] if name.endswith(".w") else grads.head[1]
     return getattr(grads, name)
 
 
 class TestBackward:
-    def test_other_head_gradient_exactly_zero(self):
-        rng = rng_stream(4, "bwd")
-        params, state, ids, vols, gts = make_instance(rng)
-        _, grads = backward(vols, gts, ids[0], params, state, np.ones(3), update_stats=False)
-        gw, gb = grads.heads[ids[1]]
-        assert np.all(gw == 0.0) and np.all(gb == 0.0)
-
     def test_duplicated_batch_doubles_gradient(self):
         rng = rng_stream(5, "bwd")
         params, state, ids, vols, gts = make_instance(rng, scenes=1)
         w = np.ones(3)
-        _, g1 = backward(vols, gts, ids[0], params, state, w, update_stats=False)
-        _, g2 = backward(vols * 2, gts * 2, ids[0], params, state, w, update_stats=False)
+        _, g1 = backward(vols, gts, ids[0], params, state, w)
+        _, g2 = backward(vols * 2, gts * 2, ids[0], params, state, w)
         assert np.allclose(g2.w1, 2 * g1.w1)
-        assert np.allclose(g2.heads[ids[0]][0], 2 * g1.heads[ids[0]][0])
+        assert np.allclose(g2.head[0], 2 * g1.head[0])
         assert np.allclose(g2.gamma, 2 * g1.gamma)
 
     def test_full_gradient_matches_finite_differences(self):
@@ -253,7 +247,7 @@ class TestBackward:
         for _ in range(3):
             params, state, ids, vols, gts = make_instance(rng)
             w = class_weights_from_counts(np.bincount(np.concatenate([g.reshape(-1) for g in gts]), minlength=3))
-            _, grads = backward(vols, gts, ids[0], params, state, w, update_stats=False)
+            _, grads = backward(vols, gts, ids[0], params, state, w)
             h = 1e-5
             for name, arr in _flatten_params(params, state, ids[0]):
                 g = _grad_of(grads, state, name, ids[0])
@@ -283,37 +277,38 @@ class TestBackward:
         assert state.stats(ids[1])["count"] == 0
 
 
+def scene_indices(schedule, dataset_id):
+    """Every scene index of ``dataset_id`` in a schedule of (dataset_id,
+    scene_index) batches, in schedule order."""
+    return [i for batch in schedule for ds, i in batch if ds == dataset_id]
+
+
 class TestBalancedBatches:
     def test_equal_sizes_round_robin(self):
         sched = balanced_batches({"a": 4, "b": 4}, 2, seed=0)
-        assert [s[0] for s in sched] == ["a", "b", "a", "b"]
+        assert [batch[0][0] for batch in sched] == ["a", "b", "a", "b"]
         for ds in ("a", "b"):
-            idx = np.concatenate([s[1] for s in sched if s[0] == ds])
-            assert sorted(idx.tolist()) == [0, 1, 2, 3]
+            assert sorted(scene_indices(sched, ds)) == [0, 1, 2, 3]
 
     def test_wraparound_coverage_counts(self):
         sched = balanced_batches({"a": 6, "b": 2}, 2, seed=1)
-        assert [s[0] for s in sched] == ["a", "b", "a", "b", "a", "b"]
-        a_idx = np.concatenate([s[1] for s in sched if s[0] == "a"])
-        b_idx = np.concatenate([s[1] for s in sched if s[0] == "b"])
+        assert [batch[0][0] for batch in sched] == ["a", "b", "a", "b", "a", "b"]
         # largest dataset covered exactly once, shorter oversampled evenly
-        assert sorted(a_idx.tolist()) == list(range(6))
-        assert sorted(b_idx.tolist()) == [0, 0, 0, 1, 1, 1]
+        assert sorted(scene_indices(sched, "a")) == list(range(6))
+        assert sorted(scene_indices(sched, "b")) == [0, 0, 0, 1, 1, 1]
 
     def test_every_batch_single_dataset(self):
-        sched = balanced_batches({"a": 5, "b": 3, "c": 7}, 3, seed=2)
-        for ds, idx in sched:
-            assert len(idx) >= 1
-        for ds in ("a", "b", "c"):
-            idx = np.concatenate([s[1] for s in sched if s[0] == ds])
-            assert set(range({"a": 5, "b": 3, "c": 7}[ds])) <= set(idx.tolist())
+        sizes = {"a": 5, "b": 3, "c": 7}
+        sched = balanced_batches(sizes, 3, seed=2)
+        for batch in sched:
+            assert len(batch) >= 1 and len({ds for ds, _ in batch}) == 1
+        for ds in sizes:
+            assert set(range(sizes[ds])) <= set(scene_indices(sched, ds))
 
     def test_deterministic(self):
         s1 = balanced_batches({"a": 9, "b": 4}, 2, seed=3)
-        s2 = balanced_batches({"a": 9, "b": 4}, 2, seed=3)
-        assert [(d, i.tolist()) for d, i in s1] == [(d, i.tolist()) for d, i in s2]
-        s3 = balanced_batches({"a": 9, "b": 4}, 2, seed=4)
-        assert [(d, i.tolist()) for d, i in s1] != [(d, i.tolist()) for d, i in s3]
+        assert s1 == balanced_batches({"a": 9, "b": 4}, 2, seed=3)
+        assert s1 != balanced_batches({"a": 9, "b": 4}, 2, seed=4)
 
 
 def tiny_traindata(rng, n_scenes=6, dims=(4, 4, 2), classes=3, separable=True):
@@ -326,7 +321,7 @@ def tiny_traindata(rng, n_scenes=6, dims=(4, 4, 2), classes=3, separable=True):
             f[..., 0] = y * 2.0 + rng.normal(0, 0.1, dims)
         feats.append(f)
         labels.append(y)
-    return TrainData(features=feats, labels=labels, num_classes=classes, block=(0, classes))
+    return TrainData(features=feats, labels=labels, block=(0, classes))
 
 
 class TestTrain:
@@ -351,11 +346,15 @@ class TestTrain:
         rng = rng_stream(10, "train")
         params, state, ids, vols, gts = make_instance(rng, scenes=1)
         w1_before = params.w1.copy()
+        head_a_before = params.heads[ids[0]][0].copy()
+        head_b_before = [a.copy() for a in params.heads[ids[1]]]
         _, grads = backward(vols, gts, ids[0], params, state, np.ones(3))
         sgd_step(params, state, grads, ids[0], 0.1)
         assert not np.array_equal(params.w1, w1_before)
-        head_b_before = params.heads[ids[1]][0].copy()
-        assert np.array_equal(params.heads[ids[1]][0], head_b_before)
+        # the step moves the trained head and leaves the other one alone
+        assert not np.array_equal(params.heads[ids[0]][0], head_a_before)
+        for got, before in zip(params.heads[ids[1]], head_b_before):
+            assert np.array_equal(got, before)
 
     def test_single_vs_mdt_bit_identical_with_one_dataset(self):
         rng = rng_stream(11, "train")
@@ -364,12 +363,12 @@ class TestTrain:
         r1 = train({"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
-            num_classes=3, block=(0, 3))}, cfg)
+            block=(0, 3))}, cfg)
         cfg2 = ExperimentConfig(regime="mdt", epochs=10, batch_size=2, lr=0.05, seed=5, hidden=6)
         r2 = train({"a": TrainData(
             features=[f.copy() for f in data_template.features],
             labels=[l.copy() for l in data_template.labels],
-            num_classes=3, block=(0, 3))}, cfg2)
+            block=(0, 3))}, cfg2)
         assert np.array_equal(r1.params.w1, r2.params.w1)
         assert np.array_equal(r1.params.heads["a"][0], r2.params.heads["a"][0])
         assert [r["loss"] for r in r1.log] == [r["loss"] for r in r2.log]
@@ -410,12 +409,14 @@ class TestTrain:
         result = train({"a": tiny_traindata(rng, n_scenes=2)}, cfg)
         assert result.params.regime == regime
 
-    @pytest.mark.parametrize("regime", ["mdt", "pretrain_finetune"])
-    def test_log_modes_agree(self, regime):
+    @pytest.mark.parametrize("regime, pretrain_epochs", [
+        ("mdt", 3), ("pretrain_finetune", 3), ("pretrain_finetune", 0),
+    ], ids=["mdt", "pretrain_finetune", "pretrain_finetune_no_pretraining"])
+    def test_log_modes_agree(self, regime, pretrain_epochs):
         # logging only the ends moves no parameter, statistic or kept log byte
         rng = rng_stream(21, "train")
         data = {"a": tiny_traindata(rng), "b": tiny_traindata(rng, classes=4)}
-        cfg = ExperimentConfig(regime=regime, epochs=4, pretrain_epochs=3,
+        cfg = ExperimentConfig(regime=regime, epochs=4, pretrain_epochs=pretrain_epochs,
                                batch_size=2, lr=0.05, seed=3, hidden=6)
         full = train(data, cfg)
         ends = train(data, cfg, log_every_epoch=False)
@@ -433,12 +434,28 @@ class TestTrain:
         assert ends.log == [r for r in full.log if r["epoch"] in (0, last)]
         assert {r["epoch"] for r in ends.log} == {0, last}
 
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_zero_scene_datasets_keep_initial_params(self, regime):
+        # no scene: no step, no log row, and the parameters init_params gives
+        ids = ["a", "b"][: REGIME_TABLE[regime].datasets]
+        data = {ds: TrainData(features=[], labels=[], block=(0, 3)) for ds in ids}
+        cfg = ExperimentConfig(regime=regime, epochs=2, pretrain_epochs=2, seed=4, hidden=5)
+        result = train(data, cfg)
+        want = init_params(head_widths(regime, {ds: (0, 3) for ds in ids}), 5, 4, regime)
+        assert result.log == []
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(result.params, name).tobytes() == getattr(want, name).tobytes()
+        assert list(result.params.heads) == list(want.heads)
+        for head in want.heads:
+            for got, init in zip(result.params.heads[head], want.heads[head]):
+                assert got.tobytes() == init.tobytes()
+        state = result.norm_state
+        assert all(state.stats(s)["count"] == 0 for s in state.dataset_ids())
+
     def test_direct_merge_one_head_union_sized(self):
         rng = rng_stream(15, "train")
         a = tiny_traindata(rng, classes=7)
         b = tiny_traindata(rng, classes=7)
-        for l in b.labels:
-            l += 0  # labels already inside the union bound
         data = {"a": a, "b": b}
         cfg = ExperimentConfig(regime="direct_merge", epochs=3, batch_size=2, lr=0.05, seed=0, hidden=6)
         result = train(data, cfg)
