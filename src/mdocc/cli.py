@@ -19,7 +19,7 @@ from . import experiment as exp
 from .config import ConfigError, ExperimentConfig, load_config, render_config
 from .core import CodecError, decode_file, grid_decode, grid_encode
 from .labelspace import export_unified, parse_unified
-from .metrics import REPORT_HEADER, MissingTransform, render_report
+from .metrics import REPORT_HEADER, render_report
 from .model import (
     REGIMES,
     TrainResult,
@@ -319,14 +319,12 @@ def main(argv=None):
                 return cmd_train(cfg)
             if args.command == "learn-labels":
                 return cmd_learn_labels(cfg, args.checkpoint)
-            if args.command == "eval":
-                return cmd_eval(cfg, args.checkpoint, args.unified)
-            parser.error(f"unknown command {args.command}")
-            return EXIT_USAGE
+            # the subparsers are required, so the one command left is eval
+            return cmd_eval(cfg, args.checkpoint, args.unified)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (MissingTransform, FloatingPointError) as e:
+    except (exp.MissingTransform, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, CodecError, UnicodeDecodeError) as e:

@@ -18,9 +18,10 @@ from .labelspace import (
     merged_score,
     reproject,
     solve_unified,
+    transcode,
     unified_from_pairs,
 )
-from .metrics import EvalCell, cross_eval, require_transform
+from .metrics import EvalCell, cross_eval
 from .model import (
     REGIME_TABLE,
     TrainData,
@@ -308,13 +309,20 @@ class Setup:
     head_of: dict  # evaluated dataset -> dataset whose head and taxonomy read it
 
 
+class MissingTransform(ValueError):
+    """A cell read by another dataset's head was asked for without a unified
+    label space to transcode its predictions."""
+
+
 def evaluate_setups(synth, setups, unified, stride, eta=1):
-    """Build the cross-domain evaluation cells for the given setups.
+    """Score the cross-domain evaluation cells of the given setups.
 
     Every cell is measured on the intersection of gt ranges at the coarse
-    lattice (or its eta-refined lattice). Cross-taxonomy predictions are
-    transcoded through ``unified``. Returns (rows, cells-by-key predictions)
-    where predictions hold the per-scene label grids actually scored.
+    lattice (or its eta-refined lattice). A prediction read by another
+    dataset's head is transcoded through ``unified`` into the evaluated
+    dataset's taxonomy before it is scored. Returns (rows, cells-by-key
+    predictions), the predictions being the per-scene label grids in their
+    reader's taxonomy.
 
     A dataset is read by the head and block that the regime routes its
     reader (``head_of``) to, normalized with the statistic set routed to the
@@ -323,12 +331,14 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     crop the input to the shared range; raw ones crop a foreign input to its
     reader's point range.
 
-    A cell that needs ``unified`` and lacks it is refused before any scene
-    is read.
+    A cell that needs ``unified`` and lacks it is refused, with
+    MissingTransform, before any scene is read, whatever the class counts.
     """
     for setup in setups:
         for ds, reader in setup.head_of.items():
-            require_transform(setup.name, ds, None if reader == ds else reader, unified)
+            if reader != ds and unified is None:
+                raise MissingTransform(f"{setup.name} on {ds}: read by {reader}'s head "
+                                       "and no unified transform was provided")
     specs = synth.specs
     shared = eval_intersection(specs)
     cells = []
@@ -337,26 +347,23 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
         regime = setup.result.params.regime
         rules = REGIME_TABLE[regime]
         blocks = head_blocks(regime, {d: len(specs[d].label_space) for d in specs})
-        for ds in specs:
-            if ds not in setup.head_of:
-                continue
-            spec = specs[ds]
-            reader = setup.head_of[ds]
+        for ds, reader in setup.head_of.items():
+            space = specs[ds].label_space
             if rules.aligned:
                 crop = shared
             elif reader != ds:
                 crop = specs[reader].point_range
             else:
                 crop = None
-            lattice = coarse_lattice(spec, crop, stride)
-            feats = [cloud_features(cloud, crop, lattice) for cloud, _ in synth.eval_views[ds]]
+            lattice = coarse_lattice(specs[ds], crop, stride)
             head = route(regime, reader)[1]
             norm_id = route(regime, ds if ds in setup.head_of.values() else reader)[0]
             block = blocks[reader]
             use_slm = rules.slm and reader == ds and unified is not None
             preds = []
-            gts = []
-            for i, f in enumerate(feats):
+            pairs = []
+            for cloud, gt in synth.eval_views[ds]:
+                f = cloud_features(cloud, crop, lattice)
                 if use_slm:
                     raw, hidden = _slm_scores(setup.result, unified, ds, f, head)
                 else:
@@ -367,25 +374,13 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                 grid = scores_to_grid(raw, lattice, block)
                 if eta > 1:
                     grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
-                pred_int = crop_or_resample(grid, shared)
-                gt_full = synth.eval_views[ds][i][1]
-                gt_int = _gt_on_lattice(gt_full, pred_int)
-                preds.append(pred_int)
-                gts.append(gt_int)
-            cell = EvalCell(
-                setup=setup.name,
-                dataset=ds,
-                pairs=list(zip(preds, gts)),
-                eval_range=shared,
-                empty_id=specs[ds].label_space.empty_id,
-                unified=None if reader == ds else unified,
-                source_ds=None if reader == ds else reader,
-                target_space=specs[ds].label_space,
-            )
-            cells.append(cell)
+                pred = crop_or_resample(grid, shared)
+                scored = pred if reader == ds else transcode(pred, unified, reader, ds, space)
+                preds.append(pred)
+                pairs.append((scored, _gt_on_lattice(gt, pred)))
+            cells.append(EvalCell(setup.name, ds, pairs, shared, space.empty_id))
             all_preds[(setup.name, ds)] = preds
-    rows = cross_eval(cells)
-    return rows, all_preds
+    return cross_eval(cells), all_preds
 
 
 def _slm_scores(result, unified, ds, features, head):

@@ -8,14 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimMismatch
-from .labelspace import transcode
 
 
 REPORT_HEADER = "setup,dataset,iou,miou"
-
-
-class MissingTransform(ValueError):
-    pass
 
 
 class ConfusionMatrix:
@@ -106,10 +101,8 @@ def miou(cm, empty_id):
 class EvalCell:
     """One (training setup, evaluation dataset) cell of the report table.
 
-    ``pairs`` holds (prediction, ground truth) grids on one shared lattice.
-    A cell read by another dataset's head names it in ``source_ds``; its
-    predictions live in that dataset's taxonomy, and ``unified`` plus the
-    source/target dataset ids select the transcoding transform.
+    ``pairs`` holds (prediction, ground truth) grids on one shared lattice,
+    both in the evaluated dataset's taxonomy.
     """
 
     setup: str
@@ -117,43 +110,14 @@ class EvalCell:
     pairs: list
     eval_range: object
     empty_id: int
-    unified: object = None
-    source_ds: str = None
-    target_space: object = None
-
-
-def require_transform(setup, dataset, source_ds, unified):
-    """Refuse, with MissingTransform, a cell read by another dataset's head
-    (``source_ds`` set) without a unified transform, whatever the class
-    counts and however many pairs it holds."""
-    if source_ds is not None and unified is None:
-        raise MissingTransform(
-            f"{setup} on {dataset}: read by {source_ds}'s head "
-            "and no unified transform was provided"
-        )
 
 
 def cross_eval(cells):
-    """Accumulate every cell and emit report rows in the given order.
-
-    A cell read by another dataset's head (``source_ds`` set) has its
-    predictions transcoded into the target dataset's space before
-    accumulation; :func:`require_transform` refuses one without a unified
-    transform.
-    """
+    """Accumulate every cell and emit report rows in the given order."""
     rows = []
     for cell in cells:
-        require_transform(cell.setup, cell.dataset, cell.source_ds, cell.unified)
         cm = None
         for pred, gt in cell.pairs:
-            if cell.source_ds is not None:
-                pred = transcode(
-                    pred,
-                    cell.unified,
-                    cell.source_ds,
-                    target_ds=cell.dataset,
-                    target_space=cell.target_space,
-                )
             if cm is None:
                 cm = ConfusionMatrix(num_classes=gt.num_classes)
             accumulate(cm, pred, gt, cell.eval_range)

@@ -398,10 +398,13 @@ def balanced_batches(sizes, batch_size, seed):
     Within a dataset, indices are a seeded permutation; shorter datasets wrap
     around with fresh permutations to match the longest. The largest dataset
     is covered exactly once. Returns batches of (dataset_id, scene_index)
-    pairs, as :func:`merged_batches` does.
+    pairs, as :func:`merged_batches` does. A dataset without samples has
+    nothing to wrap around and is refused.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if any(size < 1 for size in sizes.values()):
+        raise ValueError(f"every dataset needs a sample, got sizes {dict(sizes)}")
     longest = max(sizes.values(), default=0)
     streams = {}
     for ds, size in sizes.items():

@@ -8,25 +8,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdocc import model
+from mdocc import experiment, model
 from mdocc.align import CylGridSpec, NormState, cylindrical_voxelize
 from mdocc.config import ExperimentConfig
 from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
 from mdocc.experiment import (
+    MissingTransform,
+    Setup,
+    _gt_on_lattice,
     _slm_scores,
     coarse_labels,
     crop_or_resample,
     eval_intersection,
+    evaluate_setups,
     gather_features,
     oracle_unified,
     predict_scores,
     prepare_regime,
+    regime_setups,
     softmax_scores,
     synthesize,
     train_regimes,
 )
-from mdocc.labelspace import merged_score, reproject
-from mdocc.metrics import ConfusionMatrix, geometric_iou, miou
+from mdocc.labelspace import merged_score, reproject, transcode
+from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
 from mdocc.model import TrainResult, batch_forward, head_blocks, head_widths, init_params, train
 from mdocc.scenes import dataset_presets, taxonomy_preset
 
@@ -203,7 +208,7 @@ class TestSynthesize:
         assert g1 == g2
 
 
-class TestRunRegime:
+class TestDirectMergeLog:
     def test_direct_merge_logs_block_argmax(self):
         synth = synthesize(3, n_train=2, n_eval=0)
         cfg = ExperimentConfig(regime="direct_merge", epochs=2, batch_size=2, seed=0, hidden=6)
@@ -288,15 +293,26 @@ class TestTrainRegimes:
         assert multiprocessing.active_children() == []
 
 
+def loaded_modules(module, names):
+    """Which of ``names`` a fresh interpreter has loaded after importing
+    ``module``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_the_pool_out():
     # the worker pool is imported when trend training starts, so it adds
     # nothing to the start-up of every command
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, mdocc.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert loaded_modules("mdocc.cli", ("multiprocessing", "concurrent.futures.process")) == "[]"
+
+
+def test_metrics_import_leaves_labelspace_out():
+    # metrics scores pairs already in one taxonomy; transcoding happens in
+    # evaluate_setups
+    assert loaded_modules("mdocc.metrics", ("mdocc.labelspace",)) == "[]"
 
 
 class TestSlmScores:
@@ -335,3 +351,59 @@ class TestSlmScores:
         assert len(order) == 2
         assert got.tobytes() == want.tobytes()
         assert hidden.tobytes() == want_hidden.tobytes()
+
+
+def random_model(specs, regime, seed):
+    """An untrained model of ``regime`` over ``specs`` whose statistic sets
+    hold random means and variances."""
+    sizes = {ds: len(spec.label_space) for ds, spec in specs.items()}
+    params = init_params(head_widths(regime, head_blocks(regime, sizes)), 6, seed, regime)
+    state = NormState(6, list(sizes))
+    rng = rng_stream(seed, "stats")
+    for ds in sizes:
+        state.stats(ds)["mean"] = rng.normal(size=6)
+        state.stats(ds)["var"] = rng.uniform(0.5, 2.0, 6)
+    return TrainResult(params=params, norm_state=state, log=[])
+
+
+class TestEvaluateSetups:
+    def test_cross_cell_scores_its_predictions_transcoded(self):
+        synth = synthesize(6, n_train=0, n_eval=2)
+        specs = synth.specs
+        unified = oracle_unified(synth.taxonomy, specs)
+        setup = Setup("mdt_cross", random_model(specs, "mdt", 6), {"a32": "b64", "b64": "a32"})
+        rows, preds = evaluate_setups(synth, [setup], unified, stride=2)
+        shared = eval_intersection(specs)
+        assert [(row["setup"], row["dataset"]) for row in rows] == [
+            ("mdt_cross", "a32"), ("mdt_cross", "b64")]
+        for row, (ds, reader) in zip(rows, setup.head_of.items()):
+            space = specs[ds].label_space
+            grids = preds["mdt_cross", ds]
+            assert len(grids) == 2
+            # the returned predictions stay in the reader's taxonomy
+            assert {g.num_classes for g in grids} == {len(specs[reader].label_space)}
+            cm = ConfusionMatrix(len(space))
+            for pred, (_, gt) in zip(grids, synth.eval_views[ds]):
+                accumulate(cm, transcode(pred, unified, reader, ds, space),
+                           _gt_on_lattice(gt, pred), shared)
+            assert row["iou"] == geometric_iou(cm, space.empty_id)
+            assert row["miou"] == miou(cm, space.empty_id)
+
+    @pytest.mark.parametrize("n_eval", [1, 0])
+    @pytest.mark.parametrize("taxonomy", ["split", "twin"])
+    @pytest.mark.parametrize("regime", ["single", "mdt"])
+    def test_foreign_reader_without_unified_refused_before_scene_work(
+            self, regime, taxonomy, n_eval, monkeypatch):
+        # twin's datasets have equal class counts, so no class count tells
+        # that a cross cell reads the other dataset's label ids
+        synth = synthesize(7, taxonomy_name=taxonomy, n_train=0, n_eval=n_eval)
+        specs = synth.specs
+        if regime == "single":
+            specs = {"a32": specs["a32"]}
+        setups = regime_setups(random_model(specs, regime, 7), list(synth.specs), cross=True)
+        assert any(reader != ds for s in setups for ds, reader in s.head_of.items())
+        calls = []
+        monkeypatch.setattr(experiment, "cloud_features", lambda *a: calls.append(a))
+        with pytest.raises(MissingTransform, match="no unified transform"):
+            evaluate_setups(synth, setups, None, stride=2)
+        assert calls == []

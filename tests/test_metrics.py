@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from mdocc.core import DimMismatch, LabelSpace, OccupancyGrid, Range3D, rng_stream
-from mdocc.labelspace import unified_from_pairs
+from mdocc.core import DimMismatch, OccupancyGrid, Range3D, rng_stream
 from mdocc.metrics import (
     ConfusionMatrix,
     EvalCell,
-    MissingTransform,
     accumulate,
     cross_eval,
     geometric_iou,
@@ -188,14 +186,6 @@ class TestMiou:
 
 
 class TestCrossEval:
-    def spaces(self):
-        sa = LabelSpace(("empty", "car", "truck"), 0)
-        sb = LabelSpace(("empty", "vehicle"), 0)
-        uni = unified_from_pairs(
-            [("a", sa), ("b", sb)], [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))]
-        )
-        return sa, sb, uni
-
     def test_in_domain_equals_direct_metrics(self):
         rng = rng_stream(8, "xe")
         pred = grid_of(rng.integers(0, 3, (4, 4, 2)), num_classes=3)
@@ -207,35 +197,6 @@ class TestCrossEval:
         accumulate(cm, pred, gt, gt.extent)
         assert rows[0]["iou"] == geometric_iou(cm, 0)
         assert rows[0]["miou"] == miou(cm, 0)
-
-    def test_cross_taxonomy_transcodes(self):
-        sa, sb, uni = self.spaces()
-        pred_a = grid_of([[[1, 2], [0, 1]]], num_classes=3)  # car, truck, empty, car
-        gt_b = grid_of([[[1, 1], [0, 1]]], num_classes=2)
-        cell = EvalCell(setup="s", dataset="b", pairs=[(pred_a, gt_b)],
-                        eval_range=gt_b.extent, empty_id=0,
-                        unified=uni, source_ds="a", target_space=sb)
-        rows = cross_eval([cell])
-        # car -> vehicle (2 voxels correct), truck -> empty (1 miss)
-        assert np.isclose(rows[0]["iou"], 2.0 / 3.0)
-
-    def test_missing_transform(self):
-        pred_a = grid_of([[[1]]], num_classes=3)
-        gt_b = grid_of([[[1]]], num_classes=2)
-        cell = EvalCell(setup="s", dataset="b", pairs=[(pred_a, gt_b)],
-                        eval_range=gt_b.extent, empty_id=0, source_ds="a")
-        with pytest.raises(MissingTransform):
-            cross_eval([cell])
-
-    @pytest.mark.parametrize("scenes", [1, 0])
-    def test_foreign_reader_needs_transform_at_equal_class_counts(self, scenes):
-        # equal class counts do not make another dataset's label ids readable
-        pred_a = grid_of([[[1]]], num_classes=2)
-        gt_b = grid_of([[[1]]], num_classes=2)
-        cell = EvalCell(setup="s", dataset="b", pairs=[(pred_a, gt_b)] * scenes,
-                        eval_range=gt_b.extent, empty_id=0, source_ds="a")
-        with pytest.raises(MissingTransform):
-            cross_eval([cell])
 
     def test_report_formatting(self):
         rows = [

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -304,6 +309,17 @@ class TestBalancedBatches:
             assert len(batch) >= 1 and len({ds for ds, _ in batch}) == 1
         for ds in sizes:
             assert set(range(sizes[ds])) <= set(scene_indices(sched, ds))
+
+    def test_empty_dataset_refused(self):
+        # run in a child process, so that a sampler that never returns fails
+        # the test at the timeout instead of hanging the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "from mdocc.model import balanced_batches; balanced_batches({'a': 2, 'b': 0}, 2, 0)"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=30)
+        assert out.returncode == 1
+        assert out.stderr.strip().splitlines()[-1] == (
+            "ValueError: every dataset needs a sample, got sizes {'a': 2, 'b': 0}")
 
     def test_deterministic(self):
         s1 = balanced_batches({"a": 9, "b": 4}, 2, seed=3)
