@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdocc.core import DimMismatch, OccupancyGrid, Range3D, rng_stream
+from mdocc.experiment import MissingTransform, Setup, evaluate_setups, synthesize
 from mdocc.metrics import (
     ConfusionMatrix,
     EvalCell,
@@ -197,6 +198,25 @@ class TestCrossEval:
         accumulate(cm, pred, gt, gt.extent)
         assert rows[0]["iou"] == geometric_iou(cm, 0)
         assert rows[0]["miou"] == miou(cm, 0)
+
+    # A reading by another dataset's head is transcoded, or refused without a
+    # unified space, by experiment.evaluate_setups, which builds the cells
+    # that cross_eval scores; a refused setup never touches its model.
+    def test_missing_transform(self):
+        synth = synthesize(3, n_train=0, n_eval=1)
+        setup = Setup("s", None, {"b64": "a32"})
+        with pytest.raises(MissingTransform, match="no unified transform"):
+            evaluate_setups(synth, [setup], None, stride=2)
+
+    @pytest.mark.parametrize("scenes", [1, 0])
+    def test_foreign_reader_needs_transform_at_equal_class_counts(self, scenes):
+        # equal class counts do not make another dataset's label ids readable
+        synth = synthesize(3, taxonomy_name="twin", n_train=0, n_eval=scenes)
+        specs = synth.specs
+        assert len(specs["a32"].label_space) == len(specs["b64"].label_space)
+        setup = Setup("s", None, {"b64": "a32"})
+        with pytest.raises(MissingTransform, match="no unified transform"):
+            evaluate_setups(synth, [setup], None, stride=2)
 
     def test_report_formatting(self):
         rows = [
