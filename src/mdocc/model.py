@@ -10,6 +10,7 @@ descent.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -473,6 +474,16 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     )
 
 
+def _keep_freed_heap():
+    """Serve blocks under 32 MiB from the heap and trim it only past 128 MiB
+    free, so step temporaries reuse pages; a no-op on a libc without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 def train(datasets, config, *, log_every_epoch=True):
     """Train under ``config``, an ExperimentConfig: its regime, seed and
     [train] values. Deterministic in config.seed; the params record the regime.
@@ -497,7 +508,11 @@ def train(datasets, config, *, log_every_epoch=True):
     Raises FloatingPointError when a step's loss or a logged loss stops being
     finite, in either mode; the last epoch is always logged, so this covers
     the last update.
+
+    On glibc it first sets the process's mmap and trim thresholds, a setting
+    that outlives the call; on a libc without ``mallopt`` that is a no-op.
     """
+    _keep_freed_heap()
     regime = config.regime
     rules = REGIME_TABLE[regime]
     ids = list(datasets)

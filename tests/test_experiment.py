@@ -309,6 +309,12 @@ def test_cli_import_leaves_the_pool_out():
     assert loaded_modules("mdocc.cli", ("multiprocessing", "concurrent.futures.process")) == "[]"
 
 
+def test_cli_import_leaves_ctypes_util_out():
+    # find_library may start ldconfig or gcc; model.train reaches libc
+    # through ctypes.CDLL(None) instead
+    assert loaded_modules("mdocc.cli", ("ctypes.util",)) == "[]"
+
+
 def test_metrics_import_leaves_labelspace_out():
     # metrics scores pairs already in one taxonomy; transcoding happens in
     # evaluate_setups

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -478,6 +479,38 @@ class TestTrain:
         assert list(result.params.heads) == ["merged"]
         assert result.params.heads["merged"][0].shape[1] == 7
         assert result.norm_state.dataset_ids() == ["merged"]
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+    def test_train_keeps_freed_step_temporaries_mapped(self):
+        # after train, a step's worth of freed 1 MiB temporaries is reused
+        # instead of faulted in again (about 49,600 faults with glibc's
+        # defaults), and ctypes.util, whose find_library may start ldconfig
+        # or gcc, stays unloaded; a fresh process keeps the setting from
+        # leaking in from other tests
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from mdocc.config import ExperimentConfig\n"
+            "from mdocc.model import TrainData, train\n"
+            f"data = TrainData(features=[np.zeros((2, 2, 1, {NUM_CYL_FEATURES}))],"
+            " labels=[np.zeros((2, 2, 1), int)],"
+            " block=(0, 2))\n"
+            "train({'a': data}, ExperimentConfig(regime='single', epochs=1, batch_size=1, hidden=3))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    arrays = [np.ones((16384, 8)) for _ in range(4)]\n"
+            "    del arrays\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,"
+            " 'ctypes.util' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        faults, util_loaded = out.stdout.split()
+        assert int(faults) < 1000
+        assert util_loaded == "False"
 
 
 class TestClassWeights:
