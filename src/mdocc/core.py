@@ -36,6 +36,11 @@ class CodecError(ValueError):
         self.message = message
         self.offset = offset
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so that a worker's
+        # error unpickles in the caller as the same type and text
+        return type(self), (self.message, self.offset)
+
 
 class BadMagic(CodecError):
     pass

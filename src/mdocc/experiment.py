@@ -21,10 +21,11 @@ from .labelspace import (
     transcode,
     unified_from_pairs,
 )
-from .metrics import EvalCell, cross_eval
+from .metrics import ConfusionMatrix, EvalCell, accumulate, cross_eval
 from .model import (
     REGIME_TABLE,
     TrainData,
+    _keep_freed_heap,
     batch_forward,
     head_blocks,
     read_head,
@@ -46,6 +47,52 @@ from .scenes import (
 # bins (z boundaries coincide with both presets' coarse voxel boundaries), ~5
 # degree sectors
 DEFAULT_CYL = CylGridSpec(bins=(64, 72, 5), radius_max_m=25.6, z_min_m=-1.25, z_max_m=0.75)
+
+
+# (fn, items) of the _fork_map call that forked this process; None in any
+# other process
+_FORKED_JOB = None
+
+
+def _enter_worker(fn, items):
+    global _FORKED_JOB
+    _FORKED_JOB = (fn, items)
+
+
+def _run_forked(index):
+    fn, items = _FORKED_JOB
+    return fn(items[index])
+
+
+def _fork_map(fn, items):
+    """``[fn(item) for item in items]``, the items spread over forked worker
+    processes, one per usable core and at most one per item.
+
+    Workers inherit ``fn`` and ``items`` through the fork, so ``fn`` may be a
+    closure; only results and exceptions are pickled. With one worker, or in
+    a process that is itself such a worker, the items run in-process. Items
+    are handed out in order. The exception of the first item in order that
+    raises is raised here; the items not yet started are cancelled, and no
+    worker outlives the call.
+    """
+    items = list(items)
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers < 2 or _FORKED_JOB is not None:
+        return [fn(item) for item in items]
+    # imported here: at module top they slow every `import mdocc.cli`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # before the pool's result thread starts, so that it unpickles into the
+    # main heap, whose freed pages training keeps
+    _keep_freed_heap()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_enter_worker, initargs=(fn, items))
+    try:
+        futures = [pool.submit(_run_forked, i) for i in range(len(items))]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -77,11 +124,13 @@ def synthesize(seed, taxonomy_name="split", n_train=12, n_eval=6, scene_counts=N
     drawn from its profile, modeling corpora collected in different places.
     ``n_train`` / ``n_eval`` may be mappings dataset_id -> count to model
     corpora of unequal size.
+
+    The parent draws every scene seed; each scene is generated and viewed in
+    a forked worker (``_fork_map``), one scene of the paired corpora, or one
+    dataset's scene of a profile's stream, per unit.
     """
     taxonomy = taxonomy_preset(taxonomy_name)
     specs = dataset_presets(taxonomy)
-    train_views = {ds: [] for ds in specs}
-    eval_views = {ds: [] for ds in specs}
 
     def per_ds(value, ds):
         return value[ds] if isinstance(value, dict) else value
@@ -91,24 +140,36 @@ def synthesize(seed, taxonomy_name="split", n_train=12, n_eval=6, scene_counts=N
         seed_rng = rng_stream(seed, "synth/seeds")
         scene_seeds = [int(seed_rng.integers(2**63)) for _ in range(int(n_train))]
         eval_seeds = [int(seed_rng.integers(2**63)) for _ in range(int(n_eval))]
-        for seeds, sink in ((scene_seeds, train_views), (eval_seeds, eval_views)):
-            for s in seeds:
-                scene = gen_scene(default_scene_spec(seed=s, **counts))
-                for ds, spec in specs.items():
-                    sink[ds].append(derive_dataset_view(scene, taxonomy, spec))
+
+        def views(s):
+            scene = gen_scene(default_scene_spec(seed=s, **counts))
+            return {ds: derive_dataset_view(scene, taxonomy, spec) for ds, spec in specs.items()}
+
+        out = _fork_map(views, scene_seeds + eval_seeds)
+        train_views = {ds: [v[ds] for v in out[: len(scene_seeds)]] for ds in specs}
+        eval_views = {ds: [v[ds] for v in out[len(scene_seeds) :]] for ds in specs}
     else:
         scene_seeds = []
         eval_seeds = []
-        for ds, spec in specs.items():
+        units = []
+        for ds in specs:
             seed_rng = rng_stream(seed, f"synth/seeds/{ds}")
             train_seeds = [int(seed_rng.integers(2**63)) for _ in range(per_ds(n_train, ds))]
             ev_seeds = [int(seed_rng.integers(2**63)) for _ in range(per_ds(n_eval, ds))]
             scene_seeds.append(train_seeds)
             eval_seeds.append(ev_seeds)
-            for seeds, sink in ((train_seeds, train_views), (ev_seeds, eval_views)):
-                for s in seeds:
-                    scene = gen_scene(default_scene_spec(seed=s, **world_profiles[ds]))
-                    sink[ds].append(derive_dataset_view(scene, taxonomy, spec))
+            units += [(ds, s) for s in train_seeds + ev_seeds]
+
+        def view(unit):
+            ds, s = unit
+            scene = gen_scene(default_scene_spec(seed=s, **world_profiles[ds]))
+            return derive_dataset_view(scene, taxonomy, specs[ds])
+
+        out = iter(_fork_map(view, units))
+        train_views, eval_views = {}, {}
+        for ds, train_seeds, ev_seeds in zip(specs, scene_seeds, eval_seeds):
+            train_views[ds] = [next(out) for _ in train_seeds]
+            eval_views[ds] = [next(out) for _ in ev_seeds]
     return SynthResult(
         taxonomy=taxonomy,
         specs=specs,
@@ -333,6 +394,9 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
 
     A cell that needs ``unified`` and lacks it is refused, with
     MissingTransform, before any scene is read, whatever the class counts.
+    Every (cell, eval scene) unit then runs in a forked worker
+    (``_fork_map``) and returns its prediction and the confusion counts of
+    its scored pair; a cell's counts add up in scene order.
     """
     for setup in setups:
         for ds, reader in setup.head_of.items():
@@ -341,45 +405,61 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                                        "and no unified transform was provided")
     specs = synth.specs
     shared = eval_intersection(specs)
-    cells = []
-    all_preds = {}
+    plans = []
+    units = []  # (plan, eval scene) pairs, cell by cell
     for setup in setups:
         regime = setup.result.params.regime
         rules = REGIME_TABLE[regime]
         blocks = head_blocks(regime, {d: len(specs[d].label_space) for d in specs})
         for ds, reader in setup.head_of.items():
-            space = specs[ds].label_space
             if rules.aligned:
                 crop = shared
             elif reader != ds:
                 crop = specs[reader].point_range
             else:
                 crop = None
-            lattice = coarse_lattice(specs[ds], crop, stride)
-            head = route(regime, reader)[1]
-            norm_id = route(regime, ds if ds in setup.head_of.values() else reader)[0]
-            block = blocks[reader]
-            use_slm = rules.slm and reader == ds and unified is not None
-            preds = []
-            pairs = []
-            for cloud, gt in synth.eval_views[ds]:
-                f = cloud_features(cloud, crop, lattice)
-                if use_slm:
-                    raw, hidden = _slm_scores(setup.result, unified, ds, f, head)
-                else:
-                    raw, hidden = predict_scores(
-                        setup.result.params, setup.result.norm_state, norm_id, f,
-                        head_id=head,
-                    )
-                grid = scores_to_grid(raw, lattice, block)
-                if eta > 1:
-                    grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
-                pred = crop_or_resample(grid, shared)
-                scored = pred if reader == ds else transcode(pred, unified, reader, ds, space)
-                preds.append(pred)
-                pairs.append((scored, _gt_on_lattice(gt, pred)))
-            cells.append(EvalCell(setup.name, ds, pairs, shared, space.empty_id))
-            all_preds[(setup.name, ds)] = preds
+            plans.append((
+                setup, ds, reader, crop, coarse_lattice(specs[ds], crop, stride),
+                route(regime, reader)[1],
+                route(regime, ds if ds in setup.head_of.values() else reader)[0],
+                blocks[reader],
+                rules.slm and reader == ds and unified is not None,
+            ))
+            units += [(len(plans) - 1, i) for i in range(len(synth.eval_views[ds]))]
+
+    def score_scene(unit):
+        plan, scene = unit
+        setup, ds, reader, crop, lattice, head, norm_id, block, use_slm = plans[plan]
+        cloud, gt = synth.eval_views[ds][scene]
+        f = cloud_features(cloud, crop, lattice)
+        if use_slm:
+            raw, hidden = _slm_scores(setup.result, unified, ds, f, head)
+        else:
+            raw, hidden = predict_scores(
+                setup.result.params, setup.result.norm_state, norm_id, f, head_id=head,
+            )
+        grid = scores_to_grid(raw, lattice, block)
+        if eta > 1:
+            grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
+        pred = crop_or_resample(grid, shared)
+        space = specs[ds].label_space
+        scored = pred if reader == ds else transcode(pred, unified, reader, ds, space)
+        cm = accumulate(ConfusionMatrix(len(space)), scored, _gt_on_lattice(gt, pred), shared)
+        return pred, cm.counts
+
+    out = iter(_fork_map(score_scene, units))
+    cells = []
+    all_preds = {}
+    for setup, ds, *_ in plans:
+        space = specs[ds].label_space
+        cm = ConfusionMatrix(len(space))
+        preds = []
+        for _ in synth.eval_views[ds]:
+            pred, counts = next(out)
+            preds.append(pred)
+            cm.counts += counts
+        cells.append(EvalCell(setup.name, ds, cm, space.empty_id))
+        all_preds[(setup.name, ds)] = preds
     return cross_eval(cells), all_preds
 
 
@@ -467,33 +547,21 @@ def standard_setups(results):
 
 def train_regimes(synth, jobs, cfg):
     """Train each (regime, ids) job of ``jobs`` on ``synth`` under ``cfg``
-    with its regime set, one job per forked worker process, and return the
-    TrainResults in job order.
+    with its regime set, one job per forked worker (``_fork_map``), and
+    return the TrainResults in job order.
 
-    The parent prepares each job's data with ``prepare_regime`` and submits
-    it in order, so jobs listed longest first keep the workers busiest. The
-    pool has one worker per usable core, at most one per job. Training is
-    deterministic and reads nothing the other jobs write, so the results are
-    the bytes in-process ``train`` calls give. Only pretrain_finetune logs
-    every epoch. When a job raises, the jobs not yet started are cancelled
-    and its exception is raised here; no worker outlives the call.
+    Each worker prepares its job's data with ``prepare_regime``. Jobs are
+    handed out in order, so jobs listed longest first keep the workers
+    busiest. Training is deterministic and reads nothing the other jobs
+    write, so the results are the bytes in-process ``train`` calls give.
+    Only pretrain_finetune logs every epoch.
     """
-    # imported here: at module top they slow every `import mdocc.cli`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def run(job):
+        regime, ids = job
+        return train(prepare_regime(regime, synth, ids, cfg.stride), replace(cfg, regime=regime),
+                     log_every_epoch=regime == "pretrain_finetune")
 
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [
-            pool.submit(train, prepare_regime(regime, synth, ids, cfg.stride),
-                        replace(cfg, regime=regime),
-                        log_every_epoch=regime == "pretrain_finetune")
-            for regime, ids in jobs
-        ]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _fork_map(run, jobs)
 
 
 def run_trend_experiment(seed, n_eval=6, epochs=40):
@@ -506,12 +574,13 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     keyed (setup, dataset), the pretrain-finetune log for the forgetting
     check, and the synth, TrainResults and oracle unified space behind them.
 
-    The five trainings (two single models, direct_merge, mdt and
-    pretrain_finetune) run concurrently in forked worker processes, one per
-    usable core (``train_regimes``), at the same bytes as one after another.
-    The acceptance suite's trend fixture runs its seeds one after another: a
-    pool worker is daemonic and may not fork a pool of its own, so seeds
-    across cores would replace this pool, not add to it.
+    Synthesis, the five trainings (two single models, direct_merge, mdt and
+    pretrain_finetune) and evaluation each run in forked worker processes,
+    one per usable core (``_fork_map``), at the same bytes as one after
+    another. The acceptance suite's trend fixture runs its seeds one after
+    another: each seed's pools already fill every usable core, and a call
+    made inside a worker runs in-process, so seeds across cores would add
+    no parallelism.
 
     Only the pretrain-finetune log is full, one row per dataset and epoch;
     the single, direct_merge and mdt logs hold their first and last epochs'

@@ -101,34 +101,22 @@ def miou(cm, empty_id):
 class EvalCell:
     """One (training setup, evaluation dataset) cell of the report table.
 
-    ``pairs`` holds (prediction, ground truth) grids on one shared lattice,
-    both in the evaluated dataset's taxonomy.
+    ``cm`` holds the confusion counts of every scene's (prediction, ground
+    truth) pair, both in the evaluated dataset's taxonomy; a cell with no
+    scene holds zeros and scores nan.
     """
 
     setup: str
     dataset: str
-    pairs: list
-    eval_range: object
+    cm: ConfusionMatrix
     empty_id: int
 
 
 def cross_eval(cells):
-    """Accumulate every cell and emit report rows in the given order."""
-    rows = []
-    for cell in cells:
-        cm = None
-        for pred, gt in cell.pairs:
-            if cm is None:
-                cm = ConfusionMatrix(num_classes=gt.num_classes)
-            accumulate(cm, pred, gt, cell.eval_range)
-        row = {
-            "setup": cell.setup,
-            "dataset": cell.dataset,
-            "iou": geometric_iou(cm, cell.empty_id) if cm is not None else float("nan"),
-            "miou": miou(cm, cell.empty_id) if cm is not None else float("nan"),
-        }
-        rows.append(row)
-    return rows
+    """Report rows of the cells' scores, in the given order."""
+    return [{"setup": cell.setup, "dataset": cell.dataset,
+             "iou": geometric_iou(cell.cm, cell.empty_id), "miou": miou(cell.cm, cell.empty_id)}
+            for cell in cells]
 
 
 def render_report(rows):

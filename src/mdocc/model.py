@@ -476,12 +476,16 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
 
 def _keep_freed_heap():
     """Serve blocks under 32 MiB from the heap and trim it only past 128 MiB
-    free, so step temporaries reuse pages; a no-op on a libc without mallopt."""
+    free, so step temporaries reuse pages, and keep every thread on that one
+    heap (a thread started later, such as a worker pool's result reader,
+    would otherwise allocate in an arena of its own); a no-op on a libc
+    without mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def train(datasets, config, *, log_every_epoch=True):
@@ -509,8 +513,9 @@ def train(datasets, config, *, log_every_epoch=True):
     finite, in either mode; the last epoch is always logged, so this covers
     the last update.
 
-    On glibc it first sets the process's mmap and trim thresholds, a setting
-    that outlives the call; on a libc without ``mallopt`` that is a no-op.
+    On glibc it first sets the process's mmap and trim thresholds and its
+    arena limit, a setting that outlives the call; on a libc without
+    ``mallopt`` that is a no-op.
     """
     _keep_freed_heap()
     regime = config.regime

@@ -4,9 +4,25 @@ The variables are read when numpy loads its BLAS, so they are set here,
 before any test module imports numpy. On a 2-core machine one thread trains
 faster than OpenBLAS's default and gives the same weights; the benchmark
 pins the same value.
+
+Every test must also leave no worker process running.
 """
 
+import multiprocessing
 import os
+
+import pytest
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    yield
+    leaked = multiprocessing.active_children()
+    # stopped before the test fails, so that later tests do not inherit them
+    for child in leaked:
+        child.terminate()
+        child.join(10)
+    assert not leaked, f"child processes still running after the test: {leaked}"

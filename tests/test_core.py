@@ -1,6 +1,11 @@
+import importlib
+import pickle
+import pkgutil
+
 import numpy as np
 import pytest
 
+import mdocc
 from mdocc.core import (
     BadMagic,
     CodecError,
@@ -186,3 +191,29 @@ class TestArrayKernels:
             assert out.tobytes() == op(a, v).tobytes()
         view = a[:, :5]
         assert rowwise(np.add, view, v[:5]).tobytes() == (view + v[:5]).tobytes()
+
+
+def exception_classes():
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(mdocc.__path__):
+        module = importlib.import_module(f"mdocc.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+def test_exception_classes_are_found_across_modules():
+    names = {f"{c.__module__}.{c.__name__}" for c in exception_classes()}
+    assert {"mdocc.core.TruncatedPayload", "mdocc.config.ConfigError",
+            "mdocc.experiment.MissingTransform", "mdocc.scenes.ExtentTooSmall"} <= names
+
+
+@pytest.mark.parametrize("cls", exception_classes(), ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_exception_survives_pickling(cls):
+    # a worker process's error reaches its caller pickled
+    error = cls("short", 7) if issubclass(cls, CodecError) else cls("short")
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is cls
+    assert str(back) == str(error)

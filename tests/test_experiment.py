@@ -11,10 +11,12 @@ import pytest
 from mdocc import experiment, model
 from mdocc.align import CylGridSpec, NormState, cylindrical_voxelize
 from mdocc.config import ExperimentConfig
-from mdocc.core import Lattice, OccupancyGrid, Range3D, rng_stream
+from mdocc.core import Lattice, OccupancyGrid, Range3D, TruncatedPayload, rng_stream
 from mdocc.experiment import (
+    WORLD_PROFILES,
     MissingTransform,
     Setup,
+    _fork_map,
     _gt_on_lattice,
     _slm_scores,
     coarse_labels,
@@ -33,7 +35,13 @@ from mdocc.experiment import (
 from mdocc.labelspace import merged_score, reproject, transcode
 from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
 from mdocc.model import TrainResult, batch_forward, head_blocks, head_widths, init_params, train
-from mdocc.scenes import dataset_presets, taxonomy_preset
+from mdocc.scenes import (
+    dataset_presets,
+    default_scene_spec,
+    derive_dataset_view,
+    gen_scene,
+    taxonomy_preset,
+)
 
 
 class TestGatherFeatures:
@@ -293,6 +301,76 @@ class TestTrainRegimes:
         assert multiprocessing.active_children() == []
 
 
+class TestForkMap:
+    def test_items_come_back_in_order_from_workers(self):
+        offset = 10  # a closure: workers reach it through the fork
+
+        def square(x):
+            return x * x + offset, os.getpid()
+
+        got = _fork_map(square, range(7))
+        assert [value for value, _ in got] == [x * x + 10 for x in range(7)]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert os.getpid() not in {pid for _, pid in got}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [FloatingPointError("non-finite loss at epoch 3"),
+                                       TruncatedPayload("stream ends inside a 4-byte field", 7)],
+                             ids=["FloatingPointError", "TruncatedPayload"])
+    def test_error_arrives_with_its_type_and_message(self, error):
+        def unit(x):
+            if x == 2:
+                raise error
+            return x
+
+        with pytest.raises(type(error)) as raised:
+            _fork_map(unit, range(6))
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        assert multiprocessing.active_children() == []
+
+    def test_one_item_runs_in_process(self):
+        assert _fork_map(lambda _: os.getpid(), [0]) == [os.getpid()]
+
+    def test_a_call_inside_a_worker_runs_in_process(self):
+        got = _fork_map(lambda _: (os.getpid(), _fork_map(lambda _: os.getpid(), [0, 1, 2])), [0, 1])
+        for pid, inner in got:
+            assert inner == [pid] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_starts_no_child(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import os, sys\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from mdocc.experiment import _fork_map\n"
+                "same = _fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3\n"
+                "print(same, 'multiprocessing' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]
+
+    @pytest.mark.parametrize("profiles", [None, WORLD_PROFILES], ids=["paired", "profiles"])
+    def test_synthesize_gives_each_seed_its_views(self, profiles):
+        # the parent's loop, one scene after another, is the reference
+        synth = synthesize(5, n_train={"a32": 2, "b64": 1} if profiles else 2, n_eval=1,
+                           world_profiles=profiles)
+        ids = list(synth.specs)
+        seeds = {"train_views": synth.scene_seeds, "eval_views": synth.eval_seeds}
+        for views, drawn in seeds.items():
+            for k, ds in enumerate(ids):
+                ds_seeds = drawn[k] if profiles else drawn
+                got = getattr(synth, views)[ds]
+                assert len(got) == len(ds_seeds)
+                for (cloud, gt), s in zip(got, ds_seeds):
+                    counts = profiles[ds] if profiles else {}
+                    scene = gen_scene(default_scene_spec(seed=s, **counts))
+                    want_cloud, want_gt = derive_dataset_view(scene, synth.taxonomy,
+                                                              synth.specs[ds])
+                    assert cloud.tobytes() == want_cloud.tobytes()
+                    assert gt.labels.tobytes() == want_gt.labels.tobytes()
+                    assert gt.lattice == want_gt.lattice
+
+
 def loaded_modules(module, names):
     """Which of ``names`` a fresh interpreter has loaded after importing
     ``module``."""
@@ -408,8 +486,12 @@ class TestEvaluateSetups:
             specs = {"a32": specs["a32"]}
         setups = regime_setups(random_model(specs, regime, 7), list(synth.specs), cross=True)
         assert any(reader != ds for s in setups for ds, reader in s.head_of.items())
-        calls = []
-        monkeypatch.setattr(experiment, "cloud_features", lambda *a: calls.append(a))
+
+        def refused(*args):
+            # a forked worker's call never reaches a list here; this raises
+            # wherever it runs
+            raise AssertionError("cloud_features called before the refusal")
+
+        monkeypatch.setattr(experiment, "cloud_features", refused)
         with pytest.raises(MissingTransform, match="no unified transform"):
             evaluate_setups(synth, setups, None, stride=2)
-        assert calls == []

@@ -188,16 +188,23 @@ class TestMiou:
 
 class TestCrossEval:
     def test_in_domain_equals_direct_metrics(self):
+        # a cell adds its scenes' counts, as evaluate_setups does, and scores
+        # like one matrix accumulated over every pair; with no scene it is nan
         rng = rng_stream(8, "xe")
-        pred = grid_of(rng.integers(0, 3, (4, 4, 2)), num_classes=3)
-        gt = grid_of(rng.integers(0, 3, (4, 4, 2)), num_classes=3)
-        cell = EvalCell(setup="s", dataset="a", pairs=[(pred, gt)],
-                        eval_range=gt.extent, empty_id=0)
-        rows = cross_eval([cell])
+        pairs = [tuple(grid_of(rng.integers(0, 3, (4, 4, 2)), num_classes=3) for _ in "pg")
+                 for _ in range(2)]
+        cell = EvalCell(setup="s", dataset="a", cm=ConfusionMatrix(3), empty_id=0)
+        for pred, gt in pairs:
+            cell.cm.counts += accumulate(ConfusionMatrix(3), pred, gt, gt.extent).counts
+        empty = EvalCell(setup="s", dataset="b", cm=ConfusionMatrix(3), empty_id=0)
+        rows = cross_eval([cell, empty])
         cm = ConfusionMatrix(3)
-        accumulate(cm, pred, gt, gt.extent)
+        for pred, gt in pairs:
+            accumulate(cm, pred, gt, gt.extent)
         assert rows[0]["iou"] == geometric_iou(cm, 0)
         assert rows[0]["miou"] == miou(cm, 0)
+        assert [(r["setup"], r["dataset"]) for r in rows] == [("s", "a"), ("s", "b")]
+        assert np.isnan(rows[1]["iou"]) and np.isnan(rows[1]["miou"])
 
     # A reading by another dataset's head is transcoded, or refused without a
     # unified space, by experiment.evaluate_setups, which builds the cells
