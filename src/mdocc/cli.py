@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -237,12 +238,19 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
     rows, preds = exp.evaluate_setups(synth, setups, unified, cfg.stride, eta=cfg.eta)
     _write_text(os.path.join(cfg.out, f"report_{setups[0].name}.csv"), render_report(rows))
     for (sname, ds), grids in preds.items():
+        cell_dir = os.path.join(cfg.out, "pred", sname, ds)
         for i, g in enumerate(grids):
-            _write_bytes(
-                os.path.join(cfg.out, "pred", sname, ds, f"pred_{i:04d}.mocc"),
-                grid_encode(g),
-            )
+            _write_bytes(os.path.join(cell_dir, _pred_name(i)), grid_encode(g))
+        # an earlier eval of more scenes left its later predictions here
+        for name in os.listdir(cell_dir):
+            index = re.fullmatch(r"pred_(\d+)\.mocc", name)
+            if index and int(index[1]) >= len(grids) and name == _pred_name(int(index[1])):
+                os.remove(os.path.join(cell_dir, name))
     return EXIT_OK
+
+
+def _pred_name(index):
+    return f"pred_{index:04d}.mocc"
 
 
 def _read_report(path):

@@ -6,6 +6,7 @@ cells."""
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -370,6 +371,11 @@ class Setup:
     head_of: dict  # evaluated dataset -> dataset whose head and taxonomy read it
 
 
+# how one cell reads its input: the cell's index, the dataset whose head and
+# block (offset, size) read it, and whether it takes the SLM read-out
+_Reading = namedtuple("_Reading", "cell reader head block slm")
+
+
 class MissingTransform(ValueError):
     """A cell read by another dataset's head was asked for without a unified
     label space to transcode its predictions."""
@@ -394,9 +400,13 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
 
     A cell that needs ``unified`` and lacks it is refused, with
     MissingTransform, before any scene is read, whatever the class counts.
-    Every (cell, eval scene) unit then runs in a forked worker
-    (``_fork_map``) and returns its prediction and the confusion counts of
-    its scored pair; a cell's counts add up in scene order.
+    Cells that read the same input (one model's view of a dataset under one
+    crop, lattice and statistic set, as ``mdt`` and ``mdt_cross`` do) share
+    it: every (input, eval scene) unit runs in a forked worker
+    (``_fork_map``) and computes the scene's features, backbone pass, ground
+    truth and refinement samples once for all of them. It returns each
+    reading's prediction and the confusion counts of its scored pair; a
+    cell's counts add up in scene order.
     """
     for setup in setups:
         for ds, reader in setup.head_of.items():
@@ -405,8 +415,9 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                                        "and no unified transform was provided")
     specs = synth.specs
     shared = eval_intersection(specs)
-    plans = []
-    units = []  # (plan, eval scene) pairs, cell by cell
+    slm_heads = list(unified.dataset_ids()) if unified is not None else []
+    cells = []   # EvalCells, in setup order
+    inputs = {}  # (model, dataset, crop, lattice, statistic set) -> (model, its readings)
     for setup in setups:
         regime = setup.result.params.regime
         rules = REGIME_TABLE[regime]
@@ -418,87 +429,113 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
                 crop = specs[reader].point_range
             else:
                 crop = None
-            plans.append((
-                setup, ds, reader, crop, coarse_lattice(specs[ds], crop, stride),
-                route(regime, reader)[1],
-                route(regime, ds if ds in setup.head_of.values() else reader)[0],
-                blocks[reader],
+            lattice = coarse_lattice(specs[ds], crop, stride)
+            norm_id = route(regime, ds if ds in setup.head_of.values() else reader)[0]
+            key = (id(setup.result), ds, crop, lattice, norm_id)
+            inputs.setdefault(key, (setup.result, []))[1].append(_Reading(
+                len(cells), reader, route(regime, reader)[1], blocks[reader],
                 rules.slm and reader == ds and unified is not None,
             ))
-            units += [(len(plans) - 1, i) for i in range(len(synth.eval_views[ds]))]
+            space = specs[ds].label_space
+            cells.append(EvalCell(setup.name, ds, ConfusionMatrix(len(space)), space.empty_id))
+    units = [(key, scene) for key in inputs for scene in range(len(synth.eval_views[key[1]]))]
 
     def score_scene(unit):
-        plan, scene = unit
-        setup, ds, reader, crop, lattice, head, norm_id, block, use_slm = plans[plan]
+        (_, ds, crop, lattice, norm_id), scene = unit
+        result, readings = inputs[unit[0]]
         cloud, gt = synth.eval_views[ds][scene]
-        f = cloud_features(cloud, crop, lattice)
-        if use_slm:
-            raw, hidden = _slm_scores(setup.result, unified, ds, f, head)
-        else:
-            raw, hidden = predict_scores(
-                setup.result.params, setup.result.norm_state, norm_id, f, head_id=head,
-            )
-        grid = scores_to_grid(raw, lattice, block)
+        heads = []
+        for r in readings:
+            heads += [r.head] + (slm_heads if r.slm else [])
+        raw, hidden = _read_heads(result, norm_id, cloud_features(cloud, crop, lattice),
+                                  list(dict.fromkeys(heads)))
+        grids = [scores_to_grid(_slm_scores(raw, unified, ds) if r.slm else raw[r.head],
+                                lattice, r.block) for r in readings]
         if eta > 1:
-            grid = _refine_grid(grid, hidden, setup.result.params, head, block, eta)
-        pred = crop_or_resample(grid, shared)
+            grids = _refine_grids(grids, hidden, result.params, readings, eta)
+        preds = [crop_or_resample(grid, shared) for grid in grids]
+        truth = _gt_on_lattice(gt, preds[0])
         space = specs[ds].label_space
-        scored = pred if reader == ds else transcode(pred, unified, reader, ds, space)
-        cm = accumulate(ConfusionMatrix(len(space)), scored, _gt_on_lattice(gt, pred), shared)
-        return pred, cm.counts
+        out = []
+        for r, pred in zip(readings, preds):
+            scored = pred if r.reader == ds else transcode(pred, unified, r.reader, ds, space)
+            out.append((pred, accumulate(ConfusionMatrix(len(space)), scored, truth, shared).counts))
+        return out
 
-    out = iter(_fork_map(score_scene, units))
-    cells = []
-    all_preds = {}
-    for setup, ds, *_ in plans:
-        space = specs[ds].label_space
-        cm = ConfusionMatrix(len(space))
-        preds = []
-        for _ in synth.eval_views[ds]:
-            pred, counts = next(out)
-            preds.append(pred)
-            cm.counts += counts
-        cells.append(EvalCell(setup.name, ds, cm, space.empty_id))
-        all_preds[(setup.name, ds)] = preds
+    all_preds = {(cell.setup, cell.dataset): [] for cell in cells}
+    # units run input by input, each input's scenes in order
+    for (key, _), out in zip(units, _fork_map(score_scene, units)):
+        for r, (pred, counts) in zip(inputs[key][1], out):
+            cell = cells[r.cell]
+            all_preds[cell.setup, cell.dataset].append(pred)
+            cell.cm.counts += counts
     return cross_eval(cells), all_preds
 
 
-def _slm_scores(result, unified, ds, features, head):
-    """Full label-mapping read-out: the softmax scores of every head, all
-    read off one backbone pass with the input dataset's statistics, merged
-    over the unified space and reprojected into the evaluated dataset's
-    taxonomy. Returns those scores and the pass's hidden volume."""
+def _read_heads(result, norm_id, features, heads):
+    """Eval-mode scores of each head in ``heads``, all read off one backbone
+    pass with the ``norm_id`` statistics. Returns them by head, and the
+    pass's hidden volume; raises FloatingPointError, as ``predict_scores``
+    does, when any of them is not finite."""
     params = result.params
-    raw, hidden = predict_scores(params, result.norm_state, ds, features, head_id=head)
+    raw, hidden = predict_scores(params, result.norm_state, norm_id, features, head_id=heads[0])
     z5 = hidden.reshape(-1, params.hidden)
+    out = {heads[0]: raw}
+    for head in heads[1:]:
+        out[head] = read_head(z5, params.head(head)).reshape(raw.shape[:3] + (-1,))
+        if not np.isfinite(out[head]).all():
+            raise FloatingPointError(f"non-finite scores under the {norm_id} statistics")
+    return out, hidden
+
+
+def _slm_scores(raw, unified, ds):
+    """Full label-mapping read-out of one backbone pass: the softmax scores
+    of every head (``raw``, by dataset id, as ``_read_heads`` gives them),
+    merged over the unified space and reprojected into the evaluated
+    dataset's taxonomy."""
     order = list(unified.dataset_ids())
-    heads = []
-    for d in order:
-        scores = raw if d == head else read_head(z5, params.head(d)).reshape(raw.shape[:3] + (-1,))
-        heads.append(softmax_scores(scores))
-    merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
-    return reproject(merged, unified.mapping(ds)), hidden
+    merged, _ = merged_score([softmax_scores(raw[d]) for d in order],
+                             [unified.mapping(d) for d in order])
+    return reproject(merged, unified.mapping(ds))
 
 
-def _refine_grid(grid, hidden, params, head_id, block, eta):
-    """Coarse-to-fine upsample of a prediction grid onto its lattice with
-    eta^3 voxels per voxel: the hidden features sampled at each fine query
-    are scored by the reading dataset's block of the coarse head."""
-    vox = occupied_voxels(grid, empty_id=0)
-    queries = split_voxels(vox, eta, grid.dims)
+def _refine_grids(grids, hidden, params, readings, eta):
+    """Coarse-to-fine upsample of prediction grids read off one backbone
+    pass (one lattice) onto that lattice with eta^3 voxels per voxel.
+
+    The hidden features are sampled once, at the fine queries of every
+    voxel that any grid occupies. Each grid's queries take their rows, in
+    ``occupied_voxels`` order, and are scored by the head and block of its
+    reading in ``readings``: the reading dataset's block of the coarse
+    head. A sampled row depends on its query alone, so every grid refines
+    to the bytes that sampling its own queries gives.
+    """
+    dims = grids[0].dims
+    occupied = [grid.labels != 0 for grid in grids]
+    union = np.logical_or.reduce(occupied)
+    queries = split_voxels(np.argwhere(union), eta, dims)
     feats = sample_features(hidden, queries.coords, eta)
-    w, b = params.head(head_id)
-    off, size = block
-    fine = Lattice(tuple(d * eta for d in grid.dims), grid.voxel_size_m / eta, grid.origin)
-    return refine_and_reassemble(
-        queries, feats, (w[:, off : off + size], b[off : off + size]), fine, empty_id=0,
-    )
+    feats = feats.reshape(-1, eta**3, feats.shape[1])
+    fine = Lattice(tuple(d * eta for d in dims), grids[0].voxel_size_m / eta, grids[0].origin)
+    out = []
+    for grid, mine, r in zip(grids, occupied, readings):
+        w, b = params.head(r.head)
+        off, size = r.block
+        rows = feats[np.flatnonzero(mine[union])].reshape(-1, feats.shape[2])
+        out.append(refine_and_reassemble(
+            split_voxels(occupied_voxels(grid, empty_id=0), eta, dims), rows,
+            (w[:, off : off + size], b[off : off + size]), fine, empty_id=0,
+        ))
+    return out
 
 
 def crop_or_resample(grid, shared):
     """A prediction grid restricted to ``shared``: resampled onto the
-    lattice of its own voxel size that tiles the shared range."""
-    return Lattice.over(shared, grid.voxel_size_m).resample(grid, empty_id=0)
+    lattice of its own voxel size that tiles the shared range, or the grid
+    itself when that is already its lattice (always so for an aligned
+    regime), since such a resample is the identity."""
+    lattice = Lattice.over(shared, grid.voxel_size_m)
+    return grid if lattice == grid.lattice else lattice.resample(grid, empty_id=0)
 
 
 def _gt_on_lattice(gt_full, pred):

@@ -36,7 +36,8 @@ class ConfusionMatrix:
 
 
 def accumulate(cm, pred, gt, eval_range):
-    """Tally voxels whose centers fall inside eval_range (half-open).
+    """Tally voxels whose centers fall inside eval_range (half-open): the
+    whole arrays when every center does, else the selected sub-volume.
 
     Prediction and ground truth must share dims, voxel size, origin, and
     class count.
@@ -51,9 +52,10 @@ def accumulate(cm, pred, gt, eval_range):
     for ax in range(3):
         centers = lattice.centers(ax)
         keep.append(np.nonzero((centers >= lo[ax]) & (centers < hi[ax]))[0])
+    if tuple(len(k) for k in keep) == lattice.dims:
+        return cm.add_arrays(pred.labels, gt.labels)
     sel = np.ix_(*keep)
-    cm.add_arrays(pred.labels[sel], gt.labels[sel])
-    return cm
+    return cm.add_arrays(pred.labels[sel], gt.labels[sel])
 
 
 def geometric_iou(cm, empty_id):

@@ -275,6 +275,30 @@ class TestCliTrainEval:
         assert len(lines) == 5
 
 
+    def test_eval_of_fewer_scenes_removes_stale_predictions(self, tmp_path):
+        cfg, path = tiny_cfg(tmp_path / "run", eval_scenes=3)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        cell = os.path.join(cfg.out, "pred", "mdt", "a32")
+        assert sorted(os.listdir(cell)) == [f"pred_{i:04d}.mocc" for i in range(3)]
+        # files of other names are not the program's, and stay
+        for name in ("pred_02.mocc", "pred_0007.txt", "notes.txt"):
+            (Path(cell) / name).write_text("kept")
+        for ds in ("a32", "b64"):
+            shutil.rmtree(os.path.join(cfg.out, ds))
+        _, path = tiny_cfg(tmp_path / "run", eval_scenes=2)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        report = open(os.path.join(cfg.out, "report_mdt.csv")).read().splitlines()
+        assert len(report) == 3
+        for ds in ("a32", "b64"):
+            names = sorted(os.listdir(os.path.join(cfg.out, "pred", "mdt", ds)))
+            kept = ["notes.txt", "pred_0007.txt", "pred_02.mocc"] if ds == "a32" else []
+            assert names == sorted(["pred_0000.mocc", "pred_0001.mocc"] + kept)
+
+
 class TestCliErrors:
     def test_usage_error(self):
         assert main(["train", "--config", "/nonexistent/x.cfg"]) in (EXIT_USAGE, 3)

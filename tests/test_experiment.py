@@ -18,6 +18,7 @@ from mdocc.experiment import (
     Setup,
     _fork_map,
     _gt_on_lattice,
+    _read_heads,
     _slm_scores,
     coarse_labels,
     crop_or_resample,
@@ -36,6 +37,7 @@ from mdocc.labelspace import merged_score, reproject, transcode
 from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
 from mdocc.model import TrainResult, batch_forward, head_blocks, head_widths, init_params, train
 from mdocc.scenes import (
+    coarse_lattice,
     dataset_presets,
     default_scene_spec,
     derive_dataset_view,
@@ -125,6 +127,17 @@ class TestLattices:
         g = OccupancyGrid((4, 4, 4), 0.5, (0, 0, 0), labels, 4)
         out = Lattice((4, 4, 4), 0.5, (0, 0, 0)).resample(g, empty_id=0)
         assert out == g
+        # the coarse lattices of both presets, raw and over the shared range,
+        # and their eta-refined lattices
+        specs = dataset_presets(taxonomy_preset("split"))
+        for spec in specs.values():
+            for crop in (None, eval_intersection(specs)):
+                coarse = coarse_lattice(spec, crop, 2)
+                for eta in (1, 2, 3, 4):
+                    lattice = Lattice(tuple(d * eta for d in coarse.dims), coarse.voxel / eta,
+                                      coarse.origin)
+                    g = lattice.grid(rng.integers(0, 9, lattice.dims), 9)
+                    assert lattice.resample(g, empty_id=0) == g
 
     def test_resample_outside_is_empty(self):
         g = OccupancyGrid((2, 2, 2), 0.5, (0, 0, 0), np.ones((2, 2, 2), np.uint16), 2)
@@ -430,7 +443,8 @@ class TestSlmScores:
             return real(x, dataset_id, *args, **kwargs)
 
         monkeypatch.setattr(model, "dsnorm_forward", counting)
-        got, hidden = _slm_scores(result, unified, "b64", feats, "b64")
+        raw, hidden = _read_heads(result, "b64", feats, ["b64", "a32"])
+        got = _slm_scores(raw, unified, "b64")
         assert calls == ["b64"]
         assert len(order) == 2
         assert got.tobytes() == want.tobytes()
@@ -472,6 +486,42 @@ class TestEvaluateSetups:
                            _gt_on_lattice(gt, pred), shared)
             assert row["iou"] == geometric_iou(cm, space.empty_id)
             assert row["miou"] == miou(cm, space.empty_id)
+
+    @pytest.mark.parametrize("eta", [1, 3])
+    def test_cells_sharing_an_input_score_as_when_alone(self, eta):
+        # mdt and mdt_cross read one input per dataset; b64 has no eval scene
+        synth = synthesize(6, n_train=0, n_eval={"a32": 2, "b64": 0},
+                           world_profiles=WORLD_PROFILES)
+        specs = synth.specs
+        unified = oracle_unified(synth.taxonomy, specs)
+        result = random_model(specs, "mdt", 6)
+        # a raised empty-class bias leaves a fifth to a third of the voxels
+        # occupied instead of all of them
+        for ds in specs:
+            result.params.head(ds)[1][0] += 1.0
+        setups = regime_setups(result, list(specs), cross=True)
+        assert [setup.name for setup in setups] == ["mdt", "mdt_cross"]
+        rows, preds = evaluate_setups(synth, setups, unified, stride=2, eta=eta)
+        alone_rows, alone_preds = [], {}
+        for setup in setups:
+            got_rows, got_preds = evaluate_setups(synth, [setup], unified, stride=2, eta=eta)
+            alone_rows += got_rows
+            alone_preds.update(got_preds)
+        # repr compares floats exactly, nan included
+        assert repr(rows) == repr(alone_rows)
+        assert list(preds) == list(alone_preds)
+        for key, grids in preds.items():
+            assert grids == alone_preds[key]
+        # the two readings occupy different voxels, so each takes its own rows
+        # of the shared refinement samples
+        mdt, cross = preds["mdt", "a32"], preds["mdt_cross", "a32"]
+        assert len(mdt) == 2
+        assert any(not np.array_equal(a.labels != 0, b.labels != 0) for a, b in zip(mdt, cross))
+        for row in rows:
+            scored = row["dataset"] == "a32"
+            assert np.isfinite(row["iou"]) == scored
+            assert np.isnan(row["miou"]) != scored
+        assert preds["mdt", "b64"] == preds["mdt_cross", "b64"] == []
 
     @pytest.mark.parametrize("n_eval", [1, 0])
     @pytest.mark.parametrize("taxonomy", ["split", "twin"])

@@ -5,9 +5,9 @@ learn-labels, eval with the unified document; then, with eta 2 and
 cross-domain cells, eval of the same checkpoint and of a single-regime one;
 then training under direct_merge and pretrain_finetune, and eval of the
 direct_merge checkpoint; then eval of the mdt checkpoint with eta 3, where
-the coarse index (c + 0.5) / 3 of a fine voxel rounds) and the raycast
-output of both dataset presets on fixed seeds must hash to the recorded
-values. A change that moves any byte of these artifacts fails here and has
+the coarse index (c + 0.5) / 3 of a fine voxel rounds, and with eta 4, the
+benchmark's refined setting) and the raycast output of both dataset presets
+on fixed seeds must hash to the recorded values. A change that moves any byte of these artifacts fails here and has
 to declare which bits moved and why.
 """
 
@@ -177,6 +177,29 @@ ETA3 = {
         "0178d1962e9d551ac9fea86fff4c5cc6178748965ad3a6d6b03cc2e5d4513a26",
 }
 
+# eval of the mdt checkpoint with eta 4 and cross cells, the setting the
+# benchmark's refined eval runs; these overwrite the eta 3 files and report
+ETA4 = {
+    "pred/mdt/a32/pred_0000.mocc":
+        "0127ac805e635317a5dc3ef082b3b138e1af72cc0ea5951848e839280f7a977c",
+    "pred/mdt/a32/pred_0001.mocc":
+        "62d4f5107aca9052904caef6fc9cb59dfc47cdaaea5048127a3fa41ee290e83e",
+    "pred/mdt/b64/pred_0000.mocc":
+        "77a84769612f8c6e009a09433d561ce6da10f8a5b6ea64675899359fd6348b65",
+    "pred/mdt/b64/pred_0001.mocc":
+        "b51368dd8338165a50cff9d760f184caf3bd9e43cb5cde86723a8b8844a83902",
+    "pred/mdt_cross/a32/pred_0000.mocc":
+        "928f161a787fae88dce0b226e23597b3d6de788ff41d09762fe2b80750d162f1",
+    "pred/mdt_cross/a32/pred_0001.mocc":
+        "5ccf30b7e4c045f0297067bf0384fdd38b4bd1fb6e1ab52df896dfc70256be29",
+    "pred/mdt_cross/b64/pred_0000.mocc":
+        "c541142efc02b6e57ed75bc40c90e6ba3b315485a2296b52ac67daf7e31dd891",
+    "pred/mdt_cross/b64/pred_0001.mocc":
+        "6e3b5843fadaaa7f0b1bb7323e2acf33ebf90b7925011e6d101635d8bbd12c77",
+    "report_mdt.csv":
+        "99e698ba7803abc7f244bc3878c5472afafe55c1b4214993e0bff3a3fa76694b",
+}
+
 # sha256 of the epoch, dataset and loss columns of train_log_direct_merge.csv
 DIRECT_MERGE_LOSS = "8365dd87d15df962fee0d45211fe2a39ef506d690ad4830f50cdaa029dbb6cce"
 
@@ -217,6 +240,7 @@ def cli_digests(tmp_path_factory):
         _write_config("base.cfg")
         _write_config("refined.cfg", eta=2, cross=True)
         _write_config("eta3.cfg", eta=3, cross=True)
+        _write_config("eta4.cfg", eta=4, cross=True)
         ckpt = os.path.join("run", "ckpt_mdt.mckpt")
         unified = os.path.join("run", "unified.txt")
         assert main(["synth", "--config", "base.cfg"]) == EXIT_OK
@@ -236,6 +260,8 @@ def cli_digests(tmp_path_factory):
         baselines = _digests("run")
         assert main(["eval", "--config", "eta3.cfg", "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
         eta3 = _digests("run")
+        assert main(["eval", "--config", "eta4.cfg", "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        eta4 = _digests("run")
         with open(os.path.join("run", "train_log_direct_merge.csv"), "rb") as fh:
             losses = b"\n".join(b",".join(line.split(b",")[:3]) for line in fh.read().splitlines())
     finally:
@@ -244,7 +270,8 @@ def cli_digests(tmp_path_factory):
             {k: v for k, v in refined.items() if pipeline.get(k) != v},
             {k: v for k, v in baselines.items() if refined.get(k) != v},
             hashlib.sha256(losses).hexdigest(),
-            {k: v for k, v in eta3.items() if baselines.get(k) != v})
+            {k: v for k, v in eta3.items() if baselines.get(k) != v},
+            {k: v for k, v in eta4.items() if eta3.get(k) != v})
 
 
 def test_cli_pipeline_artifacts(cli_digests):
@@ -265,6 +292,10 @@ def test_direct_merge_logged_losses(cli_digests):
 
 def test_refined_eta3_eval_artifacts(cli_digests):
     assert cli_digests[4] == ETA3
+
+
+def test_refined_eta4_eval_artifacts(cli_digests):
+    assert cli_digests[5] == ETA4
 
 
 @pytest.mark.parametrize("seed", [3, 1001])

@@ -74,6 +74,14 @@ class TestAccumulate:
             cm = ConfusionMatrix(4)
             accumulate(cm, pred, gt, er)
             assert np.array_equal(cm.counts, brute_force_counts(pred, gt, er, 4))
+            # every voxel center inside the range: the whole arrays are tallied
+            lo = np.asarray(pred.origin) - rng.uniform(0.0, 0.2, 3)
+            hi = np.asarray(pred.extent.maxs) + rng.uniform(0.0, 0.2, 3)
+            er = Range3D(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+            cm = ConfusionMatrix(4)
+            accumulate(cm, pred, gt, er)
+            assert cm.counts.sum() == pred.labels.size
+            assert np.array_equal(cm.counts, brute_force_counts(pred, gt, er, 4))
 
     def test_additive_over_scenes(self):
         rng = rng_stream(3, "cm")
