@@ -205,8 +205,7 @@ def cmd_learn_labels(cfg, checkpoint):
     if not all(synth.train_views.values()):
         print(f"learn-labels needs training scenes, {cfg.out} has none", file=sys.stderr)
         return EXIT_USAGE
-    data = exp.prepare_regime("mdt", synth, list(synth.specs), cfg.stride)
-    unified = exp.learn_unified(result, data, synth.specs, cfg.lam, cfg.tau)
+    unified = exp.learn_unified(result, synth, cfg.stride, cfg.lam, cfg.tau)
     spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
     _write_text(
         os.path.join(cfg.out, "unified.txt"),
@@ -234,18 +233,22 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
         return EXIT_USAGE
     # cross-domain cells transcode through the unified space, so they appear
     # only with [eval] cross = true
-    setups = exp.regime_setups(result, list(synth.specs), cfg.cross)
+    ids = list(synth.specs)
+    setups = exp.regime_setups(result, ids, cfg.cross)
     rows, preds = exp.evaluate_setups(synth, setups, unified, cfg.stride, eta=cfg.eta)
     _write_text(os.path.join(cfg.out, f"report_{setups[0].name}.csv"), render_report(rows))
-    for (sname, ds), grids in preds.items():
-        cell_dir = os.path.join(cfg.out, "pred", sname, ds)
-        for i, g in enumerate(grids):
-            _write_bytes(os.path.join(cell_dir, _pred_name(i)), grid_encode(g))
-        # an earlier eval of more scenes left its later predictions here
-        for name in os.listdir(cell_dir):
-            index = re.fullmatch(r"pred_(\d+)\.mocc", name)
-            if index and int(index[1]) >= len(grids) and name == _pred_name(int(index[1])):
-                os.remove(os.path.join(cell_dir, name))
+    # every cell this model has, evaluated now or not: an earlier eval, of
+    # more scenes or with cross cells, may have left predictions there
+    for setup in exp.regime_setups(result, ids, cross=True):
+        for ds in setup.head_of:
+            cell_dir = os.path.join(cfg.out, "pred", setup.name, ds)
+            grids = preds.get((setup.name, ds), [])
+            for i, g in enumerate(grids):
+                _write_bytes(os.path.join(cell_dir, _pred_name(i)), grid_encode(g))
+            for name in os.listdir(cell_dir) if os.path.isdir(cell_dir) else []:
+                index = re.fullmatch(r"pred_(\d+)\.mocc", name)
+                if index and int(index[1]) >= len(grids) and name == _pred_name(int(index[1])):
+                    os.remove(os.path.join(cell_dir, name))
     return EXIT_OK
 
 

@@ -27,13 +27,13 @@ from .model import (
     REGIME_TABLE,
     TrainData,
     _keep_freed_heap,
-    batch_forward,
+    backbone,
     head_blocks,
     read_head,
     route,
     train,
 )
-from .refine import refine_and_reassemble, sample_features, split_voxels, occupied_voxels
+from .refine import refine_and_reassemble, sample_features, split_voxels
 from .scenes import (
     coarse_lattice,
     dataset_presets,
@@ -78,15 +78,15 @@ def _fork_map(fn, items):
     """
     items = list(items)
     workers = min(len(items), len(os.sched_getaffinity(0)))
+    # items run in-process reuse freed pages too; and this comes before the
+    # pool's result thread starts, so that it unpickles into the main heap
+    _keep_freed_heap()
     if workers < 2 or _FORKED_JOB is not None:
         return [fn(item) for item in items]
     # imported here: at module top they slow every `import mdocc.cli`
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # before the pool's result thread starts, so that it unpickles into the
-    # main heap, whose freed pages training keeps
-    _keep_freed_heap()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_enter_worker, initargs=(fn, items))
     try:
@@ -277,21 +277,22 @@ def prepare_regime(regime, synth, ids, stride):
             for ds in ids}
 
 
-def predict_scores(params, norm_state, norm_id, features, head_id=None):
-    """Eval-mode per-voxel scores plus the pre-head hidden feature volume.
+def predict_scores(result, norm_id, features, heads):
+    """Eval-mode scores of a TrainResult's model on one (D, H, W, C) feature
+    volume: one backbone pass with the ``norm_id`` statistics, read by each
+    head in ``heads``.
 
-    ``norm_id`` picks the dataset-specific statistics; ``head_id`` defaults
-    to the same dataset's head. Raises FloatingPointError when either is not
-    finite (finite weights can still overflow).
+    Returns the (D, H, W, classes) scores by head, and the pass's
+    (D, H, W, hidden) volume. Raises FloatingPointError when any of them is
+    not finite (finite weights can still overflow).
     """
-    outs, cache = batch_forward(
-        [features], norm_id, params, norm_state, mode="eval", head_id=head_id
-    )
+    params = result.params
+    z5, _ = backbone([features], norm_id, params, result.norm_state, mode="eval")
     dims = features.shape[:3]
-    hidden = cache["z5"].reshape(dims + (params.hidden,))
-    if not (np.isfinite(outs[0]).all() and np.isfinite(hidden).all()):
+    scores = {head: read_head(z5, params.head(head)).reshape(dims + (-1,)) for head in heads}
+    if not all(np.isfinite(a).all() for a in (z5, *scores.values())):
         raise FloatingPointError(f"non-finite scores under the {norm_id} statistics")
-    return outs[0], hidden
+    return scores, z5.reshape(dims + (params.hidden,))
 
 
 def scores_to_grid(scores, lattice, block):
@@ -308,20 +309,20 @@ def softmax_scores(scores):
     return e / e.sum(axis=3, keepdims=True)
 
 
-def prediction_corpus(result, data, specs):
-    """Per-dataset softmax score arrays of an mdt model on its aligned
-    lattice, the corpus for unified label-space learning."""
-    return {
-        ds: [softmax_scores(predict_scores(result.params, result.norm_state, ds, feats)[0])
-             for feats in data[ds].features]
-        for ds in specs
-    }
-
-
-def learn_unified(result, data, specs, lam, tau):
+def learn_unified(result, synth, stride, lam, tau):
     """Enumerate and solve the unified label space from an mdt model's
-    predictions over its aligned training corpus."""
-    corpus = prediction_corpus(result, data, specs)
+    predictions over its aligned training corpus: the softmax scores of each
+    training cloud of ``synth``, read by its own dataset's statistics and
+    head on the shared-range lattice the model trained on."""
+    specs = synth.specs
+    crop = eval_intersection(specs)
+    corpus = {}
+    for ds, spec in specs.items():
+        lattice = coarse_lattice(spec, crop, stride)
+        corpus[ds] = []
+        for cloud, _ in synth.train_views[ds]:
+            scores, _ = predict_scores(result, ds, cloud_features(cloud, crop, lattice), [ds])
+            corpus[ds].append(softmax_scores(scores[ds]))
     candidates = enumerate_candidates(corpus, tau)
     spaces = [(ds, specs[ds].label_space) for ds in specs]
     return solve_unified(candidates, lam, spaces)
@@ -447,8 +448,8 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
         heads = []
         for r in readings:
             heads += [r.head] + (slm_heads if r.slm else [])
-        raw, hidden = _read_heads(result, norm_id, cloud_features(cloud, crop, lattice),
-                                  list(dict.fromkeys(heads)))
+        raw, hidden = predict_scores(result, norm_id, cloud_features(cloud, crop, lattice),
+                                     list(dict.fromkeys(heads)))
         grids = [scores_to_grid(_slm_scores(raw, unified, ds) if r.slm else raw[r.head],
                                 lattice, r.block) for r in readings]
         if eta > 1:
@@ -472,25 +473,9 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
     return cross_eval(cells), all_preds
 
 
-def _read_heads(result, norm_id, features, heads):
-    """Eval-mode scores of each head in ``heads``, all read off one backbone
-    pass with the ``norm_id`` statistics. Returns them by head, and the
-    pass's hidden volume; raises FloatingPointError, as ``predict_scores``
-    does, when any of them is not finite."""
-    params = result.params
-    raw, hidden = predict_scores(params, result.norm_state, norm_id, features, head_id=heads[0])
-    z5 = hidden.reshape(-1, params.hidden)
-    out = {heads[0]: raw}
-    for head in heads[1:]:
-        out[head] = read_head(z5, params.head(head)).reshape(raw.shape[:3] + (-1,))
-        if not np.isfinite(out[head]).all():
-            raise FloatingPointError(f"non-finite scores under the {norm_id} statistics")
-    return out, hidden
-
-
 def _slm_scores(raw, unified, ds):
     """Full label-mapping read-out of one backbone pass: the softmax scores
-    of every head (``raw``, by dataset id, as ``_read_heads`` gives them),
+    of every head (``raw``, by dataset id, as ``predict_scores`` gives them),
     merged over the unified space and reprojected into the evaluated
     dataset's taxonomy."""
     order = list(unified.dataset_ids())
@@ -503,29 +488,28 @@ def _refine_grids(grids, hidden, params, readings, eta):
     """Coarse-to-fine upsample of prediction grids read off one backbone
     pass (one lattice) onto that lattice with eta^3 voxels per voxel.
 
-    The hidden features are sampled once, at the fine queries of every
-    voxel that any grid occupies. Each grid's queries take their rows, in
-    ``occupied_voxels`` order, and are scored by the head and block of its
-    reading in ``readings``: the reading dataset's block of the coarse
-    head. A sampled row depends on its query alone, so every grid refines
-    to the bytes that sampling its own queries gives.
+    The voxels that any grid occupies are split once, in row-major order,
+    and the hidden features are sampled at their fine queries. Each grid
+    takes its own rows of both, still in row-major order, and scores them
+    by the head and block of its reading in ``readings``: the reading
+    dataset's block of the coarse head. A sampled row depends on its query
+    alone, so every grid refines to the bytes that splitting and sampling
+    its own voxels gives.
     """
     dims = grids[0].dims
     occupied = [grid.labels != 0 for grid in grids]
     union = np.logical_or.reduce(occupied)
-    queries = split_voxels(np.argwhere(union), eta, dims)
-    feats = sample_features(hidden, queries.coords, eta)
-    feats = feats.reshape(-1, eta**3, feats.shape[1])
+    queries = split_voxels(np.argwhere(union), eta)
+    feats = sample_features(hidden, queries, eta)
     fine = Lattice(tuple(d * eta for d in dims), grids[0].voxel_size_m / eta, grids[0].origin)
     out = []
-    for grid, mine, r in zip(grids, occupied, readings):
+    for mine, r in zip(occupied, readings):
         w, b = params.head(r.head)
         off, size = r.block
-        rows = feats[np.flatnonzero(mine[union])].reshape(-1, feats.shape[2])
-        out.append(refine_and_reassemble(
-            split_voxels(occupied_voxels(grid, empty_id=0), eta, dims), rows,
-            (w[:, off : off + size], b[off : off + size]), fine, empty_id=0,
-        ))
+        rows = np.repeat(mine[union], eta**3)
+        out.append(refine_and_reassemble(queries[rows], feats[rows],
+                                         (w[:, off : off + size], b[off : off + size]), fine,
+                                         empty_id=0))
     return out
 
 

@@ -3,40 +3,12 @@ sample features trilinearly, reclassify, and reassemble with empty fill."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DimMismatch
 
-
-@dataclass(frozen=True)
-class VoxelQuerySet:
-    """Fine-voxel query coordinates, one block of eta^3 per occupied coarse voxel."""
-
-    coords: np.ndarray
-    eta: int
-    coarse_dims: tuple
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 3)
-        if self.eta < 1:
-            raise ValueError("eta must be >= 1")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "coarse_dims", tuple(int(d) for d in self.coarse_dims))
-
-    def __len__(self):
-        return self.coords.shape[0]
-
-
-def occupied_voxels(grid, empty_id=0):
-    """Coordinates of all voxels whose label differs from the empty class,
-    in deterministic row-major order."""
-    return np.argwhere(grid.labels != empty_id).astype(np.int64)
-
-
-def split_voxels(coarse_coords, eta, coarse_dims):
-    """Expand each coarse voxel into its eta^3 fine-coordinate refinement.
+def split_voxels(coarse_coords, eta):
+    """Expand each coarse voxel into its eta^3 fine-coordinate refinement:
+    an (N * eta^3, 3) int64 array of fine queries.
 
     Coarse (x0, y0, z0) yields fine coords (eta*x0 + i, eta*y0 + j, eta*z0 + k)
     for i, j, k in 0..eta-1, block-ordered per source voxel.
@@ -48,14 +20,13 @@ def split_voxels(coarse_coords, eta, coarse_dims):
         np.meshgrid(np.arange(eta), np.arange(eta), np.arange(eta), indexing="ij"),
         axis=-1,
     ).reshape(-1, 3)
-    coords = (coarse_coords[:, None, :] * eta + offs[None, :, :]).reshape(-1, 3)
-    return VoxelQuerySet(coords=coords, eta=int(eta), coarse_dims=coarse_dims)
+    return (coarse_coords[:, None, :] * eta + offs[None, :, :]).reshape(-1, 3)
 
 
 def sample_features(volume, fine_coords, eta):
     """Trilinearly sample a coarse (D, H, W, C) volume at fine-voxel centers.
 
-    Fine coordinates are integers (cast to int64, as in ``VoxelQuerySet``).
+    Fine coordinates are integers (cast to int64, as ``split_voxels`` gives them).
     Fine coordinate c corresponds to the continuous coarse index
     u = (c + 0.5) / eta - 0.5, so queries at coarse voxel centers return that
     voxel's features exactly; borders are edge-clamped. Returns (N, C).
@@ -97,13 +68,10 @@ def refine_and_reassemble(queries, features, head, lattice, empty_id):
     (classes,)), the coarse classification head, and rebuild the fine volume
     as a grid on ``lattice``, the fine lattice.
 
+    ``queries`` are (N, 3) fine coordinates, as ``split_voxels`` gives them.
     The argmax label of every query lands at its fine coordinate; every
-    non-query voxel receives ``empty_id``. The lattice's dims must equal
-    eta * coarse_dims per axis.
+    non-query voxel receives ``empty_id``.
     """
-    want = tuple(d * queries.eta for d in queries.coarse_dims)
-    if lattice.dims != want:
-        raise DimMismatch(f"fine dims {lattice.dims} != eta * coarse dims {want}")
     w, b = head
     num_classes = w.shape[1]
     if not 0 <= empty_id < num_classes:
@@ -112,6 +80,5 @@ def refine_and_reassemble(queries, features, head, lattice, empty_id):
     if len(queries):
         scores = np.asarray(features, dtype=np.float64) @ w + b
         picked = np.argmax(scores, axis=1).astype(np.uint16)
-        c = queries.coords
-        labels[c[:, 0], c[:, 1], c[:, 2]] = picked
+        labels[queries[:, 0], queries[:, 1], queries[:, 2]] = picked
     return lattice.grid(labels, num_classes)

@@ -17,7 +17,7 @@ from mdocc.labelspace import (
 )
 from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
 from mdocc.model import backward, batch_loss, class_weights_from_counts
-from mdocc.refine import occupied_voxels, sample_features, split_voxels
+from mdocc.refine import sample_features, split_voxels
 from tests.test_labelspace import exhaustive_minimum, spaces_of
 from tests.test_metrics import brute_force_counts, brute_force_metrics
 from tests.test_model import make_instance, _flatten_params, _grad_of
@@ -257,15 +257,15 @@ def test_08_coarse_to_fine_contracts():
         dims = (32, 32, 32)
         labels = (rng.random(dims) < 0.08).astype(np.uint16) * rng.integers(1, 4, dims).astype(np.uint16)
         grid = OccupancyGrid(dims, 0.4, (0, 0, 0), labels, 4)
-        vox = occupied_voxels(grid)
-        queries = split_voxels(vox, eta, dims)
+        vox = np.argwhere(grid.labels != 0)
+        queries = split_voxels(vox, eta)
         count_ok = len(queries) == vox.shape[0] * eta**3
         fd = np.asarray([d * eta for d in dims], dtype=np.int64)
-        linear = (queries.coords[:, 0] * fd[1] + queries.coords[:, 1]) * fd[2] + queries.coords[:, 2]
+        linear = (queries[:, 0] * fd[1] + queries[:, 1]) * fd[2] + queries[:, 2]
         unique_ok = np.unique(linear).size == len(queries)
         # exhaustive empty-fill check over the whole eta-scaled volume
         feats = rng.normal(size=dims + (5,))
-        sampled = sample_features(feats, queries.coords, eta)
+        sampled = sample_features(feats, queries, eta)
         from mdocc.refine import refine_and_reassemble
 
         head = (rng.normal(size=(5, 4)), rng.normal(size=4))
@@ -273,7 +273,7 @@ def test_08_coarse_to_fine_contracts():
             queries, sampled, head, Lattice(tuple(d * eta for d in dims), 0.4 / eta, (0, 0, 0)), 0
         )
         in_query = np.zeros(fine.dims, dtype=bool)
-        in_query[queries.coords[:, 0], queries.coords[:, 1], queries.coords[:, 2]] = True
+        in_query[queries[:, 0], queries[:, 1], queries[:, 2]] = True
         fill_ok = bool(np.all(fine.labels[~in_query] == 0))
         ok = ok and count_ok and unique_ok and fill_ok
         detail.append(f"eta={eta}: count {count_ok}, unique {unique_ok}, fill {fill_ok}")
@@ -286,9 +286,8 @@ def test_08_coarse_to_fine_contracts():
     head_w, head_b = rng.normal(size=(6, 4)), rng.normal(size=4)
     coarse_labels = np.argmax(hidden @ head_w + head_b, axis=3).astype(np.uint16)
     coarse = OccupancyGrid((8, 8, 4), 0.4, (0, 0, 0), coarse_labels, 4)
-    vox = occupied_voxels(coarse)
-    q = split_voxels(vox, 1, coarse.dims)
-    refined = rr(q, sample_features(hidden, q.coords, 1),
+    q = split_voxels(np.argwhere(coarse.labels != 0), 1)
+    refined = rr(q, sample_features(hidden, q, 1),
                  (head_w, head_b), coarse.lattice, 0)
     identity_ok = refined == coarse
     ok = ok and identity_ok

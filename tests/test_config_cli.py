@@ -298,6 +298,23 @@ class TestCliTrainEval:
             kept = ["notes.txt", "pred_0007.txt", "pred_02.mocc"] if ds == "a32" else []
             assert names == sorted(["pred_0000.mocc", "pred_0001.mocc"] + kept)
 
+    def test_eval_without_cross_removes_cross_predictions(self, tmp_path):
+        cfg, path = tiny_cfg(tmp_path / "run", cross=True)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        unified = os.path.join(cfg.out, "unified.txt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        cross = Path(cfg.out, "pred", "mdt_cross")
+        assert sorted(p.name for p in cross.glob("*/pred_*.mocc")) == ["pred_0000.mocc"] * 2
+        (cross / "a32" / "notes.txt").write_text("kept")
+        _, path = tiny_cfg(tmp_path / "run", cross=False)
+        assert main(["eval", "--config", path, "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        assert [p.name for p in cross.rglob("*") if p.is_file()] == ["notes.txt"]
+        for ds in ("a32", "b64"):
+            assert os.listdir(os.path.join(cfg.out, "pred", "mdt", ds)) == ["pred_0000.mocc"]
+
 
 class TestCliErrors:
     def test_usage_error(self):
@@ -562,28 +579,34 @@ def test_cli_probe_one_line(probe_dirs, tmp_path, probe):
 
 @pytest.fixture(scope="module")
 def non_finite_models(probe_dirs, tmp_path_factory):
-    """The probe run's mdt checkpoint with one NaN weight, and with finite
-    backbone weights large enough to overflow the forward pass; the run's
-    directory gains a unified.txt for `eval --unified`."""
+    """The probe run's mdt checkpoint with one NaN weight, with finite
+    backbone weights large enough to overflow the forward pass, and with an
+    a32 head whose finite weights overflow its scores while the backbone
+    stays finite; the run's directory gains a unified.txt for
+    `eval --unified`."""
     cfg = probe_dirs["run"]
     ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
     path = os.path.join(cfg.out, "cfg.txt")
     assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
     root = tmp_path_factory.mktemp("non_finite")
     paths = {}
-    for kind in ("nan", "overflow"):
+    for kind in ("nan", "overflow", "head-overflow"):
         params, norm_state = load_checkpoint(ckpt)
         if kind == "nan":
             params.w1[0, 0] = np.nan
-        else:
+        elif kind == "overflow":
             params.w1 *= 1e200
             params.w2 *= 1e200
+        else:
+            w, b = params.heads["a32"]
+            params.heads["a32"] = (np.full_like(w, 1e308), b)
         paths[kind] = str(root / f"{kind}.mckpt")
         save_checkpoint(paths[kind], params, norm_state)
     return cfg, paths
 
 
-@pytest.mark.parametrize("kind, code", [("nan", EXIT_IO), ("overflow", EXIT_NUMERIC)])
+@pytest.mark.parametrize("kind, code", [("nan", EXIT_IO), ("overflow", EXIT_NUMERIC),
+                                        ("head-overflow", EXIT_NUMERIC)])
 @pytest.mark.parametrize("command", ["eval", "eval-unified", "learn-labels"])
 def test_non_finite_model_one_line(non_finite_models, tmp_path, kind, code, command):
     cfg, paths = non_finite_models

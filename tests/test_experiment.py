@@ -1,3 +1,4 @@
+import ctypes
 import multiprocessing
 import os
 import subprocess
@@ -18,7 +19,6 @@ from mdocc.experiment import (
     Setup,
     _fork_map,
     _gt_on_lattice,
-    _read_heads,
     _slm_scores,
     coarse_labels,
     crop_or_resample,
@@ -352,15 +352,29 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_starts_no_child(self):
+        # the in-process path keeps freed pages as the pool's does: after one
+        # round of four 1 MiB temporaries, fifty more rounds fault no fresh
+        # page in (about 49,600 faults with glibc's defaults)
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import os, sys\n"
+        code = ("import os, resource, sys\n"
+                "import numpy as np\n"
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                 "from mdocc.experiment import _fork_map\n"
                 "same = _fork_map(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3\n"
-                "print(same, 'multiprocessing' in sys.modules)\n")
+                "arrays = [np.ones((16384, 8)) for _ in range(4)]\n"
+                "del arrays\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(50):\n"
+                "    arrays = [np.ones((16384, 8)) for _ in range(4)]\n"
+                "    del arrays\n"
+                "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+                "print(same, 'multiprocessing' in sys.modules, faults)\n")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["True", "False"]
+        same, pool_loaded, faults = out.stdout.split()
+        assert [same, pool_loaded] == ["True", "False"]
+        if hasattr(ctypes.CDLL(None), "mallopt"):
+            assert int(faults) < 1000
 
     @pytest.mark.parametrize("profiles", [None, WORLD_PROFILES], ids=["paired", "profiles"])
     def test_synthesize_gives_each_seed_its_views(self, profiles):
@@ -429,11 +443,12 @@ class TestSlmScores:
         # the per-head composition: one eval-mode pass per head, then softmax,
         # merge over the unified space and reprojection
         order = list(unified.dataset_ids())
-        heads = [softmax_scores(predict_scores(params, state, "b64", feats, head_id=d)[0])
-                 for d in order]
+        passes = [batch_forward([feats], "b64", params, state, mode="eval", head_id=d)
+                  for d in order]
+        heads = [softmax_scores(outs[0]) for outs, _ in passes]
         merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
         want = reproject(merged, unified.mapping("b64"))
-        _, want_hidden = predict_scores(params, state, "b64", feats)
+        want_hidden = passes[0][1]["z5"].reshape(feats.shape[:3] + (6,))
 
         calls = []
         real = model.dsnorm_forward
@@ -443,12 +458,25 @@ class TestSlmScores:
             return real(x, dataset_id, *args, **kwargs)
 
         monkeypatch.setattr(model, "dsnorm_forward", counting)
-        raw, hidden = _read_heads(result, "b64", feats, ["b64", "a32"])
+        raw, hidden = predict_scores(result, "b64", feats, ["b64", "a32"])
         got = _slm_scores(raw, unified, "b64")
         assert calls == ["b64"]
         assert len(order) == 2
         assert got.tobytes() == want.tobytes()
         assert hidden.tobytes() == want_hidden.tobytes()
+
+    def test_a_foreign_head_that_overflows_raises(self):
+        specs = dataset_presets(taxonomy_preset("split"))
+        result = random_model(specs, "mdt", 5)
+        w, b = result.params.heads["a32"]
+        # finite weights whose scores overflow; the backbone is untouched
+        result.params.heads["a32"] = (np.full_like(w, 1e308), b)
+        feats = rng_stream(5, "overflow").normal(size=(4, 5, 3, 5))
+        with np.errstate(all="ignore"):
+            own, hidden = predict_scores(result, "b64", feats, ["b64"])
+            assert np.isfinite(hidden).all() and np.isfinite(own["b64"]).all()
+            with pytest.raises(FloatingPointError, match="non-finite scores under the b64"):
+                predict_scores(result, "b64", feats, ["b64", "a32"])
 
 
 def random_model(specs, regime, seed):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from mdocc.core import Lattice, OccupancyGrid, rng_stream
-from mdocc.refine import (
-    DimMismatch,
-    occupied_voxels,
-    refine_and_reassemble,
-    sample_features,
-    split_voxels,
-)
+from mdocc.refine import refine_and_reassemble, sample_features, split_voxels
 
 
 def grid_from(labels, voxel=0.5, origin=(0.0, 0.0, 0.0), num_classes=4):
@@ -16,48 +10,30 @@ def grid_from(labels, voxel=0.5, origin=(0.0, 0.0, 0.0), num_classes=4):
     return OccupancyGrid(labels.shape, voxel, origin, labels, num_classes)
 
 
-class TestOccupiedVoxels:
-    def test_all_empty(self):
-        assert occupied_voxels(grid_from(np.zeros((3, 3, 3)))).shape == (0, 3)
-
-    def test_single_voxel(self):
-        labels = np.zeros((4, 4, 4))
-        labels[1, 2, 3] = 2
-        assert occupied_voxels(grid_from(labels)).tolist() == [[1, 2, 3]]
-
-    def test_count_matches_brute_force(self):
-        rng = rng_stream(1, "occ")
-        labels = rng.integers(0, 3, (8, 8, 8))
-        got = occupied_voxels(grid_from(labels))
-        want = sum(1 for idx in np.ndindex(8, 8, 8) if labels[idx] != 0)
-        assert got.shape[0] == want
-        # row-major order
-        flat = got[:, 0] * 64 + got[:, 1] * 8 + got[:, 2]
-        assert np.all(np.diff(flat) > 0)
-
-
 class TestSplitVoxels:
     def test_eta_one_identity(self):
         vox = np.array([[1, 2, 3], [0, 0, 0]])
-        q = split_voxels(vox, 1, (4, 4, 4))
-        assert np.array_equal(q.coords, vox)
+        q = split_voxels(vox, 1)
+        assert q.dtype == np.int64
+        assert np.array_equal(q, vox)
         # the queries of coarse voxel k are block k of eta^3 rows
-        assert np.array_equal(q.coords // q.eta, np.repeat(vox, q.eta**3, axis=0))
+        for eta in (1, 3):
+            assert np.array_equal(split_voxels(vox, eta) // eta, np.repeat(vox, eta**3, axis=0))
 
     def test_eta_two_enumerated_by_hand(self):
-        q = split_voxels(np.array([[1, 0, 2]]), 2, (2, 1, 3))
+        q = split_voxels(np.array([[1, 0, 2]]), 2)
         want = [
             [2, 0, 4], [2, 0, 5], [2, 1, 4], [2, 1, 5],
             [3, 0, 4], [3, 0, 5], [3, 1, 4], [3, 1, 5],
         ]
-        assert sorted(q.coords.tolist()) == sorted(want)
+        assert sorted(q.tolist()) == sorted(want)
         assert len(q) == 8
 
     def test_eta_four_count(self):
         vox = np.array([[0, 0, 0], [1, 1, 1], [2, 0, 1], [0, 3, 2], [3, 3, 3]])
-        q = split_voxels(vox, 4, (4, 4, 4))
-        assert len(q) == 5 * 64
-        assert len({tuple(c) for c in q.coords.tolist()}) == 320
+        q = split_voxels(vox, 4)
+        assert q.shape == (5 * 64, 3)
+        assert len({tuple(c) for c in q.tolist()}) == 320
 
 
 class TestCoordinateTransforms:
@@ -149,8 +125,8 @@ class TestSampleFeatures:
 
     def test_constant_volume_constant_samples(self):
         vol = np.full((3, 3, 3, 2), 5.5)
-        q = split_voxels(np.array([[0, 0, 0], [2, 2, 2]]), 4, (3, 3, 3))
-        got = sample_features(vol, q.coords, 4)
+        q = split_voxels(np.array([[0, 0, 0], [2, 2, 2]]), 4)
+        got = sample_features(vol, q, 4)
         assert np.allclose(got, 5.5)
 
     def test_1d_linear_interpolation_by_hand(self):
@@ -167,7 +143,8 @@ class TestRefineReassemble:
 
     def test_no_queries_all_empty(self):
         rng = rng_stream(4, "refine")
-        q = split_voxels(np.zeros((0, 3), dtype=int), 2, (3, 3, 3))
+        q = split_voxels(np.zeros((0, 3), dtype=int), 2)
+        assert q.shape == (0, 3)
         head = self.make_head(5, 4, rng)
         out = refine_and_reassemble(q, np.zeros((0, 5)), head, Lattice((6, 6, 6), 0.25, (0, 0, 0)), 0)
         assert np.all(out.labels == 0)
@@ -181,9 +158,8 @@ class TestRefineReassemble:
         scores = feats @ head_w + head_b
         coarse = np.argmax(scores, axis=3).astype(np.uint16)
         grid = grid_from(coarse, voxel=0.5, num_classes=classes)
-        vox = occupied_voxels(grid)
-        q = split_voxels(vox, 1, grid.dims)
-        sampled = sample_features(feats, q.coords, 1)
+        q = split_voxels(np.argwhere(grid.labels != 0), 1)
+        sampled = sample_features(feats, q, 1)
         out = refine_and_reassemble(
             q, sampled, (head_w, head_b), grid.lattice, 0
         )
@@ -195,9 +171,9 @@ class TestRefineReassemble:
         labels = rng.integers(0, classes, (5, 5, 3))
         grid = grid_from(labels, num_classes=classes)
         feats = rng.normal(size=(5, 5, 3, hidden))
-        vox = occupied_voxels(grid)
-        q = split_voxels(vox, eta, grid.dims)
-        sampled = sample_features(feats, q.coords, eta)
+        vox = np.argwhere(grid.labels != 0)
+        q = split_voxels(vox, eta)
+        sampled = sample_features(feats, q, eta)
         head = self.make_head(hidden, classes, rng)
         out = refine_and_reassemble(q, sampled, head, Lattice((10, 10, 6), 0.25, (0, 0, 0)), 0)
         # brute-force containment: every non-empty fine voxel descends from an
@@ -210,14 +186,8 @@ class TestRefineReassemble:
         rng = rng_stream(7, "refine")
         labels = (rng.random((6, 6, 4)) < 0.3).astype(np.uint16)
         grid = grid_from(labels, num_classes=2)
-        vox = occupied_voxels(grid)
+        vox = np.argwhere(grid.labels != 0)
         for eta in (1, 2, 4):
-            q = split_voxels(vox, eta, grid.dims)
+            q = split_voxels(vox, eta)
             assert len(q) == vox.shape[0] * eta**3
-            assert len({tuple(c) for c in q.coords.tolist()}) == len(q)
-
-    def test_dim_mismatch(self):
-        q = split_voxels(np.array([[0, 0, 0]]), 2, (3, 3, 3))
-        head = self.make_head(4, 3, rng_stream(8, "refine"))
-        with pytest.raises(DimMismatch):
-            refine_and_reassemble(q, np.zeros((8, 4)), head, Lattice((5, 6, 6), 0.25, (0, 0, 0)), 0)
+            assert len({tuple(c) for c in q.tolist()}) == len(q)
