@@ -80,7 +80,7 @@ def _manifest(synth, cfg):
             "gt_range": [spec.gt_range.mins.tolist(), spec.gt_range.maxs.tolist()],
             "point_range": [spec.point_range.mins.tolist(), spec.point_range.maxs.tolist()],
         }
-    oracle = exp.oracle_unified(tax, synth.specs)
+    oracle = exp.oracle_unified(tax)
     for cand in oracle.selected:
         if len(cand) == 2:
             entry["oracle_pairs"].append([list(cand.members[0]), list(cand.members[1])])
@@ -206,11 +206,8 @@ def cmd_learn_labels(cfg, checkpoint):
         print(f"learn-labels needs training scenes, {cfg.out} has none", file=sys.stderr)
         return EXIT_USAGE
     unified = exp.learn_unified(result, synth, cfg.stride, cfg.lam, cfg.tau)
-    spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
-    _write_text(
-        os.path.join(cfg.out, "unified.txt"),
-        export_unified(unified, spaces, lam=cfg.lam, tau=cfg.tau),
-    )
+    _write_text(os.path.join(cfg.out, "unified.txt"),
+                export_unified(unified, lam=cfg.lam, tau=cfg.tau))
     return EXIT_OK
 
 
@@ -225,9 +222,8 @@ def cmd_eval(cfg, checkpoint, unified_path=None):
         return EXIT_USAGE
     unified = None
     if unified_path:
-        spaces = [(ds, synth.specs[ds].label_space) for ds in synth.specs]
         with open(unified_path, "r", encoding="utf-8") as fh:
-            unified = parse_unified(fh.read(), spaces)
+            unified = parse_unified(fh.read(), synth.taxonomy.spaces)
     if not all(synth.eval_views.values()):
         print(f"eval needs eval scenes, {cfg.out} has none", file=sys.stderr)
         return EXIT_USAGE

@@ -323,24 +323,22 @@ def learn_unified(result, synth, stride, lam, tau):
         for cloud, _ in synth.train_views[ds]:
             scores, _ = predict_scores(result, ds, cloud_features(cloud, crop, lattice), [ds])
             corpus[ds].append(softmax_scores(scores[ds]))
-    candidates = enumerate_candidates(corpus, tau)
-    spaces = [(ds, specs[ds].label_space) for ds in specs]
-    return solve_unified(candidates, lam, spaces)
+    return solve_unified(enumerate_candidates(corpus, tau), lam, synth.taxonomy.spaces)
 
 
-def oracle_unified(taxonomy, specs):
+def oracle_unified(taxonomy):
     """Ground-truth class correspondence as a unified space.
 
     Classes of the two datasets pair up by maximal overlap of fine-class
     preimages (ties: lower class ids); unpaired classes stay singletons.
     """
-    ids = list(specs)
-    if len(ids) != 2:
+    spaces = taxonomy.spaces
+    if len(spaces) != 2:
         raise ValueError("oracle matching is defined for exactly two datasets")
-    da, db = ids
+    da, db = spaces
     pa = taxonomy.project(da).astype(int)
     pb = taxonomy.project(db).astype(int)
-    na, nb = len(specs[da].label_space), len(specs[db].label_space)
+    na, nb = len(spaces[da]), len(spaces[db])
     overlap = np.zeros((na, nb), dtype=int)
     for f in range(len(taxonomy.fine_space)):
         overlap[pa[f], pb[f]] += 1
@@ -354,7 +352,6 @@ def oracle_unified(taxonomy, specs):
         used_a.add(a)
         used_b.add(b)
         pairs.append(((da, a), (db, b)))
-    spaces = [(ds, specs[ds].label_space) for ds in ids]
     return unified_from_pairs(spaces, pairs)
 
 
@@ -459,7 +456,7 @@ def evaluate_setups(synth, setups, unified, stride, eta=1):
         space = specs[ds].label_space
         out = []
         for r, pred in zip(readings, preds):
-            scored = pred if r.reader == ds else transcode(pred, unified, r.reader, ds, space)
+            scored = pred if r.reader == ds else transcode(pred, unified, r.reader, ds)
             out.append((pred, accumulate(ConfusionMatrix(len(space)), scored, truth, shared).counts))
         return out
 
@@ -620,7 +617,7 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     ], cfg)
     results = {f"single_{ids[0]}": single_a, f"single_{ids[1]}": single_b,
                "direct_merge": merged, "mdt": mdt}
-    unified = oracle_unified(synth.taxonomy, synth.specs)
+    unified = oracle_unified(synth.taxonomy)
     setups = standard_setups(results)
     rows, _ = evaluate_setups(synth, setups, unified, cfg.stride)
     table = {(r["setup"], r["dataset"]): r for r in rows}

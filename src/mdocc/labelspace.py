@@ -81,19 +81,37 @@ class MergeCandidate:
 
 @dataclass(frozen=True)
 class UnifiedSpace:
-    """A learned unified taxonomy: label space, per-dataset transforms, objective."""
+    """A learned unified taxonomy over the datasets' label spaces ``spaces``
+    (dataset_id -> LabelSpace, in dataset order): the ``selected`` candidates
+    that partition their classes, and the objective of that selection.
 
-    space: LabelSpace
-    mappings: tuple
+    ``space`` holds one class per selected candidate, named by its members;
+    its empty class is the one that holds the first dataset's empty class.
+    ``mappings`` holds each dataset's transform into it, in ``spaces`` order.
+    """
+
+    spaces: dict
+    selected: tuple
     objective: float
-    selected: tuple = field(default=())
+    space: LabelSpace = field(init=False, compare=False)
+    mappings: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mappings", tuple(self.mappings))
-        object.__setattr__(self, "selected", tuple(self.selected))
-        for m in self.mappings:
-            if m.num_unified != len(self.space):
-                raise ValueError(f"{m.dataset_id}: mapping width {m.num_unified} != |L| {len(self.space)}")
+        selected = tuple(self.selected)
+        mappings = []
+        for ds, space in self.spaces.items():
+            m = np.zeros((len(space), len(selected)), dtype=bool)
+            for ui, cand in enumerate(selected):
+                for d, c in cand.members:
+                    if d == ds:
+                        m[c, ui] = True
+            mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
+        names = ("+".join(f"{ds}/{self.spaces[ds].names[c]}" for ds, c in cand.members)
+                 for cand in selected)
+        empty_uid = mappings[0].unified_of(list(self.spaces.values())[0].empty_id)
+        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "mappings", tuple(mappings))
+        object.__setattr__(self, "space", LabelSpace(names=tuple(names), empty_id=empty_uid))
 
     def mapping(self, dataset_id):
         for m in self.mappings:
@@ -102,7 +120,7 @@ class UnifiedSpace:
         raise UnknownDataset(dataset_id)
 
     def dataset_ids(self):
-        return tuple(m.dataset_id for m in self.mappings)
+        return tuple(self.spaces)
 
 
 def merged_score(outputs, transforms):
@@ -236,14 +254,13 @@ def solve_unified(candidates, lam, spaces):
     """Select candidates minimizing sum(cost + lam) with exact cover of every
     dataset label.
 
-    ``spaces`` is a sequence of (dataset_id, LabelSpace) pairs fixing the
-    dataset order and label universes. The exact search is a deterministic
+    ``spaces`` maps dataset_id -> LabelSpace and fixes the dataset order and
+    label universes. The exact search is a deterministic
     branch-and-bound whose ties are broken by fewer unified classes, then
     lexicographic candidate order.
     """
     candidates = list(candidates)
-    spaces = list(spaces)
-    labels = [(ds, c) for ds, space in spaces for c in range(len(space))]
+    labels = [(ds, c) for ds, space in spaces.items() for c in range(len(space))]
     label_pos = {lab: i for i, lab in enumerate(labels)}
     for cand in candidates:
         for mem in cand.members:
@@ -309,55 +326,27 @@ def solve_unified(candidates, lam, spaces):
     j, _, selection = best
     if selection is None:
         raise InfeasibleCover("no feasible cover exists for the given candidates")
-    return _build_unified(candidates, selection, j, spaces)
-
-
-def _build_unified(candidates, selection, objective, spaces):
-    selected = tuple(candidates[i] for i in sorted(selection))
-    space_of = dict(spaces)
-    names = []
-    for cand in selected:
-        names.append("+".join(f"{ds}/{space_of[ds].names[c]}" for ds, c in cand.members))
-    first_ds, first_space = spaces[0]
-    empty_uid = None
-    for ui, cand in enumerate(selected):
-        for ds, c in cand.members:
-            if ds == first_ds and c == first_space.empty_id:
-                empty_uid = ui
-    if empty_uid is None:
-        raise InfeasibleCover(f"empty class of {first_ds!r} is not covered")
-    unified = LabelSpace(names=tuple(names), empty_id=empty_uid)
-    mappings = []
-    for ds, space in spaces:
-        m = np.zeros((len(space), len(unified)), dtype=bool)
-        for ui, cand in enumerate(selected):
-            for d, c in cand.members:
-                if d == ds:
-                    m[c, ui] = True
-        mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
-    return UnifiedSpace(space=unified, mappings=tuple(mappings), objective=objective, selected=selected)
+    return UnifiedSpace(spaces, [candidates[i] for i in selection], j)
 
 
 def unified_from_pairs(spaces, pairs):
     """Build a UnifiedSpace directly from explicit cross-dataset class pairs.
 
-    ``pairs`` is a sequence of member tuples like (("a", 1), ("b", 3));
-    uncovered labels become singletons, every candidate costs 0. Useful for
-    oracle correspondences derived from a known taxonomy.
+    ``pairs`` is a sequence of member tuples like (("a", 1), ("b", 3)) over
+    the label spaces ``spaces`` (dataset_id -> LabelSpace); uncovered labels
+    become singletons, every candidate costs 0. Useful for oracle
+    correspondences derived from a known taxonomy.
     """
-    spaces = list(spaces)
     cands = [MergeCandidate(members=tuple(p), cost=0.0) for p in pairs]
     covered = {m for c in cands for m in c.members}
-    for ds, space in spaces:
+    for ds, space in spaces.items():
         for c in range(len(space)):
             if (ds, c) not in covered:
                 cands.append(MergeCandidate(members=((ds, c),), cost=0.0))
-    selection = range(len(cands))
-    j = _canonical_objective(cands, selection, 0.0)
-    return _build_unified(cands, selection, j, spaces)
+    return UnifiedSpace(spaces, cands, _canonical_objective(cands, range(len(cands)), 0.0))
 
 
-def transcode(grid, unified, source_ds, target_ds, target_space):
+def transcode(grid, unified, source_ds, target_ds):
     """Map hard labels of ``source_ds`` into ``target_ds``'s taxonomy through
     the unified space; unified classes lacking a preimage there fall back to
     the target's empty class. The result is on the grid's lattice."""
@@ -365,7 +354,7 @@ def transcode(grid, unified, source_ds, target_ds, target_space):
     if grid.num_classes != src.num_labels:
         raise DimMismatch(f"grid classes {grid.num_classes} != mapping rows {src.num_labels}")
     tgt = unified.mapping(target_ds)
-    back = np.full(len(unified.space), target_space.empty_id, dtype=np.int64)
+    back = np.full(len(unified.space), unified.spaces[target_ds].empty_id, dtype=np.int64)
     rows, cols = np.nonzero(tgt.matrix)
     back[cols] = rows
     lut = back[np.argmax(src.matrix, axis=1)]
@@ -373,7 +362,10 @@ def transcode(grid, unified, source_ds, target_ds, target_space):
     return grid.lattice.grid(labels, tgt.num_labels)
 
 
-def export_unified(unified, spaces, lam=None, tau=None):
+FORMAT = "unified-space v1"
+
+
+def export_unified(unified, lam=None, tau=None):
     """Render a unified space as a deterministic structured text document.
 
     Schema (stable key order, one record per line):
@@ -381,8 +373,7 @@ def export_unified(unified, spaces, lam=None, tau=None):
       ``class <i>: <name>``, ``cost <i>: <cost>``, and
       ``map <ds> <label_id> <label_name> -> <unified_id>`` records.
     """
-    space_of = dict(spaces)
-    lines = ["format: unified-space v1"]
+    lines = [f"format: {FORMAT}"]
     lines.append(f"lambda: {'' if lam is None else repr(float(lam))}")
     lines.append(f"tau: {'' if tau is None else repr(float(tau))}")
     lines.append(f"objective: {unified.objective!r}")
@@ -392,29 +383,33 @@ def export_unified(unified, spaces, lam=None, tau=None):
         lines.append(f"class {i}: {name}")
     for i, cand in enumerate(unified.selected):
         lines.append(f"cost {i}: {cand.cost!r}")
-    for m in unified.mappings:
-        space = space_of[m.dataset_id]
+    for m, space in zip(unified.mappings, unified.spaces.values()):
         for c in range(m.num_labels):
             lines.append(f"map {m.dataset_id} {c} {space.names[c]} -> {m.unified_of(c)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_unified(text, spaces):
-    """Inverse of export_unified (requires the same dataset label spaces).
+    """Inverse of export_unified over the datasets' label spaces ``spaces``
+    (dataset_id -> LabelSpace): the unified space is built from the ``class``
+    and ``cost`` records, over the datasets of the ``datasets:`` record in
+    its order.
 
     Raises CodecError, at the byte offset of the offending line, on a line
     that does not parse, on a label mapped twice and on a ``datasets:``
-    record that names a dataset twice; and at the end of the
-    text on a dataset without map lines, on a dataset of ``spaces`` that the
-    ``datasets:`` record leaves out and on a document whose datasets,
-    classes, empty class or mappings do not form a valid unified space.
+    record that names a dataset twice; and at the end of the text on a
+    ``format:`` record that is missing or not ``unified-space v1``, on a
+    missing or non-finite objective, on a dataset of ``spaces`` that the
+    ``datasets:`` record leaves out, on classes and costs that do not form a
+    valid unified space and on class names, ``map`` or ``empty:`` records
+    that contradict the space they form.
     """
-    space_of = dict(spaces)
+    fmt = None
+    objective = float("nan")
     names = {}
     costs = {}
     maps = {}
     empty_uid = None
-    objective = None
     datasets = []
     offset = 0
     for raw in text.splitlines(keepends=True):
@@ -429,6 +424,8 @@ def parse_unified(text, spaces):
                 names[int(key.split()[1])] = value.strip()
             elif key.startswith("cost "):
                 costs[int(key.split()[1])] = float(value.strip())
+            elif key == "format":
+                fmt = value.strip()
             elif key == "empty":
                 empty_uid = int(value.strip())
             elif key == "objective":
@@ -439,48 +436,40 @@ def parse_unified(text, spaces):
                     raise ValueError("a dataset is named twice")
             elif line.startswith("map "):
                 head, _, uid = line.partition("->")
-                _, ds, label_id, _ = head.split()
-                label, target = int(label_id), int(uid.strip())
-                if label < 0 or target < 0:
-                    raise ValueError("negative class id")
+                _, ds, label_id, name = head.split()
+                label = int(label_id)
                 if label in maps.setdefault(ds, {}):
                     raise ValueError(f"label {label} of {ds!r} is mapped twice")
-                maps[ds][label] = target
-            elif key not in ("format", "lambda", "tau"):
+                maps[ds][label] = (name, int(uid.strip()))
+            elif key not in ("lambda", "tau"):
                 raise ValueError("unknown record")
         except (ValueError, IndexError) as e:
             raise CodecError(f"unified document line {line!r}: {e}", at) from None
-    for ds in datasets:
-        if ds not in maps:
-            raise CodecError(f"unified document has no map lines for dataset {ds!r}", offset)
-    for ds in space_of:
+    if fmt != FORMAT:
+        raise CodecError(f"unified document has format {fmt!r}, not {FORMAT!r}", offset)
+    if not np.isfinite(objective):
+        raise CodecError("unified document has no finite objective: record", offset)
+    for ds in spaces:
         if ds not in datasets:
             raise CodecError(f"unified document leaves out dataset {ds!r}", offset)
-    if empty_uid is None:
-        raise CodecError("unified document has no empty: record", offset)
     try:
-        num_unified = len(names)
-        space = LabelSpace(
-            names=tuple(names[i] for i in range(num_unified)), empty_id=empty_uid
-        )
-        mappings = []
-        for ds in datasets:
-            m = np.zeros((len(space_of[ds]), num_unified), dtype=bool)
-            for c, uid in maps[ds].items():
-                m[c, uid] = True
-            mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
-        selected = tuple(
-            MergeCandidate(members=_members_from_name(names[i], space_of), cost=costs.get(i, 0.0))
-            for i in range(num_unified)
-        )
-        return UnifiedSpace(space=space, mappings=tuple(mappings), objective=objective, selected=selected)
+        classes = tuple(names[i] for i in range(len(names)))
+        selected = [MergeCandidate(_members_from_name(name, spaces), costs[i])
+                    for i, name in enumerate(classes)]
+        unified = UnifiedSpace({ds: spaces[ds] for ds in datasets}, selected, objective)
     except (KeyError, IndexError, ValueError) as e:
         raise CodecError(f"unified document is not a valid unified space: {e!r}", offset) from None
+    implied = {m.dataset_id: {c: (space.names[c], m.unified_of(c)) for c in range(m.num_labels)}
+               for m, space in zip(unified.mappings, unified.spaces.values())}
+    if (unified.space.names, unified.space.empty_id, implied) != (classes, empty_uid, maps):
+        raise CodecError("unified document's class names, map or empty: records contradict "
+                         "the space its classes form", offset)
+    return unified
 
 
-def _members_from_name(name, space_of):
+def _members_from_name(name, spaces):
     members = []
     for part in name.split("+"):
         ds, _, cls = part.partition("/")
-        members.append((ds, space_of[ds].index(cls)))
+        members.append((ds, spaces[ds].index(cls)))
     return tuple(members)

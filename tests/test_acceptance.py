@@ -134,7 +134,7 @@ def _random_two_dataset_instance(rng):
     spaces = spaces_of({"a": na, "b": nb})
     cands = [
         MergeCandidate(members=((ds, c),), cost=0.0)
-        for ds, space in spaces
+        for ds, space in spaces.items()
         for c in range(len(space))
     ]
     for i in range(na):
@@ -162,7 +162,7 @@ def test_05_solver_exactness():
         spaces = spaces_of(sizes)
         cands = [
             MergeCandidate(members=((ds, c),), cost=0.0)
-            for ds, space in spaces
+            for ds, space in spaces.items()
             for c in range(len(space))
         ]
         ids = list(sizes)

@@ -15,9 +15,9 @@ from mdocc.align import NormState
 from mdocc.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mdocc.config import ConfigError, ExperimentConfig, parse_config, render_config
 from mdocc.core import OccupancyGrid, grid_encode
-from mdocc.labelspace import export_unified, unified_from_pairs
-from mdocc.model import init_params, load_checkpoint, save_checkpoint
-from mdocc.scenes import dataset_presets, taxonomy_preset
+from mdocc.labelspace import export_unified, parse_unified, unified_from_pairs
+from mdocc.model import TrainResult, init_params, load_checkpoint, save_checkpoint
+from mdocc.scenes import taxonomy_preset
 
 
 class TestConfig:
@@ -177,6 +177,20 @@ class TestCliTrainEval:
         assert os.path.exists(unified)
         text = open(unified).read()
         assert text.startswith("format: unified-space v1")
+        # the document reads back into the space learned from the same inputs,
+        # and writes back to the same bytes
+        synth = experiment.synthesize(cfg.seed, taxonomy_name=cfg.taxonomy, n_train=cfg.scenes,
+                                      n_eval=cfg.eval_scenes, scene_counts=cfg.scene_counts)
+        want = experiment.learn_unified(TrainResult(*load_checkpoint(ckpt), log=[]), synth,
+                                        cfg.stride, cfg.lam, cfg.tau)
+        got = parse_unified(text, synth.taxonomy.spaces)
+        assert got.space == want.space
+        assert [m.dataset_id for m in got.mappings] == [m.dataset_id for m in want.mappings]
+        for m1, m2 in zip(got.mappings, want.mappings):
+            assert np.array_equal(m1.matrix, m2.matrix)
+        assert [(c.members, c.cost) for c in got.selected] == [(c.members, c.cost) for c in want.selected]
+        assert type(got.objective) is float and got.objective == want.objective
+        assert export_unified(got, lam=cfg.lam, tau=cfg.tau) == text
         assert main(["eval", "--config", path, "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
         report = open(os.path.join(cfg.out, "report_mdt.csv")).read().splitlines()
         assert report[0] == "setup,dataset,iou,miou"
@@ -379,6 +393,24 @@ class TestCliMalformedInputs:
                      "--unified", str(probes / "bad_unified.txt")]) == EXIT_IO
         assert one_line_of_output(capsys)
 
+    @pytest.mark.parametrize("edit", [
+        ("map a32 1 ground -> 1\nmap a32 2 car -> 2", "map a32 1 ground -> 2\nmap a32 2 car -> 1"),
+        ("empty: 0", "empty: 9"),
+        ("format: unified-space v1", "format: unified-space v9"),
+        ("format: unified-space v1\n", ""),
+        ("objective: 0.0\n", ""),
+    ])
+    def test_contradicting_unified(self, probes, edit, capsys):
+        # each edit leaves a document that parses line by line: its map or
+        # empty: records contradict its classes, or a header record is wrong
+        text = export_unified(unified_from_pairs(taxonomy_preset("split").spaces, []))
+        old, new = edit
+        assert old in text
+        (probes / "edited.txt").write_text(text.replace(old, new))
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(probes / "ok.mckpt"),
+                     "--unified", str(probes / "edited.txt")]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
     def test_report_without_miou(self, probes, capsys):
         assert main(["report", "--out", str(probes / "report"), str(probes / "no_miou.csv")]) == EXIT_IO
         assert one_line_of_output(capsys)
@@ -506,11 +538,10 @@ def probe_dirs(tmp_path_factory):
     last = cfgs["run"].scenes - 1
     os.remove(os.path.join(cfgs["short"].out, "b64", f"scene_{last:04d}.mocc"))
     os.remove(os.path.join(cfgs["short"].out, "b64", f"scene_cloud_{last:04d}.mply"))
-    spaces = [("a32", dataset_presets(taxonomy_preset("split"))["a32"].label_space)]
+    spaces = taxonomy_preset("split").spaces
     Path(cfgs["a32-only"].out, "unified.txt").write_text(
-        export_unified(unified_from_pairs(spaces, []), spaces))
-    spaces = [(ds, spec.label_space) for ds, spec in dataset_presets(taxonomy_preset("split")).items()]
-    text = export_unified(unified_from_pairs(spaces, []), spaces)
+        export_unified(unified_from_pairs({"a32": spaces["a32"]}, [])))
+    text = export_unified(unified_from_pairs(spaces, []))
     assert "datasets: a32,b64\n" in text
     Path(cfgs["a32-twice"].out, "unified.txt").write_text(
         text.replace("datasets: a32,b64\n", "datasets: a32,b64,a32\n"))

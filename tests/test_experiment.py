@@ -177,7 +177,7 @@ class TestOracleUnified:
     def test_split_preset_matching(self):
         tax = taxonomy_preset("split")
         specs = dataset_presets(tax)
-        uni = oracle_unified(tax, specs)
+        uni = oracle_unified(tax)
         pairs = {c.members for c in uni.selected if len(c) == 2}
         a, b = specs["a32"].label_space, specs["b64"].label_space
         # shared structure pairs exactly; ambiguous splits fall to lowest ids
@@ -193,7 +193,7 @@ class TestOracleUnified:
     def test_twin_preset_perfect(self):
         tax = taxonomy_preset("twin")
         specs = dataset_presets(tax)
-        uni = oracle_unified(tax, specs)
+        uni = oracle_unified(tax)
         assert len(uni.space) == 8
         a, b = specs["a32"].label_space, specs["b64"].label_space
         for c in uni.selected:
@@ -430,7 +430,7 @@ class TestSlmScores:
     def test_one_backbone_pass_reads_every_head(self, monkeypatch):
         tax = taxonomy_preset("split")
         specs = dataset_presets(tax)
-        unified = oracle_unified(tax, specs)
+        unified = oracle_unified(tax)
         sizes = {ds: len(spec.label_space) for ds, spec in specs.items()}
         params = init_params(sizes, hidden=6, seed=4)
         state = NormState(6, list(sizes))
@@ -496,7 +496,7 @@ class TestEvaluateSetups:
     def test_cross_cell_scores_its_predictions_transcoded(self):
         synth = synthesize(6, n_train=0, n_eval=2)
         specs = synth.specs
-        unified = oracle_unified(synth.taxonomy, specs)
+        unified = oracle_unified(synth.taxonomy)
         setup = Setup("mdt_cross", random_model(specs, "mdt", 6), {"a32": "b64", "b64": "a32"})
         rows, preds = evaluate_setups(synth, [setup], unified, stride=2)
         shared = eval_intersection(specs)
@@ -510,7 +510,7 @@ class TestEvaluateSetups:
             assert {g.num_classes for g in grids} == {len(specs[reader].label_space)}
             cm = ConfusionMatrix(len(space))
             for pred, (_, gt) in zip(grids, synth.eval_views[ds]):
-                accumulate(cm, transcode(pred, unified, reader, ds, space),
+                accumulate(cm, transcode(pred, unified, reader, ds),
                            _gt_on_lattice(gt, pred), shared)
             assert row["iou"] == geometric_iou(cm, space.empty_id)
             assert row["miou"] == miou(cm, space.empty_id)
@@ -521,7 +521,7 @@ class TestEvaluateSetups:
         synth = synthesize(6, n_train=0, n_eval={"a32": 2, "b64": 0},
                            world_profiles=WORLD_PROFILES)
         specs = synth.specs
-        unified = oracle_unified(synth.taxonomy, specs)
+        unified = oracle_unified(synth.taxonomy)
         result = random_model(specs, "mdt", 6)
         # a raised empty-class bias leaves a fifth to a third of the voxels
         # occupied instead of all of them

@@ -41,7 +41,7 @@ def mapping(ds, rows, cols, ones):
 def exhaustive_minimum(candidates, spaces, lam):
     """Independent oracle: enumerate every exact cover and take the minimum
     canonical objective (ties: fewer classes, then lexicographic)."""
-    labels = [(ds, c) for ds, space in spaces for c in range(len(space))]
+    labels = [(ds, c) for ds, space in spaces.items() for c in range(len(space))]
     pos = {lab: i for i, lab in enumerate(labels)}
     members = [tuple(pos[m] for m in c.members) for c in candidates]
     best = [None]
@@ -212,10 +212,7 @@ class TestEnumerate:
 
 
 def spaces_of(sizes):
-    out = []
-    for ds, k in sizes.items():
-        out.append((ds, LabelSpace(tuple(f"{ds}{i}" for i in range(k)), 0)))
-    return out
+    return {ds: LabelSpace(tuple(f"{ds}{i}" for i in range(k)), 0) for ds, k in sizes.items()}
 
 
 class TestSolver:
@@ -265,7 +262,7 @@ class TestSolver:
             spaces = spaces_of(sizes)
             cands = [
                 MergeCandidate(members=((ds, c),), cost=0.0)
-                for ds, space in spaces
+                for ds, space in spaces.items()
                 for c in range(len(space))
             ]
             for i in range(na):
@@ -363,7 +360,7 @@ class TestAssignmentOracle:
             pair_cost = rng.random((9, 8))
             cands = [
                 MergeCandidate(members=((ds, c),), cost=0.0)
-                for ds, space in spaces
+                for ds, space in spaces.items()
                 for c in range(len(space))
             ]
             cands += [
@@ -400,22 +397,22 @@ class TestTranscode:
         sa = LabelSpace(("empty", "car", "truck"), 0)
         sb = LabelSpace(("empty", "vehicle"), 0)
         pairs = [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))]
-        return unified_from_pairs([("a", sa), ("b", sb)], pairs), sa, sb
+        return unified_from_pairs({"a": sa, "b": sb}, pairs), sa, sb
 
     def test_identity_transform(self):
         # a self-pairing of identical spaces transcodes to an equal grid
         sa = LabelSpace(("empty", "x", "y"), 0)
         sb = LabelSpace(("empty", "x", "y"), 0)
         pairs = [(("a", i), ("b", i)) for i in range(3)]
-        uni = unified_from_pairs([("a", sa), ("b", sb)], pairs)
+        uni = unified_from_pairs({"a": sa, "b": sb}, pairs)
         g = self.grid([0, 1, 2, 1], 3)
-        out = transcode(g, uni, "a", target_ds="b", target_space=sb)
+        out = transcode(g, uni, "a", target_ds="b")
         assert np.array_equal(out.labels, g.labels)
 
     def test_merge_counts(self):
         uni, sa, sb = self.unified_pair()
         g = self.grid([0, 1, 2, 1, 1], 3)  # 3 cars, 1 truck
-        out = transcode(g, uni, "a", target_ds="b", target_space=sb)
+        out = transcode(g, uni, "a", target_ds="b")
         # cars map to vehicle; truck has no b preimage and falls to empty
         vehicle = sb.index("vehicle")
         assert int(np.sum(out.labels == vehicle)) == 3
@@ -424,8 +421,8 @@ class TestTranscode:
     def test_round_trip_lands_on_merged_representative(self):
         uni, sa, sb = self.unified_pair()
         g = self.grid([1, 2], 3)
-        there = transcode(g, uni, "a", target_ds="b", target_space=sb)
-        back = transcode(there, uni, "b", target_ds="a", target_space=sa)
+        there = transcode(g, uni, "a", target_ds="b")
+        back = transcode(there, uni, "b", target_ds="a")
         # car survives; truck went through empty
         assert back.labels.reshape(-1).tolist() == [1, 0]
 
@@ -437,14 +434,14 @@ class TestUnifiedDoc:
         corpus = random_corpus(rng, sizes)
         spaces = spaces_of(sizes)
         uni = solve_unified(enumerate_candidates(corpus, tau=np.inf), 0.1, spaces)
-        text = export_unified(uni, spaces, lam=0.1, tau=float("inf"))
+        text = export_unified(uni, lam=0.1, tau=float("inf"))
         again = parse_unified(text, spaces)
         assert again.space == uni.space
         assert again.objective == uni.objective
         for m1, m2 in zip(uni.mappings, again.mappings):
             assert m1.dataset_id == m2.dataset_id
             assert np.array_equal(m1.matrix, m2.matrix)
-        assert export_unified(again, spaces, lam=0.1, tau=float("inf")) == text
+        assert export_unified(again, lam=0.1, tau=float("inf")) == text
 
     @pytest.mark.parametrize("edit", [
         ("map a 1 car -> 1", "map a 1 car extra -> 1"),  # unparsable line
@@ -455,13 +452,21 @@ class TestUnifiedDoc:
         ("datasets: a,b", "datasets: a,b,a"),  # dataset named twice
         ("class 2: a/truck\n", ""),  # class ids not contiguous
         ("empty: 0\n", ""),
+        ("format: unified-space v1", "format: unified-space v9"),  # another format
+        ("format: unified-space v1\n", ""),  # no format record
+        ("objective: 0.0\n", ""),  # no objective
+        ("objective: 0.0", "objective: nan"),
+        ("objective: 0.0", "objective: inf"),
+        # map records that contradict the classes: two swapped targets
+        ("map a 1 car -> 1\nmap a 2 truck -> 2", "map a 1 car -> 2\nmap a 2 truck -> 1"),
+        ("empty: 0", "empty: 1"),  # names a class other than the one holding a's empty
     ])
     def test_malformed_rejected(self, edit):
         sa = LabelSpace(("empty", "car", "truck"), 0)
         sb = LabelSpace(("empty", "vehicle"), 0)
-        spaces = [("a", sa), ("b", sb)]
+        spaces = {"a": sa, "b": sb}
         uni = unified_from_pairs(spaces, [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))])
-        text = export_unified(uni, spaces)
+        text = export_unified(uni)
         old, new = edit
         assert old in text
         with pytest.raises(CodecError):
