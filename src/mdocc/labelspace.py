@@ -255,9 +255,9 @@ def solve_unified(candidates, lam, spaces):
     dataset label.
 
     ``spaces`` maps dataset_id -> LabelSpace and fixes the dataset order and
-    label universes. The exact search is a deterministic
-    branch-and-bound whose ties are broken by fewer unified classes, then
-    lexicographic candidate order.
+    label universes. The exact search is a deterministic branch-and-bound
+    whose ties are broken by fewer unified classes, then lexicographic
+    candidate order.
     """
     candidates = list(candidates)
     labels = [(ds, c) for ds, space in spaces.items() for c in range(len(space))]
