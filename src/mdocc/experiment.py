@@ -572,14 +572,28 @@ def train_regimes(synth, jobs, cfg):
     handed out in order, so jobs listed longest first keep the workers
     busiest. Training is deterministic and reads nothing the other jobs
     write, so the results are the bytes in-process ``train`` calls give.
-    Only pretrain_finetune logs every epoch.
+    Only pretrain_finetune logs every epoch. With fewer than three workers
+    (``_fork_map``'s count for ``jobs``), a single job on a pretrain_finetune
+    job's first dataset continues from that job's ``source`` (``train``).
     """
+    jobs = [(regime, tuple(ids)) for regime, ids in jobs]
+    fuse = _FORKED_JOB is not None or min(len(jobs), len(os.sched_getaffinity(0))) < 3
+    riders = set(jobs) & {("single", ids[:1]) for regime, ids in jobs
+                          if fuse and regime == "pretrain_finetune"}
+
     def run(job):
         regime, ids = job
-        return train(prepare_regime(regime, synth, ids, cfg.stride), replace(cfg, regime=regime),
-                     log_every_epoch=regime == "pretrain_finetune")
+        data = prepare_regime(regime, synth, ids, cfg.stride)
+        done = [(job, train(data, replace(cfg, regime=regime),
+                            log_every_epoch=regime == "pretrain_finetune"))]
+        rider = ("single", ids[:1])
+        if regime == "pretrain_finetune" and rider in riders:
+            done.append((rider, train({ids[0]: data[ids[0]]}, replace(cfg, regime="single"),
+                                      log_every_epoch=False, start=done[0][1].source)))
+        return done
 
-    return _fork_map(run, jobs)
+    done = dict(sum(_fork_map(run, [job for job in jobs if job not in riders]), []))
+    return [done[job] for job in jobs]
 
 
 def run_trend_experiment(seed, n_eval=6, epochs=40):
@@ -595,10 +609,11 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     Synthesis, the five trainings (two single models, direct_merge, mdt and
     pretrain_finetune) and evaluation each run in forked worker processes,
     one per usable core (``_fork_map``), at the same bytes as one after
-    another. The acceptance suite's trend fixture runs its seeds one after
-    another: each seed's pools already fill every usable core, and a call
-    made inside a worker runs in-process, so seeds across cores would add
-    no parallelism.
+    another; on fewer than three cores single_a32 continues from the state
+    after pretrain_finetune's source epochs, in its worker (``train_regimes``).
+    The acceptance suite's trend fixture runs its seeds one after another:
+    each seed's pools already fill every usable core, and a call made inside
+    a worker runs in-process, so seeds across cores add no parallelism.
 
     Only the pretrain-finetune log is full, one row per dataset and epoch;
     the single, direct_merge and mdt logs hold their first and last epochs'

@@ -396,13 +396,16 @@ def parse_unified(text, spaces):
     its order.
 
     Raises CodecError, at the byte offset of the offending line, on a line
-    that does not parse, on a label mapped twice and on a ``datasets:``
-    record that names a dataset twice; and at the end of the text on a
-    ``format:`` record that is missing or not ``unified-space v1``, on a
-    missing or non-finite objective, on a dataset of ``spaces`` that the
-    ``datasets:`` record leaves out, on classes and costs that do not form a
-    valid unified space and on class names, ``map`` or ``empty:`` records
-    that contradict the space they form.
+    that does not parse, on a label mapped twice, on a record repeated (a
+    header, or ``class``/``cost`` of one index), on a ``datasets:`` record
+    that names a dataset twice, on a ``lambda:`` that is neither empty nor
+    finite or a ``tau:`` that is neither empty nor a number, and on a
+    ``cost`` record for a class the document does not have; and at the end
+    of the text on a ``format:`` record that is missing or not
+    ``unified-space v1``, on a missing or non-finite objective, on a dataset
+    of ``spaces`` that the ``datasets:`` record leaves out, on classes and
+    costs that do not form a valid unified space and on class names, ``map``
+    or ``empty:`` records that contradict the space they form.
     """
     fmt = None
     objective = float("nan")
@@ -411,6 +414,7 @@ def parse_unified(text, spaces):
     maps = {}
     empty_uid = None
     datasets = []
+    seen = {}  # record (a header key, or ("class" | "cost", index)) -> offset of its line
     offset = 0
     for raw in text.splitlines(keepends=True):
         at = offset
@@ -419,32 +423,49 @@ def parse_unified(text, spaces):
         if not line:
             continue
         key, _, value = line.partition(":")
+        value = value.strip()
         try:
-            if key.startswith("class "):
-                names[int(key.split()[1])] = value.strip()
-            elif key.startswith("cost "):
-                costs[int(key.split()[1])] = float(value.strip())
-            elif key == "format":
-                fmt = value.strip()
-            elif key == "empty":
-                empty_uid = int(value.strip())
-            elif key == "objective":
-                objective = float(value.strip())
-            elif key == "datasets":
-                datasets = [d for d in value.strip().split(",") if d]
-                if len(set(datasets)) < len(datasets):
-                    raise ValueError("a dataset is named twice")
-            elif line.startswith("map "):
+            if line.startswith("map "):
                 head, _, uid = line.partition("->")
                 _, ds, label_id, name = head.split()
                 label = int(label_id)
                 if label in maps.setdefault(ds, {}):
                     raise ValueError(f"label {label} of {ds!r} is mapped twice")
                 maps[ds][label] = (name, int(uid.strip()))
-            elif key not in ("lambda", "tau"):
+                continue
+            kind, _, index = key.partition(" ")
+            record = (kind, int(index)) if kind in ("class", "cost") else key
+            if record in seen:
+                raise ValueError("the record is repeated")
+            seen[record] = at
+            if kind == "class":
+                names[record[1]] = value
+            elif kind == "cost":
+                costs[record[1]] = float(value)
+            elif key == "format":
+                fmt = value
+            elif key == "empty":
+                empty_uid = int(value)
+            elif key == "objective":
+                objective = float(value)
+            elif key == "datasets":
+                datasets = [d for d in value.split(",") if d]
+                if len(set(datasets)) < len(datasets):
+                    raise ValueError("a dataset is named twice")
+            elif key in ("lambda", "tau"):
+                # ExperimentConfig's rule: lambda finite, tau not nan
+                number = float(value or 0)
+                if np.isnan(number) or (key == "lambda" and np.isinf(number)):
+                    raise ValueError(f"{key} is neither empty nor "
+                                     f"{'finite' if key == 'lambda' else 'a number'}")
+            else:
                 raise ValueError("unknown record")
         except (ValueError, IndexError) as e:
             raise CodecError(f"unified document line {line!r}: {e}", at) from None
+    for i in costs:
+        if i not in names:
+            raise CodecError(f"unified document has a cost record for class {i}, which it "
+                             "does not have", seen[("cost", i)])
     if fmt != FORMAT:
         raise CodecError(f"unified document has format {fmt!r}, not {FORMAT!r}", offset)
     if not np.isfinite(objective):

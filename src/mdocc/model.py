@@ -10,9 +10,10 @@ descent.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -447,6 +448,7 @@ class TrainResult:
     params: ModelParams
     norm_state: NormState
     log: list  # rows: dict(epoch, dataset, loss, iou, miou)
+    source: tuple | None = None  # a phased run's (epoch, state) as single; see train
 
 
 def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
@@ -488,7 +490,16 @@ def _keep_freed_heap():
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def train(datasets, config, *, log_every_epoch=True):
+def _as_single(params, norm_state, log, ds):
+    """A copy of a phased run's state as single on its first dataset ``ds``."""
+    state = NormState(norm_state.num_features, [ds], norm_state.eps, norm_state.momentum)
+    state.gamma, state.beta = norm_state.gamma.copy(), norm_state.beta.copy()
+    state.stats(ds).update(copy.deepcopy(norm_state.stats(route(params.regime, ds)[0])))
+    single = copy.deepcopy(replace(params, heads={ds: params.heads[ds]}, regime="single"))
+    return TrainResult(single, state, [row for row in log if row["dataset"] == ds])
+
+
+def train(datasets, config, *, log_every_epoch=True, start=None):
     """Train under ``config``, an ExperimentConfig: its regime, seed and
     [train] values. Deterministic in config.seed; the params record the regime.
 
@@ -509,6 +520,11 @@ def train(datasets, config, *, log_every_epoch=True):
     pass leaves the running statistics alone. An epoch whose datasets hold
     no scene takes no step and logs nothing.
 
+    ``start``, an (epoch, TrainResult) pair, continues a copy of that state
+    from that epoch. A phased run returns as ``source`` such a pair for single
+    on its first dataset after min(pretrain_epochs, epochs) epochs: up to
+    there the two take the same steps from the same weights (``_as_single``).
+
     Raises FloatingPointError when a step's loss or a logged loss stops being
     finite, in either mode; the last epoch is always logged, so this covers
     the last update.
@@ -525,8 +541,6 @@ def train(datasets, config, *, log_every_epoch=True):
         raise ValueError(f"{regime} trains on exactly {rules.datasets} datasets, got {len(ids)}")
     routes = {ds: route(regime, ds) for ds in ids}
     widths = head_widths(regime, {ds: datasets[ds].block for ds in ids})
-    params = init_params(widths, config.hidden, config.seed, regime)
-    norm_state = NormState(config.hidden, list(dict.fromkeys(s for s, _ in routes.values())))
     weights = {}
     for head_id, width in widths.items():
         labels = [l.reshape(-1) for ds in ids if routes[ds][1] == head_id
@@ -538,8 +552,17 @@ def train(datasets, config, *, log_every_epoch=True):
               else [(ids, config.epochs)])
     epochs = [active for active, count in phases for _ in range(count)]
     logged = [ds for ds in ids if len(datasets[ds])]
-    log = []
-    for epoch, active in enumerate(epochs):
+    if start is None:
+        first, params, log = 0, init_params(widths, config.hidden, config.seed, regime), []
+        norm_state = NormState(config.hidden, list(dict.fromkeys(s for s, _ in routes.values())))
+    else:
+        first, state = start
+        params, norm_state = copy.deepcopy((state.params, state.norm_state))
+        log = [row for row in state.log if log_every_epoch or row["epoch"] in (0, len(epochs) - 1)]
+    shared, source = min(config.pretrain_epochs, config.epochs) if rules.phased else -1, None
+    for epoch, active in enumerate(epochs[first:], first):
+        if epoch == shared:
+            source = (epoch, _as_single(params, norm_state, log, ids[0]))
         sizes = {ds: len(datasets[ds]) for ds in active if len(datasets[ds])}
         for batch in sampler(sizes, config.batch_size, seed=config.seed + 7919 * epoch):
             norm_id, head_id = routes[batch[0][0]]
@@ -558,7 +581,7 @@ def train(datasets, config, *, log_every_epoch=True):
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite {ds} loss after epoch {epoch}")
             log.append({"epoch": epoch, "dataset": ds, "loss": loss, "iou": iou, "miou": mi})
-    return TrainResult(params=params, norm_state=norm_state, log=log)
+    return TrainResult(params=params, norm_state=norm_state, log=log, source=source)
 
 
 def save_checkpoint(path, params, norm_state):

@@ -411,6 +411,30 @@ class TestCliMalformedInputs:
                      "--unified", str(probes / "edited.txt")]) == EXIT_IO
         assert one_line_of_output(capsys)
 
+    @pytest.mark.parametrize("old, new", [
+        ("format: unified-space v1\n", "format: unified-space v1\nformat: unified-space v1\n"),
+        ("lambda: \n", "lambda: \nlambda: 0.5\n"),
+        ("tau: \n", "tau: \ntau: 0.1\n"),
+        ("objective: 0.0\n", "objective: 0.0\nobjective: 5.0\n"),
+        ("datasets: a32,b64\n", "datasets: a32,b64\ndatasets: a32,b64\n"),
+        ("empty: 0\n", "empty: 0\nempty: 0\n"),
+        ("class 1: a32/ground\n", "class 1: a32/ground\nclass 1: a32/ground\n"),
+        ("cost 1: 0.0\n", "cost 1: 0.0\ncost 1: 0.0\n"),
+        ("cost 1: 0.0\n", "cost 1: 0.0\ncost 99: 7.0\n"),
+        ("lambda: \n", "lambda: banana\n"),
+        ("lambda: \n", "lambda: inf\n"),
+        ("tau: \n", "tau: nan\n"),
+    ])
+    def test_refused_record_unified(self, probes, old, new, capsys):
+        # a repeated record, a cost for a class the document lacks, or a
+        # lambda or tau that ExperimentConfig would refuse
+        text = export_unified(unified_from_pairs(taxonomy_preset("split").spaces, []))
+        assert old in text
+        (probes / "edited.txt").write_text(text.replace(old, new, 1))
+        assert main(["eval", "--out", str(probes / "empty"), "--checkpoint", str(probes / "ok.mckpt"),
+                     "--unified", str(probes / "edited.txt")]) == EXIT_IO
+        assert one_line_of_output(capsys)
+
     def test_report_without_miou(self, probes, capsys):
         assert main(["report", "--out", str(probes / "report"), str(probes / "no_miou.csv")]) == EXIT_IO
         assert one_line_of_output(capsys)

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import multiprocessing
 import os
@@ -279,6 +280,60 @@ def exact_rows(log):
     return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in log]
 
 
+class TestSharedSourcePhase:
+    """single on pretrain_finetune's source dataset, continued from the
+    ``source`` state of a pretrain_finetune run, is the bytes a direct
+    ``train`` of it gives."""
+
+    @pytest.mark.parametrize("pretrain_epochs, epochs", [(3, 2), (2, 2), (1, 3), (0, 2)],
+                             ids=["above", "equal", "below", "none"])
+    @pytest.mark.parametrize("log_every_epoch", [False, True])
+    def test_continued_single_equals_direct(self, tiny_synth, pretrain_epochs, epochs,
+                                            log_every_epoch):
+        cfg = replace(TestTrainRegimes.CFG, pretrain_epochs=pretrain_epochs, epochs=epochs)
+        ids = list(tiny_synth.specs)
+        data = prepare_regime("pretrain_finetune", tiny_synth, ids, cfg.stride)
+        pt = train(data, replace(cfg, regime="pretrain_finetune"))
+        shared, state = pt.source
+        assert shared == min(pretrain_epochs, epochs)
+        kept = copy.deepcopy(state)
+        single = replace(cfg, regime="single")
+        got = train({ids[0]: data[ids[0]]}, single, log_every_epoch=log_every_epoch, start=pt.source)
+        want = train(prepare_regime("single", tiny_synth, ids[:1], cfg.stride), single,
+                     log_every_epoch=log_every_epoch)
+        assert_same_result(got, want)
+        # the continuation trains a copy: the source state keeps its bytes, and
+        # a pretrain_finetune run takes the same bytes either way
+        assert_same_result(state, kept)
+        assert_same_result(pt, train(data, replace(cfg, regime="pretrain_finetune")))
+
+    def test_source_is_single_state_at_shared_epoch(self, tiny_synth):
+        cfg = replace(TestTrainRegimes.CFG, pretrain_epochs=1, epochs=3)
+        ids = list(tiny_synth.specs)
+        pt = train(prepare_regime("pretrain_finetune", tiny_synth, ids, cfg.stride),
+                   replace(cfg, regime="pretrain_finetune"))
+        want = train(prepare_regime("single", tiny_synth, ids[:1], cfg.stride),
+                     replace(cfg, regime="single", epochs=1))
+        assert pt.source[0] == 1
+        assert_same_result(pt.source[1], want)
+        assert train(prepare_regime("mdt", tiny_synth, ids, cfg.stride),
+                     replace(cfg, regime="mdt")).source is None
+
+
+def planned_items(monkeypatch, cores):
+    """Make ``cores`` the usable-core count and record the items each
+    ``_fork_map`` call of ``train_regimes`` is given."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    calls, fork_map = [], experiment._fork_map
+
+    def recording(fn, items):
+        calls.append(list(items))
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(experiment, "_fork_map", recording)
+    return calls
+
+
 class TestTrainRegimes:
     CFG = ExperimentConfig(seed=0, epochs=2, pretrain_epochs=2, batch_size=2, hidden=6)
 
@@ -297,6 +352,46 @@ class TestTrainRegimes:
         # pretrain_finetune logs every one of its 2 + 2 epochs, not just the
         # first and last
         assert {row["epoch"] for row in got[0].log} == {0, 1, 2, 3}
+
+    # 1 and 2 usable cores take the fused plan (four items), 3 the plain one;
+    # with 3 epochs the continued single trains past the shared 2
+    @pytest.mark.parametrize("cores, items", [(1, 4), (2, 4), (3, 5)])
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_each_plan_equals_in_process(self, tiny_synth, monkeypatch, cores, items, epochs):
+        cfg = replace(self.CFG, epochs=epochs)
+        ids = list(tiny_synth.specs)
+        jobs = [("pretrain_finetune", ids), ("direct_merge", ids), ("single", ids[:1]),
+                ("mdt", ids), ("single", ids[1:])]
+        calls = planned_items(monkeypatch, cores)
+        got = train_regimes(tiny_synth, jobs, cfg)
+        assert [len(call) for call in calls] == [items]
+        assert multiprocessing.active_children() == []
+        for (regime, on), result in zip(jobs, got, strict=True):
+            want = train(prepare_regime(regime, tiny_synth, on, cfg.stride),
+                         replace(cfg, regime=regime),
+                         log_every_epoch=regime == "pretrain_finetune")
+            assert_same_result(result, want)
+
+    def test_error_in_continuation_is_raised_and_no_worker_outlives(self, tiny_synth,
+                                                                     monkeypatch):
+        as_single = model._as_single
+
+        def poisoned(*args):
+            state = as_single(*args)
+            state.params.w1[:] = np.nan
+            return state
+
+        monkeypatch.setattr(model, "_as_single", poisoned)
+        calls = planned_items(monkeypatch, 2)
+        ids = list(tiny_synth.specs)
+        jobs = [("pretrain_finetune", ids), ("single", ids[:1]), ("single", ids[1:])]
+        # pretrain_finetune's 1 + 3 epochs run clean; the single continued
+        # from its epoch-1 state fails at its first step
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match="non-finite loss at epoch 1"):
+            train_regimes(tiny_synth, jobs, replace(self.CFG, pretrain_epochs=1, epochs=3))
+        assert [len(call) for call in calls] == [2]
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_is_raised_and_no_worker_outlives(self, tiny_synth):
         ids = list(tiny_synth.specs)

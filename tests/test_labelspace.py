@@ -471,3 +471,50 @@ class TestUnifiedDoc:
         assert old in text
         with pytest.raises(CodecError):
             parse_unified(text.replace(old, new), spaces)
+
+
+    @staticmethod
+    def two_dataset_doc():
+        sa = LabelSpace(("empty", "car", "truck"), 0)
+        sb = LabelSpace(("empty", "vehicle"), 0)
+        spaces = {"a": sa, "b": sb}
+        uni = unified_from_pairs(spaces, [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))])
+        return export_unified(uni), spaces
+
+    # (old, new, the line refused): a repeated record is refused at its
+    # second line, even where both lines agree
+    @pytest.mark.parametrize("old, new, bad", [
+        ("format: unified-space v1\n", "format: unified-space v1\nformat: unified-space v1\n",
+         "format: unified-space v1"),
+        ("lambda: \n", "lambda: \nlambda: 0.5\n", "lambda: 0.5"),
+        ("tau: \n", "tau: \ntau: 0.1\n", "tau: 0.1"),
+        ("objective: 0.0\n", "objective: 0.0\nobjective: 5.0\n", "objective: 5.0"),
+        ("datasets: a,b\n", "datasets: a,b\ndatasets: a,b\n", "datasets: a,b"),
+        ("empty: 0\n", "empty: 0\nempty: 0\n", "empty: 0"),
+        ("class 1: a/car+b/vehicle\n", "class 1: a/car+b/vehicle\nclass 1: a/car+b/vehicle\n",
+         "class 1: a/car+b/vehicle"),
+        ("cost 2: 0.0\n", "cost 2: 0.0\ncost 2: 0.0\n", "cost 2: 0.0"),
+        ("cost 2: 0.0\n", "cost 2: 0.0\ncost 3: 7.0\n", "cost 3: 7.0"),  # no class 3
+        ("cost 0: 0.0\n", "cost 99: 7.0\ncost 0: 0.0\n", "cost 99: 7.0"),
+        ("lambda: \n", "lambda: banana\n", "lambda: banana"),
+        ("lambda: \n", "lambda: inf\n", "lambda: inf"),
+        ("lambda: \n", "lambda: nan\n", "lambda: nan"),
+        ("tau: \n", "tau: banana\n", "tau: banana"),
+        ("tau: \n", "tau: nan\n", "tau: nan"),
+    ])
+    def test_bad_record_refused_at_its_line(self, old, new, bad):
+        text, spaces = self.two_dataset_doc()
+        assert old in text
+        edited = text.replace(old, new, 1)
+        lines = edited.splitlines(keepends=True)
+        at = max(k for k, line in enumerate(lines) if line.rstrip("\n") == bad)
+        with pytest.raises(CodecError) as raised:
+            parse_unified(edited, spaces)
+        assert raised.value.offset == len("".join(lines[:at]).encode())
+
+    @pytest.mark.parametrize("lam, tau", [("0.5", "inf"), ("-2.0", "-3"), ("", "0.1")])
+    def test_lambda_and_tau_values_load(self, lam, tau):
+        # ExperimentConfig's rule: lambda finite, tau any number but nan
+        text, spaces = self.two_dataset_doc()
+        edited = text.replace("lambda: \n", f"lambda: {lam}\n").replace("tau: \n", f"tau: {tau}\n")
+        assert parse_unified(edited, spaces).space == parse_unified(text, spaces).space
