@@ -572,24 +572,20 @@ def train_regimes(synth, jobs, cfg):
     handed out in order, so jobs listed longest first keep the workers
     busiest. Training is deterministic and reads nothing the other jobs
     write, so the results are the bytes in-process ``train`` calls give.
-    Only pretrain_finetune logs every epoch. With fewer than three workers
-    (``_fork_map``'s count for ``jobs``), a single job on a pretrain_finetune
-    job's first dataset continues from that job's ``source`` (``train``).
+    Only pretrain_finetune logs every epoch; a single job on its first
+    dataset continues from its ``source`` in its worker (``train``).
     """
     jobs = [(regime, tuple(ids)) for regime, ids in jobs]
-    fuse = _FORKED_JOB is not None or min(len(jobs), len(os.sched_getaffinity(0))) < 3
-    riders = set(jobs) & {("single", ids[:1]) for regime, ids in jobs
-                          if fuse and regime == "pretrain_finetune"}
+    riders = set(jobs) & {("single", ids[:1]) for regime, ids in jobs if regime == "pretrain_finetune"}
 
     def run(job):
         regime, ids = job
         data = prepare_regime(regime, synth, ids, cfg.stride)
         done = [(job, train(data, replace(cfg, regime=regime),
                             log_every_epoch=regime == "pretrain_finetune"))]
-        rider = ("single", ids[:1])
-        if regime == "pretrain_finetune" and rider in riders:
-            done.append((rider, train({ids[0]: data[ids[0]]}, replace(cfg, regime="single"),
-                                      log_every_epoch=False, start=done[0][1].source)))
+        if regime == "pretrain_finetune" and ("single", ids[:1]) in riders:
+            done.append((("single", ids[:1]), train({ids[0]: data[ids[0]]}, replace(cfg, regime="single"),
+                                                    log_every_epoch=False, start=done[0][1].source)))
         return done
 
     done = dict(sum(_fork_map(run, [job for job in jobs if job not in riders]), []))
@@ -609,11 +605,10 @@ def run_trend_experiment(seed, n_eval=6, epochs=40):
     Synthesis, the five trainings (two single models, direct_merge, mdt and
     pretrain_finetune) and evaluation each run in forked worker processes,
     one per usable core (``_fork_map``), at the same bytes as one after
-    another; on fewer than three cores single_a32 continues from the state
-    after pretrain_finetune's source epochs, in its worker (``train_regimes``).
-    The acceptance suite's trend fixture runs its seeds one after another:
-    each seed's pools already fill every usable core, and a call made inside
-    a worker runs in-process, so seeds across cores add no parallelism.
+    another; single_a32 continues pretrain_finetune's source epochs in its
+    worker (``train_regimes``). The acceptance suite's trend fixture runs its
+    seeds in turn: each seed's pools already fill every usable core, and a
+    call inside a worker runs in-process, so seeds across cores add nothing.
 
     Only the pretrain-finetune log is full, one row per dataset and epoch;
     the single, direct_merge and mdt logs hold their first and last epochs'

@@ -520,10 +520,9 @@ def train(datasets, config, *, log_every_epoch=True, start=None):
     pass leaves the running statistics alone. An epoch whose datasets hold
     no scene takes no step and logs nothing.
 
-    ``start``, an (epoch, TrainResult) pair, continues a copy of that state
-    from that epoch. A phased run returns as ``source`` such a pair for single
-    on its first dataset after min(pretrain_epochs, epochs) epochs: up to
-    there the two take the same steps from the same weights (``_as_single``).
+    ``start``, an (epoch, TrainResult) pair, continues a copy of that state from
+    that epoch. A phased run that logs every epoch returns as ``source`` such a
+    pair: single on its first dataset after min(pretrain_epochs, epochs) epochs.
 
     Raises FloatingPointError when a step's loss or a logged loss stops being
     finite, in either mode; the last epoch is always logged, so this covers
@@ -552,16 +551,14 @@ def train(datasets, config, *, log_every_epoch=True, start=None):
               else [(ids, config.epochs)])
     epochs = [active for active, count in phases for _ in range(count)]
     logged = [ds for ds in ids if len(datasets[ds])]
-    if start is None:
-        first, params, log = 0, init_params(widths, config.hidden, config.seed, regime), []
-        norm_state = NormState(config.hidden, list(dict.fromkeys(s for s, _ in routes.values())))
-    else:
-        first, state = start
-        params, norm_state = copy.deepcopy((state.params, state.norm_state))
-        log = [row for row in state.log if log_every_epoch or row["epoch"] in (0, len(epochs) - 1)]
+    first, state = start or (0, TrainResult(
+        init_params(widths, config.hidden, config.seed, regime),
+        NormState(config.hidden, list(dict.fromkeys(s for s, _ in routes.values()))), []))
+    params, norm_state = copy.deepcopy((state.params, state.norm_state))
+    log = [row for row in state.log if log_every_epoch or row["epoch"] in (0, len(epochs) - 1)]
     shared, source = min(config.pretrain_epochs, config.epochs) if rules.phased else -1, None
     for epoch, active in enumerate(epochs[first:], first):
-        if epoch == shared:
+        if epoch == shared and log_every_epoch:
             source = (epoch, _as_single(params, norm_state, log, ids[0]))
         sizes = {ds: len(datasets[ds]) for ds in active if len(datasets[ds])}
         for batch in sampler(sizes, config.batch_size, seed=config.seed + 7919 * epoch):
