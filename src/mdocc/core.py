@@ -1,6 +1,6 @@
 """Shared domain types, the voxel lattice, the MOCC grid codec, the package's
-exceptions, seeded random-stream plumbing, and the exact column-sum and
-row-vector kernels of the training loop.
+exceptions, seeded random-stream plumbing, the forked worker pool, and the
+exact column-sum and row-vector kernels of the training loop.
 
 Conventions used across the whole package:
 
@@ -17,8 +17,10 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -71,6 +73,46 @@ def rng_stream(seed, tag):
     """
     digest = hashlib.sha256(f"{int(seed) & 0xFFFFFFFFFFFFFFFF}:{tag}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
+
+
+# fn of the forked_pool whose worker this process is; None in any other process
+_FORKED_FN = None
+
+
+def _enter_worker(fn):
+    global _FORKED_FN
+    _FORKED_FN = fn
+
+
+def _run_forked(arg):
+    return _FORKED_FN(arg)
+
+
+@contextlib.contextmanager
+def forked_pool(fn, workers):
+    """Yield ``submit``: ``submit(arg)`` returns a call that gives ``fn(arg)``.
+
+    A process that may fork (at least two usable cores, and not itself such
+    a worker) runs the calls in ``workers`` forked processes, at most one per
+    usable core; they inherit ``fn`` through the fork, so it may be a
+    closure. Anywhere else, or with ``workers`` 0, ``fn`` runs in process when
+    the call is made. Calls not started when the block ends are cancelled,
+    and no worker outlives it.
+    """
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2 or _FORKED_FN is not None or workers < 1:
+        yield lambda arg: lambda: fn(arg)
+        return
+    # imported here: at module top they slow every `import mdocc.cli`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(min(workers, cores), mp_context=multiprocessing.get_context("fork"),
+                               initializer=_enter_worker, initargs=(fn,))
+    try:
+        yield lambda arg: pool.submit(_run_forked, arg).result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def colsum(a, b=None):

@@ -5,7 +5,6 @@ cells."""
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .align import CylGridSpec, crop_points, cylindrical_voxelize
 from .config import ExperimentConfig
-from .core import Lattice, rng_stream
+from .core import Lattice, forked_pool, rng_stream
 from .labelspace import (
     enumerate_candidates,
     merged_score,
@@ -50,50 +49,22 @@ from .scenes import (
 DEFAULT_CYL = CylGridSpec(bins=(64, 72, 5), radius_max_m=25.6, z_min_m=-1.25, z_max_m=0.75)
 
 
-# (fn, items) of the _fork_map call that forked this process; None in any
-# other process
-_FORKED_JOB = None
-
-
-def _enter_worker(fn, items):
-    global _FORKED_JOB
-    _FORKED_JOB = (fn, items)
-
-
-def _run_forked(index):
-    fn, items = _FORKED_JOB
-    return fn(items[index])
-
-
 def _fork_map(fn, items):
-    """``[fn(item) for item in items]``, the items spread over forked worker
-    processes, one per usable core and at most one per item.
+    """``[fn(item) for item in items]``, the items handed out in order to a
+    :func:`~mdocc.core.forked_pool` of one worker per item and usable core.
 
     Workers inherit ``fn`` and ``items`` through the fork, so ``fn`` may be a
-    closure; only results and exceptions are pickled. With one worker, or in
-    a process that is itself such a worker, the items run in-process. Items
-    are handed out in order. The exception of the first item in order that
-    raises is raised here; the items not yet started are cancelled, and no
-    worker outlives the call.
+    closure. A single item, or a process that may not fork, runs in-process.
+    The exception of the first item in order that raises is raised here; the
+    items not yet started are cancelled, and no worker outlives the call.
     """
     items = list(items)
-    workers = min(len(items), len(os.sched_getaffinity(0)))
     # items run in-process reuse freed pages too; and this comes before the
     # pool's result thread starts, so that it unpickles into the main heap
     _keep_freed_heap()
-    if workers < 2 or _FORKED_JOB is not None:
-        return [fn(item) for item in items]
-    # imported here: at module top they slow every `import mdocc.cli`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_enter_worker, initargs=(fn, items))
-    try:
-        futures = [pool.submit(_run_forked, i) for i in range(len(items))]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with forked_pool(lambda i: fn(items[i]), len(items) if len(items) > 1 else 0) as submit:
+        results = [submit(i) for i in range(len(items))]
+        return [result() for result in results]
 
 
 @dataclass

@@ -31,6 +31,7 @@ from .core import (
     UnknownDataset,
     colsum,
     decode_file,
+    forked_pool,
     rng_stream,
     rowwise,
 )
@@ -141,18 +142,20 @@ def init_params(head_sizes, hidden, seed, regime=DEFAULT_REGIME):
 _COUNT_CACHE = {}
 
 
-def _neighbor_counts(dims):
-    """How many of each voxel and its 6 neighbors lie in the grid."""
-    dims = tuple(dims)
-    if dims not in _COUNT_CACHE:
-        _COUNT_CACHE[dims] = _stencil_sum(np.ones(dims + (1,)))[..., 0]
-    return _COUNT_CACHE[dims]
+def _neighbor_counts(dims, width=1):
+    """How many of each voxel and its 6 neighbors lie in the grid, as a
+    (D, H, W, width) array with the count repeated along its last axis."""
+    key = (tuple(dims), width)
+    if key not in _COUNT_CACHE:
+        ones = np.ones(key[0] + (1,))
+        _COUNT_CACHE[key] = np.repeat(_stencil_sum(ones, ones.copy()), width, axis=3)
+    return _COUNT_CACHE[key]
 
 
-def _stencil_sum(x):
+def _stencil_sum(x, out):
     """Sum over each voxel and its in-grid 6-neighborhood (the first three
-    axes); symmetric operator."""
-    out = x.copy()
+    axes), written to ``out``; symmetric operator."""
+    out[...] = x
     for ax in range(3):
         lo = [slice(None)] * x.ndim
         hi = [slice(None)] * x.ndim
@@ -165,11 +168,13 @@ def _stencil_sum(x):
 
 def neighbor_mean(x):
     """Mean of each voxel with its in-grid 6-neighbors (border-aware)."""
-    return _stencil_sum(x) / _neighbor_counts(x.shape[:3])[..., None]
+    flat = _neighbor_mean_batch(x.reshape(-1, x.shape[3]), [(x.shape[:3], slice(None))])
+    return flat.reshape(x.shape)
 
 
 def neighbor_mean_transpose(g):
-    return _stencil_sum(g / _neighbor_counts(g.shape[:3])[..., None])
+    flat = _neighbor_mean_batch(g.reshape(-1, g.shape[3]), [(g.shape[:3], slice(None))], True)
+    return flat.reshape(g.shape)
 
 
 def _scene_slices(volumes):
@@ -187,13 +192,18 @@ def _scene_slices(volumes):
 
 def _neighbor_mean_batch(flat, slices, transpose=False):
     """Apply the 6-neighborhood mean (or its adjoint) scene by scene on the
-    concatenated voxel rows; scenes may have different grid dims."""
-    stencil = neighbor_mean_transpose if transpose else neighbor_mean
+    concatenated voxel rows, straight into each scene's rows of the output;
+    scenes may have different grid dims."""
     width = flat.shape[1]
-    # filled scene by scene, so only one scene's result is held at a time
     out = np.empty_like(flat)
     for dims, sl in slices:
-        out[sl] = stencil(flat[sl].reshape(dims + (width,))).reshape(-1, width)
+        x, dst = flat[sl].reshape(dims + (width,)), out[sl].reshape(dims + (width,))
+        counts = _neighbor_counts(dims, width)
+        if transpose:
+            _stencil_sum(x / counts, dst)
+        else:
+            _stencil_sum(x, dst)
+            dst /= counts
     return out
 
 
@@ -458,15 +468,14 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
 
     The loss is the per-scene mean of :func:`loss_ce`'s losses, bit for bit,
     but comes from its gradient-free core: nothing reads a gradient here.
+    Eval mode reads stored statistics, so scenes run one at a time.
     """
     off, size = data.block
     cm = ConfusionMatrix(num_classes=size)
     total = 0.0
-    # eval mode uses stored stats, so one big batch gives per-scene results
-    outs, _ = batch_forward(
-        data.features, norm_id, params, norm_state, mode="eval", head_id=head_id
-    )
-    for out, labels in zip(outs, data.labels):
+    for features, labels in zip(data.features, data.labels):
+        (out,), _ = batch_forward([features], norm_id, params, norm_state, mode="eval",
+                                  head_id=head_id)
         total += _ce_terms(out, labels, weights)[0]
         cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
     return (
@@ -518,15 +527,17 @@ def train(datasets, config, *, log_every_epoch=True, start=None):
     phased regime, the last target epoch); those rows, the parameters and
     the statistics are the same bytes either way, since the eval-mode log
     pass leaves the running statistics alone. An epoch whose datasets hold
-    no scene takes no step and logs nothing.
+    no scene takes no step and logs nothing. Where the process may fork and
+    a log pass has later steps to overlap, the passes run on copies of the
+    state in one worker of a :func:`~mdocc.core.forked_pool`, same bytes.
 
     ``start``, an (epoch, TrainResult) pair, continues a copy of that state from
     that epoch. A phased run that logs every epoch returns as ``source`` such a
     pair: single on its first dataset after min(pretrain_epochs, epochs) epochs.
 
     Raises FloatingPointError when a step's loss or a logged loss stops being
-    finite, in either mode; the last epoch is always logged, so this covers
-    the last update.
+    finite, in either mode, the first in epoch order; the last epoch is
+    always logged, so this covers the last update.
 
     On glibc it first sets the process's mmap and trim thresholds and its
     arena limit, a setting that outlives the call; on a libc without
@@ -557,27 +568,42 @@ def train(datasets, config, *, log_every_epoch=True, start=None):
     params, norm_state = copy.deepcopy((state.params, state.norm_state))
     log = [row for row in state.log if log_every_epoch or row["epoch"] in (0, len(epochs) - 1)]
     shared, source = min(config.pretrain_epochs, config.epochs) if rules.phased else -1, None
-    for epoch, active in enumerate(epochs[first:], first):
-        if epoch == shared and log_every_epoch:
-            source = (epoch, _as_single(params, norm_state, log, ids[0]))
-        sizes = {ds: len(datasets[ds]) for ds in active if len(datasets[ds])}
-        for batch in sampler(sizes, config.batch_size, seed=config.seed + 7919 * epoch):
-            norm_id, head_id = routes[batch[0][0]]
-            loss, grads = backward([datasets[ds].features[i] for ds, i in batch],
-                                   [datasets[ds].labels[i] for ds, i in batch],
-                                   norm_id, params, norm_state, weights[head_id], head_id=head_id)
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-            sgd_step(params, norm_state, grads, head_id, config.lr)
-        if not sizes or not (log_every_epoch or epoch in (0, len(epochs) - 1)):
-            continue
-        for ds in logged:
-            norm_id, head_id = routes[ds]
-            loss, iou, mi = _epoch_metrics(datasets[ds], norm_id, head_id, params, norm_state,
-                                           weights[head_id])
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite {ds} loss after epoch {epoch}")
-            log.append({"epoch": epoch, "dataset": ds, "loss": loss, "iou": iou, "miou": mi})
+    pending = []  # (epoch, call giving its log pass's rows) not yet in the log
+
+    def log_pass(snapshot):
+        return [_epoch_metrics(datasets[ds], *routes[ds], *snapshot, weights[routes[ds][1]])
+                for ds in logged]
+
+    def gather():
+        for epoch, rows in pending:
+            for ds, (loss, iou, mi) in zip(logged, rows()):
+                if not np.isfinite(loss):
+                    raise FloatingPointError(f"non-finite {ds} loss after epoch {epoch}")
+                log.append({"epoch": epoch, "dataset": ds, "loss": loss, "iou": iou, "miou": mi})
+        pending.clear()
+
+    # a worker pays only where a log pass has a later epoch's steps to overlap
+    overlap = bool(logged) and first < len(epochs) - 1 and (log_every_epoch or first == 0)
+    with forked_pool(log_pass, int(overlap)) as submit:
+        for epoch, active in enumerate(epochs[first:], first):
+            if epoch == shared and log_every_epoch:
+                gather()
+                source = (epoch, _as_single(params, norm_state, log, ids[0]))
+            sizes = {ds: len(datasets[ds]) for ds in active if len(datasets[ds])}
+            for batch in sampler(sizes, config.batch_size, seed=config.seed + 7919 * epoch):
+                norm_id, head_id = routes[batch[0][0]]
+                loss, grads = backward([datasets[ds].features[i] for ds, i in batch],
+                                       [datasets[ds].labels[i] for ds, i in batch],
+                                       norm_id, params, norm_state, weights[head_id],
+                                       head_id=head_id)
+                if not np.isfinite(loss):
+                    gather()  # an earlier epoch's log may have failed first
+                    raise FloatingPointError(f"non-finite loss at epoch {epoch}")
+                sgd_step(params, norm_state, grads, head_id, config.lr)
+            if sizes and (log_every_epoch or epoch in (0, len(epochs) - 1)):
+                # a copy, since the next step updates the weights in place
+                pending.append((epoch, submit(copy.deepcopy((params, norm_state)))))
+        gather()
     return TrainResult(params=params, norm_state=norm_state, log=log, source=source)
 
 

@@ -36,7 +36,15 @@ from mdocc.experiment import (
 )
 from mdocc.labelspace import merged_score, reproject, transcode
 from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
-from mdocc.model import TrainResult, batch_forward, head_blocks, head_widths, init_params, train
+from mdocc.model import (
+    REGIMES,
+    TrainResult,
+    batch_forward,
+    head_blocks,
+    head_widths,
+    init_params,
+    train,
+)
 from mdocc.scenes import (
     coarse_lattice,
     dataset_presets,
@@ -411,6 +419,96 @@ class TestTrainRegimes:
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             train_regimes(tiny_synth, jobs, cfg)
         assert multiprocessing.active_children() == []
+
+
+def one_usable_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_same_train(got, want):
+    """assert_same_result, and the same ``source`` state."""
+    assert_same_result(got, want)
+    assert (got.source is None) == (want.source is None)
+    if want.source is not None:
+        assert got.source[0] == want.source[0]
+        assert_same_result(got.source[1], want.source[1])
+
+
+class TestLogWorker:
+    """``train`` runs its per-epoch log pass in one forked worker beside the
+    training loop, at the bytes of the in-process pass."""
+
+    CFG = replace(TestTrainRegimes.CFG, epochs=3)
+
+    @staticmethod
+    def log_pass_pids(monkeypatch, tmp_path):
+        """Make every log pass record the pid of the process that runs it."""
+        path, metrics = tmp_path / "pids", model._epoch_metrics
+
+        def recorded(*args):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return metrics(*args)
+
+        monkeypatch.setattr(model, "_epoch_metrics", recorded)
+        return lambda: {int(pid) for pid in path.read_text().split()}
+
+    @pytest.mark.parametrize("log_every_epoch", [True, False], ids=["every", "ends"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_worker_equals_one_core(self, tiny_synth, monkeypatch, tmp_path, regime,
+                                    log_every_epoch):
+        ids = list(tiny_synth.specs)
+        data = prepare_regime(regime, tiny_synth, ids[:1] if regime == "single" else ids,
+                              self.CFG.stride)
+        cfg = replace(self.CFG, regime=regime)
+        pids = self.log_pass_pids(monkeypatch, tmp_path)
+        got = train(data, cfg, log_every_epoch=log_every_epoch)
+        assert multiprocessing.active_children() == []
+        if len(os.sched_getaffinity(0)) > 1:
+            assert os.getpid() not in pids()
+        one_usable_core(monkeypatch)
+        want = train(data, cfg, log_every_epoch=log_every_epoch)
+        assert_same_train(got, want)
+        assert (want.source is not None) == (regime == "pretrain_finetune" and log_every_epoch)
+
+    @pytest.mark.parametrize("log_every_epoch", [True, False], ids=["every", "ends"])
+    def test_continuation_equals_one_core(self, tiny_synth, monkeypatch, log_every_epoch):
+        # single continued from a pretrain_finetune run's epoch-1 state
+        cfg = replace(self.CFG, pretrain_epochs=1, epochs=4)
+        ids = list(tiny_synth.specs)
+        pt = train(prepare_regime("pretrain_finetune", tiny_synth, ids, cfg.stride),
+                   replace(cfg, regime="pretrain_finetune"))
+        data = prepare_regime("single", tiny_synth, ids[:1], cfg.stride)
+
+        def continued():
+            return train(data, replace(cfg, regime="single"), log_every_epoch=log_every_epoch,
+                         start=pt.source)
+
+        got = continued()
+        one_usable_core(monkeypatch)
+        assert_same_train(got, continued())
+
+    def test_no_process_inside_a_worker_or_on_one_core(self, tiny_synth, monkeypatch):
+        # trend trains inside _fork_map's workers, where the pass stays in
+        # process; os.fork is how a fork-context pool starts its worker
+        ids = list(tiny_synth.specs)
+        data = prepare_regime("mdt", tiny_synth, ids, self.CFG.stride)
+        cfg = replace(self.CFG, regime="mdt")
+        want = train(data, cfg)
+
+        def no_fork():
+            raise AssertionError("train started a process")
+
+        def in_worker(_):
+            os.fork = no_fork  # this worker's own os module
+            return train(data, cfg)
+
+        for got in _fork_map(in_worker, [0, 1]):
+            assert_same_train(got, want)
+        assert multiprocessing.active_children() == []
+        one_usable_core(monkeypatch)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert_same_train(train(data, cfg), want)
 
 
 class TestForkMap:

@@ -24,6 +24,7 @@ from mdocc.model import (
     _ce_terms,
     _epoch_metrics,
     _neighbor_counts,
+    _neighbor_mean_batch,
     backward,
     balanced_batches,
     batch_forward,
@@ -130,6 +131,35 @@ class TestNeighborMean:
         lhs = float((neighbor_mean(x) * y).sum())
         rhs = float((x * neighbor_mean_transpose(y)).sum())
         assert np.isclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
+    def test_batch_equals_shifted_sums_bit_for_bit(self, transpose):
+        # each scene's rows of a mixed batch: the voxel, then its +1 and -1
+        # neighbours along each axis in turn (0 outside the grid), over the
+        # in-grid count; the transpose divides first
+        rng = rng_stream(3, "nm")
+        vols = [rng.normal(size=dims + (4,)) for dims in [(3, 4, 2), (5, 1, 3), (2, 2, 2)]]
+        slices, start = [], 0
+        for v in vols:
+            slices.append((v.shape[:3], slice(start, start + v[..., 0].size)))
+            start += v[..., 0].size
+
+        def shifted_sum(x):
+            padded = np.pad(x, [(1, 1)] * 3 + [(0, 0)])
+            total = x.copy()
+            for ax in range(3):
+                for shift in (-1, 1):
+                    total = total + np.roll(padded, shift, axis=ax)[1:-1, 1:-1, 1:-1]
+            return total
+
+        got = _neighbor_mean_batch(np.concatenate([v.reshape(-1, 4) for v in vols]), slices,
+                                   transpose=transpose)
+        for v, (dims, sl) in zip(vols, slices):
+            idx = np.indices(dims)
+            counts = 1.0 + sum((i > 0).astype(float) + (i < d - 1) for i, d in zip(idx, dims))
+            counts = counts[..., None]
+            want = shifted_sum(v / counts) if transpose else shifted_sum(v) / counts
+            assert got[sl].tobytes() == want.reshape(-1, 4).tobytes()
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (17, 9, 5), (64, 64, 5), (100, 100, 8)])
     def test_counts_are_in_grid_neighbors(self, dims):
@@ -417,6 +447,22 @@ class TestTrain:
         cfg = ExperimentConfig(regime="single", epochs=50, batch_size=2, lr=1e9, seed=0, hidden=6)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             train(data, cfg)
+
+    @pytest.mark.parametrize("lr, message", [(1e9, "non-finite loss at epoch 1"),
+                                             (20.0, "non-finite a loss after epoch 3")])
+    def test_diverged_message_same_on_one_core(self, monkeypatch, lr, message):
+        # at lr 20 epoch 3's logged loss is the first failure; the first step
+        # of epoch 4 diverges too, while that log pass may still be running
+        def raised():
+            cfg = ExperimentConfig(regime="single", epochs=50, batch_size=2, lr=lr, seed=0,
+                                   hidden=6)
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as error:
+                train({"a": tiny_traindata(rng_stream(14, "train"))}, cfg)
+            return str(error.value)
+
+        assert raised() == message
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert raised() == message
 
     @pytest.mark.parametrize("regime", ["single", "direct_merge", "mdt"])
     def test_regime_read_from_config(self, regime):
