@@ -211,7 +211,7 @@ def cmd_learn_labels(cfg, checkpoint):
     return EXIT_OK
 
 
-def cmd_eval(cfg, checkpoint, unified_path=None):
+def cmd_eval(cfg, checkpoint, unified_path):
     synth = _load_synth(cfg)
     result = _load_model(checkpoint, synth)
     if result.params.regime == "pretrain_finetune":

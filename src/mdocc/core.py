@@ -1,6 +1,7 @@
 """Shared domain types, the voxel lattice, the MOCC grid codec, the package's
-exceptions, seeded random-stream plumbing, the forked worker pool, and the
-exact column-sum and row-vector kernels of the training loop.
+exceptions, seeded random-stream plumbing, the process policy (the forked
+worker pool and the heap's thresholds), and the exact column-sum and
+row-vector kernels of the training loop.
 
 Conventions used across the whole package:
 
@@ -18,6 +19,7 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import math
 import os
@@ -113,6 +115,20 @@ def forked_pool(fn, workers):
         yield lambda arg: pool.submit(_run_forked, arg).result
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _keep_freed_heap():
+    """Serve blocks under 32 MiB from the heap and trim it only past 128 MiB
+    free, so step temporaries reuse pages, and keep every thread on that one
+    heap (a thread started later, such as a worker pool's result reader,
+    would otherwise allocate in an arena of its own); a no-op on a libc
+    without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def colsum(a, b=None):

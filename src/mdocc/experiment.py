@@ -12,7 +12,7 @@ import numpy as np
 
 from .align import CylGridSpec, crop_points, cylindrical_voxelize
 from .config import ExperimentConfig
-from .core import Lattice, forked_pool, rng_stream
+from .core import Lattice, _keep_freed_heap, forked_pool, rng_stream
 from .labelspace import (
     enumerate_candidates,
     merged_score,
@@ -25,7 +25,6 @@ from .metrics import ConfusionMatrix, EvalCell, accumulate, cross_eval
 from .model import (
     REGIME_TABLE,
     TrainData,
-    _keep_freed_heap,
     backbone,
     head_blocks,
     read_head,
@@ -90,58 +89,46 @@ def synthesize(seed, taxonomy_name="split", n_train=12, n_eval=6, scene_counts=N
                world_profiles=None):
     """Generate dataset views for training and evaluation scenes.
 
-    With ``world_profiles`` None, every dataset views the same scenes (the
-    paired corpora the label-mapping oracle needs). With a mapping of
-    dataset_id -> archetype counts, each dataset gets its own scene stream
-    drawn from its profile, modeling corpora collected in different places.
-    ``n_train`` / ``n_eval`` may be mappings dataset_id -> count to model
-    corpora of unequal size.
+    Each seed stream draws its training seeds, then its eval seeds, and its
+    scenes are viewed by its datasets. With ``world_profiles`` None, every
+    dataset views one stream, ``synth/seeds``, of ``scene_counts`` scenes
+    (the paired corpora the label-mapping oracle needs); ``scene_seeds`` and
+    ``eval_seeds`` are flat lists. With a mapping dataset_id -> archetype
+    counts, each dataset views only its own stream, ``synth/seeds/{ds}``,
+    drawn from its profile (corpora collected in different places), and the
+    seeds are one list per dataset. ``n_train`` / ``n_eval`` may be mappings
+    dataset_id -> count to model corpora of unequal size; a stream takes its
+    first dataset's count.
 
-    The parent draws every scene seed; each scene is generated and viewed in
-    a forked worker (``_fork_map``), one scene of the paired corpora, or one
-    dataset's scene of a profile's stream, per unit.
+    The parent draws every seed; each scene is generated and viewed in a
+    forked worker (``_fork_map``), one scene per unit.
     """
     taxonomy = taxonomy_preset(taxonomy_name)
     specs = dataset_presets(taxonomy)
-
-    def per_ds(value, ds):
-        return value[ds] if isinstance(value, dict) else value
-
     if world_profiles is None:
-        counts = scene_counts or {}
-        seed_rng = rng_stream(seed, "synth/seeds")
-        scene_seeds = [int(seed_rng.integers(2**63)) for _ in range(int(n_train))]
-        eval_seeds = [int(seed_rng.integers(2**63)) for _ in range(int(n_eval))]
-
-        def views(s):
-            scene = gen_scene(default_scene_spec(seed=s, **counts))
-            return {ds: derive_dataset_view(scene, taxonomy, spec) for ds, spec in specs.items()}
-
-        out = _fork_map(views, scene_seeds + eval_seeds)
-        train_views = {ds: [v[ds] for v in out[: len(scene_seeds)]] for ds in specs}
-        eval_views = {ds: [v[ds] for v in out[len(scene_seeds) :]] for ds in specs}
+        streams = [("synth/seeds", list(specs), scene_counts or {})]
     else:
-        scene_seeds = []
-        eval_seeds = []
-        units = []
-        for ds in specs:
-            seed_rng = rng_stream(seed, f"synth/seeds/{ds}")
-            train_seeds = [int(seed_rng.integers(2**63)) for _ in range(per_ds(n_train, ds))]
-            ev_seeds = [int(seed_rng.integers(2**63)) for _ in range(per_ds(n_eval, ds))]
-            scene_seeds.append(train_seeds)
-            eval_seeds.append(ev_seeds)
-            units += [(ds, s) for s in train_seeds + ev_seeds]
+        streams = [(f"synth/seeds/{ds}", [ds], world_profiles[ds]) for ds in specs]
 
-        def view(unit):
-            ds, s = unit
-            scene = gen_scene(default_scene_spec(seed=s, **world_profiles[ds]))
-            return derive_dataset_view(scene, taxonomy, specs[ds])
+    train_views, eval_views = {ds: [] for ds in specs}, {ds: [] for ds in specs}
+    scene_seeds, eval_seeds, units = [], [], []
+    for name, viewers, counts in streams:
+        seed_rng = rng_stream(seed, name)
+        for n, seeds, sink in ((n_train, scene_seeds, train_views), (n_eval, eval_seeds, eval_views)):
+            n = n[viewers[0]] if isinstance(n, dict) else n
+            seeds.append([int(seed_rng.integers(2**63)) for _ in range(int(n))])
+            units += [(viewers, counts, s, sink) for s in seeds[-1]]
 
-        out = iter(_fork_map(view, units))
-        train_views, eval_views = {}, {}
-        for ds, train_seeds, ev_seeds in zip(specs, scene_seeds, eval_seeds):
-            train_views[ds] = [next(out) for _ in train_seeds]
-            eval_views[ds] = [next(out) for _ in ev_seeds]
+    def views(unit):
+        viewers, counts, s, _ = unit
+        scene = gen_scene(default_scene_spec(seed=s, **counts))
+        return {ds: derive_dataset_view(scene, taxonomy, specs[ds]) for ds in viewers}
+
+    for (viewers, _, _, sink), scene_views in zip(units, _fork_map(views, units)):
+        for ds in viewers:
+            sink[ds].append(scene_views[ds])
+    if world_profiles is None:
+        scene_seeds, eval_seeds = scene_seeds[0], eval_seeds[0]
     return SynthResult(
         taxonomy=taxonomy,
         specs=specs,
@@ -165,12 +152,12 @@ def gather_features(cyl_volume, cyl_spec, lattice):
     return out
 
 
-def pool_labels(labels, factor, num_classes, empty_id=0):
+def pool_labels(labels, factor, num_classes):
     """Occupancy-preserving label pooling by an integer factor per axis.
 
-    A pooled voxel is empty only when its whole factor^3 block is empty;
-    otherwise it takes the block's most frequent non-empty label (ties to the
-    lowest id).
+    A pooled voxel is empty (id 0, as in every shipped label space) only when
+    its whole factor^3 block is empty; otherwise it takes the block's most
+    frequent non-empty label (ties to the lowest id).
     """
     labels = np.asarray(labels)
     dims = labels.shape
@@ -186,9 +173,9 @@ def pool_labels(labels, factor, num_classes, empty_id=0):
     n_blocks = blocks.shape[0]
     counts = np.zeros((n_blocks, num_classes), dtype=np.int64)
     np.add.at(counts, (np.repeat(np.arange(n_blocks), factor**3), blocks.reshape(-1)), 1)
-    counts[:, empty_id] = 0
+    counts[:, 0] = 0
     picked = np.argmax(counts, axis=1)
-    picked[counts.sum(axis=1) == 0] = empty_id
+    picked[counts.sum(axis=1) == 0] = 0
     return picked.reshape(out_dims)
 
 
@@ -207,7 +194,7 @@ def cloud_features(cloud, crop_range, lattice):
     return gather_features(vol, DEFAULT_CYL, lattice)
 
 
-def prepare_dataset(views, spec, crop_range, stride, label_offset=0):
+def prepare_dataset(views, spec, crop_range, stride, label_offset):
     """TrainData for one dataset: features and coarse labels on one lattice.
 
     ``crop_range`` None keeps the dataset's own ranges (raw preparation);

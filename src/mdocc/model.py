@@ -11,7 +11,6 @@ descent.
 from __future__ import annotations
 
 import copy
-import ctypes
 import math
 from dataclasses import dataclass, replace
 
@@ -29,6 +28,7 @@ from .core import (
     StreamReader,
     StreamWriter,
     UnknownDataset,
+    _keep_freed_heap,
     colsum,
     decode_file,
     forked_pool,
@@ -142,7 +142,7 @@ def init_params(head_sizes, hidden, seed, regime=DEFAULT_REGIME):
 _COUNT_CACHE = {}
 
 
-def _neighbor_counts(dims, width=1):
+def _neighbor_counts(dims, width):
     """How many of each voxel and its 6 neighbors lie in the grid, as a
     (D, H, W, width) array with the count repeated along its last axis."""
     key = (tuple(dims), width)
@@ -207,7 +207,7 @@ def _neighbor_mean_batch(flat, slices, transpose=False):
     return out
 
 
-def backbone(volumes, norm_id, params, norm_state, mode="train"):
+def backbone(volumes, norm_id, params, norm_state, mode):
     """Run a batch of (D, H, W, 5) feature volumes through the shared
     backbone: affine -> dataset-specific norm (statistic set ``norm_id``) ->
     ramp -> 6-neighborhood mean -> affine.
@@ -483,20 +483,6 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
         geometric_iou(cm, empty_id=data.empty_id),
         miou(cm, empty_id=data.empty_id),
     )
-
-
-def _keep_freed_heap():
-    """Serve blocks under 32 MiB from the heap and trim it only past 128 MiB
-    free, so step temporaries reuse pages, and keep every thread on that one
-    heap (a thread started later, such as a worker pool's result reader,
-    would otherwise allocate in an arena of its own); a no-op on a libc
-    without mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
-        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _as_single(params, norm_state, log, ds):

@@ -100,55 +100,38 @@ class TaxonomyMap:
         return np.asarray(self.projections[name], dtype=np.uint16)
 
 
-def _projection_by_name(fine, space, merges):
-    """fine class -> dataset class by name, with `merges` mapping fine names to
-    coarser dataset names."""
-    proj = np.zeros(len(fine), dtype=np.int64)
-    for fid, fname in enumerate(fine.names):
-        proj[fid] = space.index(merges.get(fname, fname))
-    return proj
+# the shipped taxonomy presets: per dataset, its class names and the fine ->
+# dataset merges of its projection (an unmerged fine class keeps its name).
+# In "split", a32 merges the ground classes and b64 the vehicles; in "twin",
+# both use one 8-class coarsening with differently ordered ids.
+_VEHICLES = {"car": "vehicle", "truck": "vehicle", "bus": "vehicle"}
+_TAXONOMIES = {
+    "split": {
+        "a32": (("empty", "ground", "car", "truck", "bus", "pole", "building", "vegetation", "pedestrian"),
+                {"road": "ground", "sidewalk": "ground"}),
+        "b64": (("empty", "road", "sidewalk", "vehicle", "pole", "building", "vegetation", "pedestrian"),
+                _VEHICLES),
+    },
+    "twin": {
+        "a32": (("empty", "road", "sidewalk", "vehicle", "pole", "building", "vegetation", "pedestrian"),
+                _VEHICLES),
+        "b64": (("empty", "vegetation", "road", "pole", "vehicle", "sidewalk", "pedestrian", "building"),
+                _VEHICLES),
+    },
+}
 
 
 def taxonomy_preset(name):
-    """Shipped taxonomy pairs for presets a32/b64.
-
-    "split": a32 merges road+sidewalk into ground but keeps car/truck/bus;
-    b64 merges the vehicles but keeps the ground split. "twin": both datasets
-    use the same 8-class coarsening with differently ordered ids.
-    """
-    fine = FINE_SPACE
-    if name == "split":
-        a_space = LabelSpace(
-            ("empty", "ground", "car", "truck", "bus", "pole", "building", "vegetation", "pedestrian"),
-            empty_id=0,
-        )
-        b_space = LabelSpace(
-            ("empty", "road", "sidewalk", "vehicle", "pole", "building", "vegetation", "pedestrian"),
-            empty_id=0,
-        )
-        a_proj = _projection_by_name(fine, a_space, {"road": "ground", "sidewalk": "ground"})
-        b_proj = _projection_by_name(
-            fine, b_space, {"car": "vehicle", "truck": "vehicle", "bus": "vehicle"}
-        )
-    elif name == "twin":
-        a_space = LabelSpace(
-            ("empty", "road", "sidewalk", "vehicle", "pole", "building", "vegetation", "pedestrian"),
-            empty_id=0,
-        )
-        b_space = LabelSpace(
-            ("empty", "vegetation", "road", "pole", "vehicle", "sidewalk", "pedestrian", "building"),
-            empty_id=0,
-        )
-        vm = {"car": "vehicle", "truck": "vehicle", "bus": "vehicle"}
-        a_proj = _projection_by_name(fine, a_space, vm)
-        b_proj = _projection_by_name(fine, b_space, vm)
-    else:
+    """The TaxonomyMap of the shipped preset ``name`` (a row of
+    ``_TAXONOMIES``): each dataset's label space, with empty id 0, and its
+    projection of the fine taxonomy by class name."""
+    if name not in tuple(_TAXONOMIES):  # by ==, as a manifest's value may be unhashable
         raise ValueError(f"unknown taxonomy preset {name!r}")
-    return TaxonomyMap(
-        fine_space=fine,
-        spaces={"a32": a_space, "b64": b_space},
-        projections={"a32": a_proj, "b64": b_proj},
-    )
+    spaces, projections = {}, {}
+    for ds, (names, merges) in _TAXONOMIES[name].items():
+        spaces[ds] = LabelSpace(names, empty_id=0)
+        projections[ds] = np.array([spaces[ds].index(merges.get(f, f)) for f in FINE_SPACE.names])
+    return TaxonomyMap(fine_space=FINE_SPACE, spaces=spaces, projections=projections)
 
 
 def dataset_presets(taxonomy):
@@ -230,117 +213,106 @@ def default_sensor_pose(scene, mount_z=None):
 SENSOR_MOUNT_Z = {"a32": 0.45, "b64": 0.65}
 
 
-# object archetype footprints in voxels: ((min, max+1) per xy axis, height layers)
+# cuboid footprints in voxels: ((min, max+1) per xy axis, height layers);
+# walls are buildings, and a box is one of the vehicle classes
+_CUBOIDS = {
+    "building": ((12, 31), (1, 3), 5),
+    "car": ((4, 7), (2, 4), 2),
+    "truck": ((6, 9), (3, 5), 3),
+    "bus": ((9, 12), (3, 4), 3),
+}
 _BOX_CLASSES = ("car", "truck", "bus")
-_BOX_SIZES = {"car": ((4, 7), (2, 4), 2), "truck": ((6, 9), (3, 5), 3), "bus": ((9, 12), (3, 4), 3)}
 _MAX_TRIES = 200
 
 
-def _place(rng, occupied, fx, fy, fz_lo, fz_hi):
-    """Find a free (x0, y0) for an fx*fy footprint; 1-voxel margin keeps
-    distinct objects disjoint even face-to-face. Returns None when crowded."""
+def _place(rng, occupied, fx, fy, hz):
+    """The slices of a free fx*fy*hz box just above the ground layer; a
+    1-voxel margin keeps distinct objects disjoint even face-to-face. Returns
+    None when crowded."""
     nx, ny, _ = occupied.shape
     if fx + 2 > nx or fy + 2 > ny:
         return None
     for _ in range(_MAX_TRIES):
         x0 = int(rng.integers(1, nx - fx))
         y0 = int(rng.integers(1, ny - fy))
-        region = occupied[x0 - 1 : x0 + fx + 1, y0 - 1 : y0 + fy + 1, fz_lo:fz_hi]
+        region = occupied[x0 - 1 : x0 + fx + 1, y0 - 1 : y0 + fy + 1, 1 : 1 + hz]
         if not region.any():
-            return x0, y0
+            return np.s_[x0 : x0 + fx, y0 : y0 + fy, 1 : 1 + hz]
     return None
+
+
+def _cuboid(rng, top, cls):
+    """A solid cuboid of ``cls``, its footprint's sides swapped on a coin flip."""
+    (x_lo, x_hi), (y_lo, y_hi), hz = _CUBOIDS[cls]
+    fx = int(rng.integers(x_lo, x_hi))
+    fy = int(rng.integers(y_lo, y_hi))
+    if rng.integers(2) == 1:
+        fx, fy = fy, fx
+    return cls, np.ones((fx, fy, min(hz, top)), dtype=bool)
+
+
+def _blob(rng, top):
+    """A vegetation ellipsoid of radii (rx, ry, rz), its height cut at top."""
+    rx = int(rng.integers(2, 5))
+    ry = int(rng.integers(2, 5))
+    rz = int(rng.integers(1, 3))
+    hz = min(2 * rz + 1, top)
+    xs = np.arange(2 * rx + 1) - rx
+    ys = np.arange(2 * ry + 1) - ry
+    zs = np.arange(hz) - (hz - 1) / 2.0
+    return "vegetation", (
+        (xs[:, None, None] / rx) ** 2 + (ys[None, :, None] / ry) ** 2 + (zs[None, None, :] / rz) ** 2
+    ) <= 1.0
+
+
+# (kind, SceneSpec count, shape) in the order gen_scene draws them; a shape
+# takes the rng and the top object layer and returns the object's fine class
+# and the (fx, fy, height) mask it fills
+_ARCHETYPES = (
+    ("wall", "n_walls", lambda rng, top: _cuboid(rng, top, "building")),
+    ("box", "n_boxes", lambda rng, top: _cuboid(rng, top, _BOX_CLASSES[int(rng.integers(len(_BOX_CLASSES)))])),
+    ("blob", "n_blobs", _blob),
+    ("pillar", "n_pillars", lambda rng, top: ("pole", np.ones((1, 1, top), dtype=bool))),
+    ("post", "n_posts", lambda rng, top: ("pedestrian", np.ones((1, 1, min(3, top)), dtype=bool))),
+)
 
 
 def gen_scene(spec):
     """Generate a dense fine-taxonomy scene, deterministic in spec.seed.
 
     The lowest voxel layer is ground (a road band along x, sidewalk elsewhere);
-    objects sit above it and never overlap each other.
+    objects sit above it, at most ``min(nz - 2, 5)`` layers high, and never
+    overlap each other. Each object of ``_ARCHETYPES``, in its order, draws
+    its shape, then a free place (``_place``), and fills its mask;
+    ExtentTooSmall names the first object that finds no room.
     """
     lattice = spec.lattice
     dims = lattice.dims
-    nx, ny, nz = dims
+    _, ny, nz = dims
     if nz < 4:
         raise ExtentTooSmall(f"need at least 4 voxel layers, got {nz}")
     rng = rng_stream(spec.seed, "scene")
     labels = np.zeros(dims, dtype=np.uint16)
-    fine = FINE_SPACE
 
     # ground layer: road band along x, sidewalk elsewhere
     road_half = float(rng.uniform(0.15, 0.3)) * ny / 2.0
     road_center = ny / 2.0 + float(rng.uniform(-0.1, 0.1)) * ny
     ys = np.arange(ny) + 0.5
     road_mask = np.abs(ys - road_center) <= road_half
-    layer = np.where(road_mask, fine.index("road"), fine.index("sidewalk"))
+    layer = np.where(road_mask, FINE_SPACE.index("road"), FINE_SPACE.index("sidewalk"))
     labels[:, :, 0] = layer[None, :]
 
     occupied = np.zeros(dims, dtype=bool)  # objects only; ground does not block
     top = min(nz - 2, 5)
-
-    def stamp(x0, x1, y0, y1, z0, z1, class_id):
-        labels[x0:x1, y0:y1, z0:z1] = class_id
-        occupied[x0:x1, y0:y1, z0:z1] = True
-
-    for i in range(spec.n_walls):
-        length = int(rng.integers(12, 31))
-        width = int(rng.integers(1, 3))
-        height = min(top, 5)
-        fx, fy = (length, width) if rng.integers(2) == 0 else (width, length)
-        pos = _place(rng, occupied, fx, fy, 1, 1 + height)
-        if pos is None:
-            raise ExtentTooSmall(f"could not place wall {i}")
-        stamp(pos[0], pos[0] + fx, pos[1], pos[1] + fy, 1, 1 + height, fine.index("building"))
-
-    for i in range(spec.n_boxes):
-        cls = _BOX_CLASSES[int(rng.integers(len(_BOX_CLASSES)))]
-        (lx_lo, lx_hi), (ly_lo, ly_hi), hz = _BOX_SIZES[cls]
-        fx = int(rng.integers(lx_lo, lx_hi))
-        fy = int(rng.integers(ly_lo, ly_hi))
-        if rng.integers(2) == 1:
-            fx, fy = fy, fx
-        hz = min(hz, top)
-        pos = _place(rng, occupied, fx, fy, 1, 1 + hz)
-        if pos is None:
-            raise ExtentTooSmall(f"could not place box {i}")
-        stamp(pos[0], pos[0] + fx, pos[1], pos[1] + fy, 1, 1 + hz, fine.index(cls))
-
-    for i in range(spec.n_blobs):
-        rx = int(rng.integers(2, 5))
-        ry = int(rng.integers(2, 5))
-        rz = int(rng.integers(1, 3))
-        fx, fy = 2 * rx + 1, 2 * ry + 1
-        z_lo = 1
-        z_hi = min(z_lo + 2 * rz + 1, top + 1)
-        pos = _place(rng, occupied, fx, fy, z_lo, z_hi)
-        if pos is None:
-            raise ExtentTooSmall(f"could not place blob {i}")
-        xs = np.arange(fx) - rx
-        ys_ = np.arange(fy) - ry
-        zs = np.arange(z_hi - z_lo) - (z_hi - z_lo - 1) / 2.0
-        mask = (
-            (xs[:, None, None] / rx) ** 2
-            + (ys_[None, :, None] / ry) ** 2
-            + (zs[None, None, :] / max(rz, 1)) ** 2
-        ) <= 1.0
-        sub = labels[pos[0] : pos[0] + fx, pos[1] : pos[1] + fy, z_lo:z_hi]
-        sub[mask] = fine.index("vegetation")
-        occupied[pos[0] : pos[0] + fx, pos[1] : pos[1] + fy, z_lo:z_hi][mask] = True
-
-    for i in range(spec.n_pillars):
-        height = min(top, 5)
-        pos = _place(rng, occupied, 1, 1, 1, 1 + height)
-        if pos is None:
-            raise ExtentTooSmall(f"could not place pillar {i}")
-        stamp(pos[0], pos[0] + 1, pos[1], pos[1] + 1, 1, 1 + height, fine.index("pole"))
-
-    for i in range(spec.n_posts):
-        height = min(3, top)
-        pos = _place(rng, occupied, 1, 1, 1, 1 + height)
-        if pos is None:
-            raise ExtentTooSmall(f"could not place post {i}")
-        stamp(pos[0], pos[0] + 1, pos[1], pos[1] + 1, 1, 1 + height, fine.index("pedestrian"))
-
-    return lattice.grid(labels, len(fine))
+    for kind, count, shape in _ARCHETYPES:
+        for i in range(getattr(spec, count)):
+            cls, mask = shape(rng, top)
+            box = _place(rng, occupied, *mask.shape)
+            if box is None:
+                raise ExtentTooSmall(f"could not place {kind} {i}")
+            labels[box][mask] = FINE_SPACE.index(cls)
+            occupied[box] |= mask
+    return lattice.grid(labels, len(FINE_SPACE))
 
 
 def beam_directions(lidar):

@@ -7,7 +7,9 @@ then training under direct_merge and pretrain_finetune, and eval of the
 direct_merge checkpoint; then eval of the mdt checkpoint with eta 3, where
 the coarse index (c + 0.5) / 3 of a fine voxel rounds, and with eta 4, the
 benchmark's refined setting) and the raycast output of both dataset presets
-on fixed seeds must hash to the recorded values. A change that moves any byte of these artifacts fails here and has
+on fixed seeds must hash to the recorded values, as must the fine scene
+labels of seeds 0-9 under the default counts and each world profile, the
+crowded specs' placement errors, and each taxonomy preset. A change that moves any byte of these artifacts fails here and has
 to declare which bits moved and why.
 """
 
@@ -19,8 +21,12 @@ import pytest
 
 from mdocc.cli import EXIT_OK, main
 from mdocc.config import ExperimentConfig, render_config
+from mdocc.core import Range3D
+from mdocc.experiment import WORLD_PROFILES
 from mdocc.scenes import (
     SENSOR_MOUNT_Z,
+    ExtentTooSmall,
+    SceneSpec,
     dataset_presets,
     default_scene_spec,
     default_sensor_pose,
@@ -215,6 +221,38 @@ RAYCAST = {
 }
 
 
+# the uint16 labels of gen_scene on seeds 0-9, concatenated, per archetype
+# counts: the defaults and each world profile
+SCENES = {
+    "default":
+        "97437170ffef6830cca899121b060eb2a77e888cd8c299b659d9676593f9ffdf",
+    "a32":
+        "01259c0bbe4c8d700d55916a089cfaa48b5a9724ccb16c8ad7f48ac8c8742714",
+    "b64":
+        "55a49fab56ec1d801acb57069d8fcbb3290eb393088eaa26432582d811d10087",
+}
+
+# the placement error of specs too crowded for a 20 x 20 x 5 extent
+CROWDED = [
+    (dict(n_walls=6), "could not place wall 2"),
+    (dict(n_boxes=40), "could not place box 5"),
+    (dict(n_blobs=20), "could not place blob 3"),
+    (dict(n_pillars=200), "could not place pillar 65"),
+    (dict(n_posts=200), "could not place post 65"),
+    (dict(n_walls=1, n_boxes=2, n_blobs=1, n_pillars=5, n_posts=200), "could not place post 31"),
+    (dict(n_walls=1, n_boxes=3, n_blobs=20), "could not place blob 0"),
+]
+
+# per dataset in order: its id, class names and empty id, then its
+# projection from the fine taxonomy as uint16
+TAXONOMIES = {
+    "split":
+        "7fcf06f54492abe74a07bc827d9a571b338ff355431ef13c2570cbe5e58165c0",
+    "twin":
+        "7601c5a5f367105d5e88e5cf078c0387f017367bf7b937cd8171db801d1d3baa",
+}
+
+
 def _digests(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -306,3 +344,31 @@ def test_raycast_output(preset, seed):
     pose = default_sensor_pose(scene, mount_z=SENSOR_MOUNT_Z[preset])
     cloud = np.ascontiguousarray(raycast(scene, spec.lidar, pose), dtype="<f8")
     assert hashlib.sha256(cloud.tobytes()).hexdigest() == RAYCAST[preset, seed]
+
+
+@pytest.mark.parametrize("profile", sorted(SCENES))
+def test_gen_scene_labels(profile):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        scene = gen_scene(default_scene_spec(seed=seed, **WORLD_PROFILES.get(profile, {})))
+        digest.update(np.ascontiguousarray(scene.labels, dtype="<u2").tobytes())
+    assert digest.hexdigest() == SCENES[profile]
+
+
+@pytest.mark.parametrize("counts, message", CROWDED)
+def test_crowded_scene_message(counts, message):
+    counts = dict(dict(n_boxes=0, n_pillars=0, n_walls=0, n_blobs=0, n_posts=0), **counts)
+    spec = SceneSpec(extent=Range3D(0.0, 4.0, 0.0, 4.0, 0.0, 1.0), voxel_size_m=0.2, **counts)
+    with pytest.raises(ExtentTooSmall) as err:
+        gen_scene(spec)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(TAXONOMIES))
+def test_taxonomy_preset(name):
+    taxonomy = taxonomy_preset(name)
+    digest = hashlib.sha256()
+    for ds, space in taxonomy.spaces.items():
+        digest.update(f"{ds}:{','.join(space.names)}:{space.empty_id}\n".encode())
+        digest.update(np.ascontiguousarray(taxonomy.project(ds), dtype="<u2").tobytes())
+    assert digest.hexdigest() == TAXONOMIES[name]

@@ -166,7 +166,7 @@ class TestNeighborMean:
         # 1 for the voxel itself plus one per axis for each in-grid neighbor
         idx = np.indices(dims)
         want = 1.0 + sum((i > 0).astype(float) + (i < d - 1) for i, d in zip(idx, dims))
-        assert _neighbor_counts(dims).tobytes() == want.tobytes()
+        assert _neighbor_counts(dims, width=1).tobytes() == want.tobytes()
 
 
 class TestLossCE:
@@ -534,7 +534,9 @@ class TestHeapThresholds:
         # instead of faulted in again (about 49,600 faults with glibc's
         # defaults), and ctypes.util, whose find_library may start ldconfig
         # or gcc, stays unloaded; a fresh process keeps the setting from
-        # leaking in from other tests
+        # leaking in from other tests. The first round maps the pages later
+        # rounds reuse, about 1,000 faults with the setting or without it,
+        # as many as the bound, so it runs before the count starts
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import resource, sys\n"
@@ -545,10 +547,13 @@ class TestHeapThresholds:
             " labels=[np.zeros((2, 2, 1), int)],"
             " block=(0, 2))\n"
             "train({'a': data}, ExperimentConfig(regime='single', epochs=1, batch_size=1, hidden=3))\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(50):\n"
+            "def one_round():\n"
             "    arrays = [np.ones((16384, 8)) for _ in range(4)]\n"
             "    del arrays\n"
+            "one_round()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    one_round()\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,"
             " 'ctypes.util' in sys.modules)\n"
         )

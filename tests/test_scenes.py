@@ -263,8 +263,11 @@ class TestTaxonomyPresets:
                 assert (pa[f] == pa[g]) == (pb[f] == pb[g])
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            taxonomy_preset("nope")
+        # a manifest's JSON may hold any value, an unhashable one too
+        for name in ("nope", ["split"]):
+            with pytest.raises(ValueError) as err:
+                taxonomy_preset(name)
+            assert str(err.value) == f"unknown taxonomy preset {name!r}"
 
 
 class TestMply:
