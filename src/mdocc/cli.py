@@ -107,8 +107,10 @@ def cmd_synth(cfg):
     return EXIT_OK
 
 
-def _load_synth(cfg):
-    """Rebuild a SynthResult from a synth output directory; CodecError, naming
+def _load_synth(cfg, split):
+    """Rebuild a SynthResult from a synth output directory, holding the views
+    of ``split`` ("scene" or "eval") only; the other split's lists are empty.
+    Every file of both splits is still decoded and checked: CodecError, naming
     the file, on a file that does not decode or a grid whose lattice or class
     count is not its dataset preset's; and, naming the directory, on a
     dataset whose scene or eval files, once they decode, are not as many as
@@ -124,12 +126,11 @@ def _load_synth(cfg):
     except (ValueError, KeyError, TypeError) as e:
         raise CodecError(f"{manifest_path}: malformed manifest: {e!r}", getattr(e, "pos", 0)) from None
     specs = dataset_presets(taxonomy)
-    train_views = {ds: [] for ds in specs}
-    eval_views = {ds: [] for ds in specs}
+    views = {tag: {ds: [] for ds in specs} for tag in counts}
     for ds, spec in specs.items():
         base = os.path.join(cfg.out, ds)
         preset = (spec.lattice, len(spec.label_space))
-        for tag, sink in (("scene", train_views), ("eval", eval_views)):
+        for tag in counts:
             i = 0
             while True:
                 gpath = os.path.join(base, f"{tag}_{i:04d}.mocc")
@@ -141,7 +142,9 @@ def _load_synth(cfg):
                     # offset 6: the header fields after magic and version
                     raise CodecError(f"{gpath}: {gt.lattice} with {gt.num_classes} classes "
                                      f"does not fit the {ds} preset", 6)
-                sink[ds].append((decode_file(cpath, cloud_decode), gt))
+                cloud = decode_file(cpath, cloud_decode)
+                if tag == split:
+                    views[tag][ds].append((cloud, gt))
                 i += 1
             if i != counts[tag]:
                 raise CodecError(f"{base}: {i} {tag} files, the manifest lists {counts[tag]} "
@@ -149,8 +152,8 @@ def _load_synth(cfg):
     return exp.SynthResult(
         taxonomy=taxonomy,
         specs=specs,
-        train_views=train_views,
-        eval_views=eval_views,
+        train_views=views["scene"],
+        eval_views=views["eval"],
         scene_seeds=scene_seeds,
         eval_seeds=eval_seeds,
     )
@@ -166,8 +169,12 @@ def _log_csv(log):
 
 
 def cmd_train(cfg):
-    synth = _load_synth(cfg)
-    result = train(exp.prepare_regime(cfg.regime, synth, list(synth.specs), cfg.stride), cfg)
+    synth = _load_synth(cfg, "scene")
+    data = exp.prepare_regime(cfg.regime, synth, list(synth.specs), cfg.stride)
+    # train reads only the prepared data: the decoded clouds and grids go
+    # before it, and the log worker it forks, start
+    del synth
+    result = train(data, cfg)
     save_checkpoint(os.path.join(cfg.out, f"ckpt_{cfg.regime}.mckpt"), result.params, result.norm_state)
     _write_text(os.path.join(cfg.out, f"train_log_{cfg.regime}.csv"), _log_csv(result.log))
     return EXIT_OK
@@ -196,7 +203,7 @@ def _load_model(checkpoint, synth):
 
 
 def cmd_learn_labels(cfg, checkpoint):
-    synth = _load_synth(cfg)
+    synth = _load_synth(cfg, "scene")
     result = _load_model(checkpoint, synth)
     if result.params.regime != "mdt":
         print(f"learn-labels needs an mdt checkpoint, got a {result.params.regime} one",
@@ -212,7 +219,7 @@ def cmd_learn_labels(cfg, checkpoint):
 
 
 def cmd_eval(cfg, checkpoint, unified_path):
-    synth = _load_synth(cfg)
+    synth = _load_synth(cfg, "eval")
     result = _load_model(checkpoint, synth)
     if result.params.regime == "pretrain_finetune":
         print(

@@ -60,6 +60,24 @@ class TestCropPoints:
         pts = np.array([[1.0, 0.5, 0.5]])
         assert crop_points(pts, Range3D(0, 1, 0, 1, 0, 1)).shape[0] == 0
 
+    def test_points_on_each_bound_and_nan(self):
+        # a point on a min bound stays and one on a max bound goes, per axis;
+        # a NaN coordinate fails both comparisons, so its point goes too
+        r = Range3D(-1, 2, -3, 4, 0.5, 1.5)
+        lo, hi, mid = r.mins, r.maxs, (r.mins + r.maxs) / 2
+        pts, want = [], []
+        for ax in range(3):
+            for value, kept in ((lo[ax], True), (hi[ax], False), (np.nan, False)):
+                p = mid.copy()
+                p[ax] = value
+                pts.append(p)
+                if kept:
+                    want.append(p)
+        pts.append(lo.copy())
+        want.append(lo.copy())
+        got = crop_points(np.array(pts), r)
+        assert np.array_equal(got, np.array(want))
+
     def test_matches_per_point_predicate(self):
         rng = rng_stream(5, "crop")
         pts = rng.uniform(-4, 4, (1000, 3))

@@ -1,16 +1,18 @@
 import dataclasses
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdocc import experiment
+from mdocc import cli, experiment
 from mdocc.align import NormState
 from mdocc.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mdocc.config import ConfigError, ExperimentConfig, parse_config, render_config
@@ -330,6 +332,150 @@ class TestCliTrainEval:
             assert os.listdir(os.path.join(cfg.out, "pred", "mdt", ds)) == ["pred_0000.mocc"]
 
 
+class TestCliHeldData:
+    """Each command holds only the synth split it reads."""
+
+    @pytest.mark.parametrize("split, n_train, n_eval", [("scene", 3, 0), ("eval", 0, 2)])
+    def test_load_keeps_one_split(self, rundir, split, n_train, n_eval):
+        synth = cli._load_synth(rundir[0], split)
+        assert {ds: len(v) for ds, v in synth.train_views.items()} == {"a32": n_train, "b64": n_train}
+        assert {ds: len(v) for ds, v in synth.eval_views.items()} == {"a32": n_eval, "b64": n_eval}
+
+    @pytest.mark.parametrize("regime", ["mdt", "single"])
+    def test_twin_cross_eval_without_unified_fails_numeric(self, tmp_path, regime, capsys):
+        # both twin datasets have 8 classes, so no class count tells that a
+        # cross cell reads the other dataset's label ids
+        cfg, path = tiny_cfg(tmp_path / "twin", taxonomy="twin", cross=True)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", regime]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, f"ckpt_{regime}.mckpt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_NUMERIC
+        assert one_line_of_output(capsys)
+        assert not [f for f in os.listdir(cfg.out) if f.startswith("report_")]
+
+    def test_cross_eval_without_unified_refused_before_scene_work(self, rundir, tmp_path,
+                                                                   monkeypatch, capsys):
+        cfg, path = rundir
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        cross_path = tmp_path / "cross.cfg"
+        cross_path.write_text(render_config(dataclasses.replace(cfg, cross=True)))
+
+        def refused(name):
+            # scene work may run in a forked worker, whose calls never reach
+            # a list here; the exception it raises travels back
+            def wrapper(*args, **kwargs):
+                raise AssertionError(f"{name} called before the refusal")
+            return wrapper
+
+        for name in ("cloud_features", "predict_scores"):
+            monkeypatch.setattr(experiment, name, refused(name))
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["eval", "--config", str(cross_path), "--checkpoint", ckpt]) == EXIT_NUMERIC
+        assert one_line_of_output(capsys)
+
+    @pytest.mark.parametrize("regime", ["single", "direct_merge", "pretrain_finetune"])
+    def test_learn_labels_needs_mdt(self, rundir, regime, capsys):
+        cfg, path = rundir
+        assert main(["train", "--config", path, "--regime", regime]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = os.path.join(cfg.out, f"ckpt_{regime}.mckpt")
+        assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_USAGE
+        assert one_line_of_output(capsys)
+        if regime == "pretrain_finetune":
+            assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_USAGE
+            assert one_line_of_output(capsys)
+
+    def test_report_merges(self, rundir, tmp_path):
+        cfg, path = rundir
+        rep = os.path.join(cfg.out, "report_mdt.csv")
+        out = tmp_path / "merged"
+        assert main(["report", "--out", str(out), rep, rep]) == EXIT_OK
+        lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        assert len(lines) == 5
+
+
+    def test_eval_of_fewer_scenes_removes_stale_predictions(self, tmp_path):
+        cfg, path = tiny_cfg(tmp_path / "run", eval_scenes=3)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        cell = os.path.join(cfg.out, "pred", "mdt", "a32")
+        assert sorted(os.listdir(cell)) == [f"pred_{i:04d}.mocc" for i in range(3)]
+        # files of other names are not the program's, and stay
+        for name in ("pred_02.mocc", "pred_0007.txt", "notes.txt"):
+            (Path(cell) / name).write_text("kept")
+        for ds in ("a32", "b64"):
+            shutil.rmtree(os.path.join(cfg.out, ds))
+        _, path = tiny_cfg(tmp_path / "run", eval_scenes=2)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["eval", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        report = open(os.path.join(cfg.out, "report_mdt.csv")).read().splitlines()
+        assert len(report) == 3
+        for ds in ("a32", "b64"):
+            names = sorted(os.listdir(os.path.join(cfg.out, "pred", "mdt", ds)))
+            kept = ["notes.txt", "pred_0007.txt", "pred_02.mocc"] if ds == "a32" else []
+            assert names == sorted(["pred_0000.mocc", "pred_0001.mocc"] + kept)
+
+    def test_eval_without_cross_removes_cross_predictions(self, tmp_path):
+        cfg, path = tiny_cfg(tmp_path / "run", cross=True)
+        assert main(["synth", "--config", path]) == EXIT_OK
+        assert main(["train", "--config", path, "--regime", "mdt"]) == EXIT_OK
+        ckpt = os.path.join(cfg.out, "ckpt_mdt.mckpt")
+        assert main(["learn-labels", "--config", path, "--checkpoint", ckpt]) == EXIT_OK
+        unified = os.path.join(cfg.out, "unified.txt")
+        assert main(["eval", "--config", path, "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        cross = Path(cfg.out, "pred", "mdt_cross")
+        assert sorted(p.name for p in cross.glob("*/pred_*.mocc")) == ["pred_0000.mocc"] * 2
+        (cross / "a32" / "notes.txt").write_text("kept")
+        _, path = tiny_cfg(tmp_path / "run", cross=False)
+        assert main(["eval", "--config", path, "--checkpoint", ckpt, "--unified", unified]) == EXIT_OK
+        assert [p.name for p in cross.rglob("*") if p.is_file()] == ["notes.txt"]
+        for ds in ("a32", "b64"):
+            assert os.listdir(os.path.join(cfg.out, "pred", "mdt", ds)) == ["pred_0000.mocc"]
+
+
+class TestCliHeldData:
+    """Each command holds only the synth split it reads."""
+
+    @pytest.mark.parametrize("split, kept, dropped", [
+        ("scene", "train_views", "eval_views"), ("eval", "eval_views", "train_views")])
+    def test_load_keeps_one_split(self, rundir, split, kept, dropped):
+        cfg, _ = rundir
+        synth = cli._load_synth(cfg, split)
+        assert {ds: len(v) for ds, v in getattr(synth, kept).items()} == {
+            "a32": len(getattr(synth, "scene_seeds" if split == "scene" else "eval_seeds")),
+            "b64": len(getattr(synth, "scene_seeds" if split == "scene" else "eval_seeds")),
+        }
+        assert getattr(synth, dropped) == {"a32": [], "b64": []}
+
+    @pytest.mark.parametrize("regime", ["mdt", "single"])
+    def test_train_releases_synth_before_training(self, rundir, regime, monkeypatch):
+        # training reads only the prepared data: the decoded directory, and
+        # each decoded cloud in it, must be gone when it starts
+        cfg, path = rundir
+        refs, started = [], []
+        load, train = cli._load_synth, cli.train
+
+        def load_and_watch(*args, **kwargs):
+            synth = load(*args, **kwargs)
+            refs.extend([weakref.ref(synth), weakref.ref(synth.train_views["a32"][0][0])])
+            return synth
+
+        def train_and_check(*args, **kwargs):
+            gc.collect()
+            assert refs and all(ref() is None for ref in refs), "synth data alive in train"
+            started.append(regime)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_synth", load_and_watch)
+        monkeypatch.setattr(cli, "train", train_and_check)
+        assert main(["train", "--config", path, "--regime", regime]) == EXIT_OK
+        assert started == [regime]
+
+
 class TestCliErrors:
     def test_usage_error(self):
         assert main(["train", "--config", "/nonexistent/x.cfg"]) in (EXIT_USAGE, 3)
@@ -450,9 +596,16 @@ class TestCliMalformedInputs:
         assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
         assert one_line_of_output(capsys)
 
-    def test_truncated_mocc_names_file(self, probes, capsys):
-        scene = probes / "trunc_scene" / "a32" / "scene_0000.mocc"
-        assert main(["train", "--out", str(probes / "trunc_scene"), "--regime", "mdt"]) == EXIT_IO
+    @pytest.mark.parametrize("command, name", [
+        ("train", "scene_0000.mocc"),
+        ("train", "eval_0000.mocc"),  # a split train does not keep
+        ("eval", "scene_0000.mocc"),  # a split eval does not keep
+    ])
+    def test_truncated_mocc_names_file(self, probes, command, name, capsys):
+        scene = probes / "trunc_scene" / "a32" / name
+        (probes / "trunc_scene" / "a32" / "scene_0000.mocc").rename(scene)
+        extra = ["--regime", "mdt"] if command == "train" else ["--checkpoint", str(probes / "ok.mckpt")]
+        assert main([command, "--out", str(probes / "trunc_scene"), *extra]) == EXIT_IO
         assert one_line_of_output(capsys, naming=scene)
 
     def test_truncated_checkpoint_names_file(self, probes, capsys):

@@ -1,6 +1,10 @@
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +221,19 @@ def test_exception_survives_pickling(cls):
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is cls
     assert str(back) == str(error)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("openblas, want", [(None, ["1", "1", "1"]), ("3", ["3", "1", "1"])],
+                         ids=["unset", "openblas_3"])
+def test_import_pins_blas_threads_unless_set(openblas, want):
+    # BLAS reads these when numpy loads it; a thread count set by the caller wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    code = f"import os, mdocc; print([os.environ.get(v) for v in {BLAS_VARS!r}])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr(want)
