@@ -25,10 +25,10 @@ from .metrics import ConfusionMatrix, EvalCell, accumulate, cross_eval
 from .model import (
     REGIME_TABLE,
     TrainData,
-    backbone,
+    batch_forward,
     head_blocks,
-    read_head,
     route,
+    shifted_exp,
     train,
 )
 from .refine import refine_and_reassemble, sample_features, split_voxels
@@ -244,13 +244,13 @@ def predict_scores(result, norm_id, features, heads):
     (D, H, W, hidden) volume. Raises FloatingPointError when any of them is
     not finite (finite weights can still overflow).
     """
-    params = result.params
-    z5, _ = backbone([features], norm_id, params, result.norm_state, mode="eval")
-    dims = features.shape[:3]
-    scores = {head: read_head(z5, params.head(head)).reshape(dims + (-1,)) for head in heads}
+    outs, cache = batch_forward([features], norm_id, result.params, result.norm_state,
+                                mode="eval", heads=heads)
+    scores = {head: volumes[0] for head, volumes in outs.items()}
+    z5 = cache["z5"]
     if not all(np.isfinite(a).all() for a in (z5, *scores.values())):
         raise FloatingPointError(f"non-finite scores under the {norm_id} statistics")
-    return scores, z5.reshape(dims + (params.hidden,))
+    return scores, z5.reshape(features.shape[:3] + (result.params.hidden,))
 
 
 def scores_to_grid(scores, lattice, block):
@@ -262,9 +262,9 @@ def scores_to_grid(scores, lattice, block):
 
 
 def softmax_scores(scores):
-    shifted = scores - scores.max(axis=3, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=3, keepdims=True)
+    expv, s = shifted_exp(scores.reshape(-1, scores.shape[3]))
+    expv /= s[:, None]
+    return expv.reshape(scores.shape)
 
 
 def learn_unified(result, synth, stride, lam, tau):

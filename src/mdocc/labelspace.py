@@ -169,6 +169,8 @@ def _check_corpus(corpus):
     for ds in ids:
         if len(corpus[ds]) != n:
             raise MisalignedCorpus(f"{ds}: scene count {len(corpus[ds])} != {n}")
+    if not n:
+        raise MisalignedCorpus("corpus holds no scene")
     for i in range(n):
         dims = corpus[ids[0]][i].shape[:3]
         for ds in ids:

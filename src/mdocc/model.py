@@ -166,17 +166,6 @@ def _stencil_sum(x, out):
     return out
 
 
-def neighbor_mean(x):
-    """Mean of each voxel with its in-grid 6-neighbors (border-aware)."""
-    flat = _neighbor_mean_batch(x.reshape(-1, x.shape[3]), [(x.shape[:3], slice(None))])
-    return flat.reshape(x.shape)
-
-
-def neighbor_mean_transpose(g):
-    flat = _neighbor_mean_batch(g.reshape(-1, g.shape[3]), [(g.shape[:3], slice(None))], True)
-    return flat.reshape(g.shape)
-
-
 def _scene_slices(volumes):
     """Per-scene (dims, row-slice) bookkeeping for a possibly mixed batch."""
     slices = []
@@ -190,7 +179,7 @@ def _scene_slices(volumes):
     return slices
 
 
-def _neighbor_mean_batch(flat, slices, transpose=False):
+def _neighbor_mean_batch(flat, slices, transpose):
     """Apply the 6-neighborhood mean (or its adjoint) scene by scene on the
     concatenated voxel rows, straight into each scene's rows of the output;
     scenes may have different grid dims."""
@@ -207,52 +196,46 @@ def _neighbor_mean_batch(flat, slices, transpose=False):
     return out
 
 
-def backbone(volumes, norm_id, params, norm_state, mode):
-    """Run a batch of (D, H, W, 5) feature volumes through the shared
-    backbone: affine -> dataset-specific norm (statistic set ``norm_id``) ->
-    ramp -> 6-neighborhood mean -> affine.
+def batch_forward(volumes, norm_id, params, norm_state, mode, heads):
+    """Run a batch of (D, H, W, 5) feature volumes once through the shared
+    backbone: affine -> dataset-specific norm (statistic set ``norm_id``,
+    ``mode`` "train" or "eval") -> ramp -> 6-neighborhood mean -> affine,
+    and read each head in ``heads`` off its rows.
 
     Scenes in the batch may have different grid dims (a directly-merged
     stream mixes datasets); the normalization statistics are taken over all
-    voxels of all scenes jointly. Returns the (N, hidden) z5 rows of every
-    scene in batch order, which any head reads with :func:`read_head`, and
-    the cache that :func:`backward` needs (it holds z5 too).
+    voxels of all scenes jointly. Returns {head: per-volume (D, H, W,
+    classes) scores} and the cache that :func:`backward` needs, whose
+    ``z5`` holds the (N, hidden) backbone rows of every scene in batch order.
     """
+    readers = {head: params.head(head) for head in heads}
     slices = _scene_slices(volumes)
-    x = np.concatenate(
-        [v.reshape(-1, NUM_CYL_FEATURES) for v in volumes], axis=0
-    )
+    x = np.concatenate([v.reshape(-1, NUM_CYL_FEATURES) for v in volumes], axis=0)
     z1 = x @ params.w1
     rowwise(np.add, z1, params.b1, out=z1)
     z2, norm_cache = dsnorm_forward(z1, norm_id, norm_state, mode=mode)
     a3 = np.maximum(z2, 0.0)
-    z4 = _neighbor_mean_batch(a3, slices)
+    z4 = _neighbor_mean_batch(a3, slices, transpose=False)
     z5 = z4 @ params.w2
     rowwise(np.add, z5, params.b2, out=z5)
-    return z5, {"x": x, "z2": z2, "norm": norm_cache, "slices": slices, "z4": z4, "z5": z5}
+    outs = {}
+    for head, (w, b) in readers.items():
+        scores = z5 @ w
+        rowwise(np.add, scores, b, out=scores)
+        outs[head] = [scores[sl].reshape(dims + (w.shape[1],)) for dims, sl in slices]
+    return outs, {"x": x, "z2": z2, "norm": norm_cache, "slices": slices, "z4": z4, "z5": z5}
 
 
-def read_head(z5, head):
-    """(N, classes) scores of one head ``(weight, bias)`` on backbone rows."""
-    w, b = head
-    scores = z5 @ w
-    rowwise(np.add, scores, b, out=scores)
-    return scores
-
-
-def batch_forward(volumes, dataset_id, params, norm_state, mode="train", head_id=None):
-    """Scores of one head on a batch of feature volumes: :func:`backbone`
-    with ``dataset_id``'s statistics, then :func:`read_head` on its rows.
-
-    ``head_id`` selects a classification head other than the normalization
-    dataset's own. Returns per-volume (D, H, W, classes) score arrays plus
-    the backbone's cache.
-    """
-    head = params.head(dataset_id if head_id is None else head_id)
-    z5, cache = backbone(volumes, dataset_id, params, norm_state, mode)
-    scores = read_head(z5, head)
-    outs = [scores[sl].reshape(dims + (scores.shape[1],)) for dims, sl in cache["slices"]]
-    return outs, cache
+def shifted_exp(flat):
+    """exp(scores - row max) of (N, C) score rows and its row sums, the
+    softmax's numerator and denominator. The row max is taken column by
+    column; max is exact in any order."""
+    top = flat[:, 0].copy()
+    for c in range(1, flat.shape[1]):
+        np.maximum(top, flat[:, c], out=top)
+    expv = flat - top[:, None]
+    np.exp(expv, out=expv)
+    return expv, expv.sum(axis=1)
 
 
 def _ce_terms(raw, labels, class_weights):
@@ -270,13 +253,7 @@ def _ce_terms(raw, labels, class_weights):
     y = labels.reshape(-1).astype(np.int64)
     n = y.size
     w = np.asarray(class_weights, dtype=np.float64)
-    # the row max column by column; max is exact in any order
-    top = flat[:, 0].copy()
-    for c in range(1, num_classes):
-        np.maximum(top, flat[:, c], out=top)
-    expv = flat - top[:, None]
-    np.exp(expv, out=expv)
-    s = expv.sum(axis=1)
+    expv, s = shifted_exp(flat)
     label_col = np.arange(n) * num_classes + y
     wv = w[y]
     p_label = expv.reshape(-1)[label_col] / s
@@ -310,27 +287,16 @@ class Grads:
     beta: np.ndarray
 
 
-def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights):
-    """Sum-reduced train-mode batch loss; the finite-difference reference for
-    backward()."""
-    outs, _ = batch_forward(volumes, dataset_id, params, norm_state)
-    total = 0.0
-    for out, gt in zip(outs, gts):
-        li, _ = loss_ce(out, gt, class_weights)
-        total += li
-    return total
-
-
-def backward(volumes, gts, dataset_id, params, norm_state, class_weights, head_id=None):
-    """Analytic gradients of the sum-reduced train-mode batch loss, with the
-    trained head's alone; the dataset's running statistics are refreshed,
-    not differentiated.
+def backward(volumes, gts, norm_id, head_id, params, norm_state, class_weights):
+    """Analytic gradients of the sum-reduced train-mode batch loss of head
+    ``head_id`` under statistic set ``norm_id``, with that head's alone; the
+    running statistics are refreshed, not differentiated.
     """
-    outs, cache = batch_forward(volumes, dataset_id, params, norm_state, head_id=head_id)
-    head_w = params.head(dataset_id if head_id is None else head_id)[0]
+    outs, cache = batch_forward(volumes, norm_id, params, norm_state, "train", [head_id])
+    head_w = params.head(head_id)[0]
     total = 0.0
     gscores = []
-    for out, gt in zip(outs, gts):
+    for out, gt in zip(outs[head_id], gts):
         li, gi = loss_ce(out, gt, class_weights)
         total += li
         gscores.append(gi.reshape(-1, head_w.shape[1]))
@@ -474,8 +440,9 @@ def _epoch_metrics(data, norm_id, head_id, params, norm_state, weights):
     cm = ConfusionMatrix(num_classes=size)
     total = 0.0
     for features, labels in zip(data.features, data.labels):
-        (out,), _ = batch_forward([features], norm_id, params, norm_state, mode="eval",
-                                  head_id=head_id)
+        outs, _ = batch_forward([features], norm_id, params, norm_state, mode="eval",
+                                heads=[head_id])
+        out = outs[head_id][0]
         total += _ce_terms(out, labels, weights)[0]
         cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
     return (
@@ -580,8 +547,7 @@ def train(datasets, config, *, log_every_epoch=True, start=None):
                 norm_id, head_id = routes[batch[0][0]]
                 loss, grads = backward([datasets[ds].features[i] for ds, i in batch],
                                        [datasets[ds].labels[i] for ds, i in batch],
-                                       norm_id, params, norm_state, weights[head_id],
-                                       head_id=head_id)
+                                       norm_id, head_id, params, norm_state, weights[head_id])
                 if not np.isfinite(loss):
                     gather()  # an earlier epoch's log may have failed first
                     raise FloatingPointError(f"non-finite loss at epoch {epoch}")

@@ -16,11 +16,11 @@ from mdocc.labelspace import (
     solve_unified,
 )
 from mdocc.metrics import ConfusionMatrix, accumulate, geometric_iou, miou
-from mdocc.model import backward, batch_loss, class_weights_from_counts
+from mdocc.model import backward, class_weights_from_counts
 from mdocc.refine import sample_features, split_voxels
 from tests.test_labelspace import exhaustive_minimum, spaces_of
 from tests.test_metrics import brute_force_counts, brute_force_metrics
-from tests.test_model import make_instance, _flatten_params, _grad_of
+from tests.test_model import batch_loss, make_instance, _flatten_params, _grad_of
 
 
 def report(num, name, ok, detail=""):
@@ -107,7 +107,7 @@ def test_04_gradient_correctness():
         w = class_weights_from_counts(
             np.bincount(np.concatenate([g.reshape(-1) for g in gts]), minlength=3)
         )
-        _, grads = backward(vols, gts, ids[0], params, state, w)
+        _, grads = backward(vols, gts, ids[0], ids[0], params, state, w)
         for name, arr in _flatten_params(params, state, ids[0]):
             g = _grad_of(grads, state, name, ids[0])
             for idx in np.ndindex(arr.shape):

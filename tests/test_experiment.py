@@ -247,9 +247,10 @@ class TestDirectMergeLog:
         assert {ds: d.block for ds, d in data.items()} == {"a32": (0, 9), "b64": (9, 8)}
         for ds, d in data.items():
             off, size = d.block
-            outs, _ = batch_forward(d.features, "merged", result.params, result.norm_state, mode="eval")
+            outs, _ = batch_forward(d.features, "merged", result.params, result.norm_state,
+                                    mode="eval", heads=["merged"])
             cm = ConfusionMatrix(num_classes=size)
-            for out, labels in zip(outs, d.labels):
+            for out, labels in zip(outs["merged"], d.labels):
                 cm.add_arrays(np.argmax(out[..., off : off + size], axis=3), labels - off)
             last = [row for row in result.log if row["dataset"] == ds][-1]
             assert last["iou"] == geometric_iou(cm, empty_id=0)
@@ -640,9 +641,9 @@ class TestSlmScores:
         # the per-head composition: one eval-mode pass per head, then softmax,
         # merge over the unified space and reprojection
         order = list(unified.dataset_ids())
-        passes = [batch_forward([feats], "b64", params, state, mode="eval", head_id=d)
+        passes = [batch_forward([feats], "b64", params, state, mode="eval", heads=[d])
                   for d in order]
-        heads = [softmax_scores(outs[0]) for outs, _ in passes]
+        heads = [softmax_scores(outs[d][0]) for d, (outs, _) in zip(order, passes)]
         merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
         want = reproject(merged, unified.mapping("b64"))
         want_hidden = passes[0][1]["z5"].reshape(feats.shape[:3] + (6,))

@@ -159,8 +159,13 @@ class TestMergeCost:
     def test_misaligned_corpus(self):
         a = score_grid([0.2, 0.8])
         b = np.zeros((2, 1, 1, 2))
-        with pytest.raises(MisalignedCorpus):
-            merge_cost(MergeCandidate(members=(("a", 0), ("b", 0)), cost=0.0), {"a": [a], "b": [b]})
+        pair = MergeCandidate(members=(("a", 0), ("b", 0)), cost=0.0)
+        # scenes of unequal dims, and datasets that hold no scene
+        for corpus in ({"a": [a], "b": [b]}, {"a": [], "b": []}):
+            with pytest.raises(MisalignedCorpus):
+                merge_cost(pair, corpus)
+            with pytest.raises(MisalignedCorpus):
+                enumerate_candidates(corpus, 0.1)
 
 
 def random_corpus(rng, sizes, voxels=32, scenes=2):

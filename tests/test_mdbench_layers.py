@@ -40,3 +40,32 @@ def test_tracer_installs_and_restores_every_wrapped_attribute(monkeypatch):
     assert after.keys() == before.keys()
     for name, attrs in before.items():
         assert [a for a, v in attrs.items() if after[name].get(a) is not v] == [], name
+
+
+def test_tracer_counts_the_steps_and_rows_of_an_in_process_train(monkeypatch):
+    # the tracer reads backward's first positional argument as the batch's
+    # volumes, and counts an eval-mode batch_forward inside train, by its
+    # `mode` keyword, as the log pass; one epoch runs its log pass in process
+    monkeypatch.syspath_prepend(str(MDBENCH))
+    layers = importlib.import_module("layers")
+    from mdocc.config import ExperimentConfig
+    from mdocc.core import rng_stream
+    from mdocc.model import TrainData, balanced_batches
+
+    rng = rng_stream(0, "tracer")
+    dims = [(4, 4, 2), (3, 2, 2), (4, 4, 2), (2, 5, 1), (3, 3, 3)]
+    data = TrainData(features=[rng.normal(size=d + (5,)) for d in dims],
+                     labels=[rng.integers(0, 3, d) for d in dims], block=(0, 3))
+    cfg = ExperimentConfig(regime="single", epochs=1, batch_size=2, seed=3, hidden=4)
+    batches = balanced_batches({"a": len(dims)}, cfg.batch_size, seed=cfg.seed)
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        sys.modules["mdocc.model"].train({"a": data}, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.values["model.sgd_steps"] == len(batches) == 3
+    assert tracer.values["model.voxel_rows"] == sum(
+        int(np.prod(dims[i])) for batch in batches for _, i in batch)
+    assert tracer.values["model.log_pass_s"] > 0

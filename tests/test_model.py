@@ -28,15 +28,12 @@ from mdocc.model import (
     backward,
     balanced_batches,
     batch_forward,
-    batch_loss,
     checkpoint_decode,
     class_weights_from_counts,
     head_widths,
     init_params,
     load_checkpoint,
     loss_ce,
-    neighbor_mean,
-    neighbor_mean_transpose,
     save_checkpoint,
     sgd_step,
     train,
@@ -54,9 +51,16 @@ def make_instance(rng, dims=(4, 4, 4), classes=(3, 4), scenes=2, margin=1e-3):
     while True:
         vols = [rng.normal(0.5, 1.0, dims + (NUM_CYL_FEATURES,)) for _ in range(scenes)]
         gts = [rng.integers(0, classes[0], dims) for _ in range(scenes)]
-        _, cache = batch_forward(vols, ids[0], params, state, mode="train")
+        _, cache = batch_forward(vols, ids[0], params, state, "train", [])
         if np.min(np.abs(cache["z2"])) > margin:
             return params, state, ids, vols, gts
+
+
+def batch_loss(volumes, gts, dataset_id, params, norm_state, class_weights):
+    """Sum-reduced train-mode batch loss of the dataset's own head; the
+    finite-difference reference for backward()."""
+    outs, _ = batch_forward(volumes, dataset_id, params, norm_state, "train", [dataset_id])
+    return sum(loss_ce(out, gt, class_weights)[0] for out, gt in zip(outs[dataset_id], gts))
 
 
 class TestForward:
@@ -64,7 +68,7 @@ class TestForward:
         params = init_params({"a": 4}, hidden=5, seed=0)
         state = NormState(5, ["a"])
         feats = np.zeros((3, 3, 2, NUM_CYL_FEATURES))
-        (scores,), _ = batch_forward([feats], "a", params, state, mode="train")
+        (scores,) = batch_forward([feats], "a", params, state, "train", ["a"])[0]["a"]
         # constant input stays constant through every (linear or pointwise) stage
         flat = scores.reshape(-1, 4)
         assert np.allclose(flat, flat[0][None, :])
@@ -74,8 +78,8 @@ class TestForward:
         params = init_params({"a": 3, "b": 3}, hidden=6, seed=1)
         state = NormState(6, ["a", "b"])
         feats = rng.normal(size=(2, 2, 2, NUM_CYL_FEATURES))
-        (sa,), _ = batch_forward([feats], "a", params, state, mode="train")
-        (sb,), _ = batch_forward([feats], "b", params, state, mode="train")
+        (sa,) = batch_forward([feats], "a", params, state, "train", ["a"])[0]["a"]
+        (sb,) = batch_forward([feats], "b", params, state, "train", ["b"])[0]["b"]
         assert not np.allclose(sa, sb)
 
     def test_single_voxel_hand_composition(self):
@@ -91,7 +95,7 @@ class TestForward:
         state.beta = np.array([1.5])
         feats = np.zeros((1, 1, 1, NUM_CYL_FEATURES))
         feats[0, 0, 0, 0] = 7.0
-        (scores,), _ = batch_forward([feats], "a", params, state, mode="train")
+        (scores,) = batch_forward([feats], "a", params, state, "train", ["a"])[0]["a"]
         # batch of one voxel: xhat = 0 -> z2 = beta = 1.5 -> relu 1.5
         # -> mean 1.5 -> affine 3 * 1.5 - 0.25 = 4.25 -> head 4 * 4.25 + 1 = 18
         assert np.allclose(scores.reshape(-1), [18.0])
@@ -100,7 +104,7 @@ class TestForward:
         params = init_params({"a": 2}, hidden=4, seed=0)
         state = NormState(4, ["a"])
         with pytest.raises(KeyError):
-            batch_forward([np.zeros((1, 1, 1, 5))], "zz", params, state)
+            batch_forward([np.zeros((1, 1, 1, 5))], "zz", params, state, "train", ["zz"])
 
     def test_missing_head_is_the_package_unknown_dataset(self):
         params = init_params({"a": 2}, hidden=4, seed=0)
@@ -118,18 +122,20 @@ class TestNeighborMean:
     def test_interior_and_border_counts(self):
         x = np.zeros((3, 3, 3, 1))
         x[1, 1, 1, 0] = 7.0
-        out = neighbor_mean(x)
+        out = _neighbor_mean_batch(x.reshape(-1, 1), [((3, 3, 3), slice(None))],
+                                   transpose=False).reshape(x.shape)
         assert np.isclose(out[1, 1, 1, 0], 1.0)  # center: 7 / 7
         assert np.isclose(out[0, 1, 1, 0], 7.0 / 6.0)  # face neighbor of center
         assert out[0, 0, 0, 0] == 0.0
 
     def test_transpose_is_adjoint(self):
         rng = rng_stream(2, "nm")
-        x = rng.normal(size=(3, 4, 2, 5))
-        y = rng.normal(size=(3, 4, 2, 5))
+        x = rng.normal(size=(24, 5))
+        y = rng.normal(size=(24, 5))
+        slices = [((3, 4, 2), slice(None))]
         # <A x, y> == <x, A^T y>
-        lhs = float((neighbor_mean(x) * y).sum())
-        rhs = float((x * neighbor_mean_transpose(y)).sum())
+        lhs = float((_neighbor_mean_batch(x, slices, transpose=False) * y).sum())
+        rhs = float((x * _neighbor_mean_batch(y, slices, transpose=True)).sum())
         assert np.isclose(lhs, rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
@@ -237,7 +243,7 @@ class TestLossCE:
         params = init_params({"a": 3}, 6, 0)
         state = NormState(6, ["a"])
         weights = rng.uniform(0.5, 2.0, 3)
-        outs, _ = batch_forward(data.features, "a", params, state, mode="eval")
+        outs = batch_forward(data.features, "a", params, state, "eval", ["a"])[0]["a"]
         losses = [loss_ce(out, labels, weights)[0] for out, labels in zip(outs, data.labels)]
         loss, _, _ = _epoch_metrics(data, "a", "a", params, state, weights)
         assert loss == sum(losses) / len(losses)
@@ -270,8 +276,8 @@ class TestBackward:
         rng = rng_stream(5, "bwd")
         params, state, ids, vols, gts = make_instance(rng, scenes=1)
         w = np.ones(3)
-        _, g1 = backward(vols, gts, ids[0], params, state, w)
-        _, g2 = backward(vols * 2, gts * 2, ids[0], params, state, w)
+        _, g1 = backward(vols, gts, ids[0], ids[0], params, state, w)
+        _, g2 = backward(vols * 2, gts * 2, ids[0], ids[0], params, state, w)
         assert np.allclose(g2.w1, 2 * g1.w1)
         assert np.allclose(g2.head[0], 2 * g1.head[0])
         assert np.allclose(g2.gamma, 2 * g1.gamma)
@@ -283,7 +289,7 @@ class TestBackward:
         for _ in range(3):
             params, state, ids, vols, gts = make_instance(rng)
             w = class_weights_from_counts(np.bincount(np.concatenate([g.reshape(-1) for g in gts]), minlength=3))
-            _, grads = backward(vols, gts, ids[0], params, state, w)
+            _, grads = backward(vols, gts, ids[0], ids[0], params, state, w)
             h = 1e-5
             for name, arr in _flatten_params(params, state, ids[0]):
                 g = _grad_of(grads, state, name, ids[0])
@@ -306,7 +312,7 @@ class TestBackward:
         rng = rng_stream(7, "bwd")
         params, state, ids, vols, gts = make_instance(rng)
         before = state.stats(ids[0])["mean"].copy()
-        backward(vols, gts, ids[0], params, state, np.ones(3))
+        backward(vols, gts, ids[0], ids[0], params, state, np.ones(3))
         after = state.stats(ids[0])["mean"]
         assert not np.array_equal(before, after)
         # the other dataset's stats stay bit-identical
@@ -395,7 +401,7 @@ class TestTrain:
         w1_before = params.w1.copy()
         head_a_before = params.heads[ids[0]][0].copy()
         head_b_before = [a.copy() for a in params.heads[ids[1]]]
-        _, grads = backward(vols, gts, ids[0], params, state, np.ones(3))
+        _, grads = backward(vols, gts, ids[0], ids[0], params, state, np.ones(3))
         sgd_step(params, state, grads, ids[0], 0.1)
         assert not np.array_equal(params.w1, w1_before)
         # the step moves the trained head and leaves the other one alone
@@ -579,7 +585,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = rng_stream(16, "ckpt")
         params, state, ids, vols, gts = make_instance(rng)
-        backward(vols, gts, ids[0], params, state, np.ones(3))  # touch running stats
+        backward(vols, gts, ids[0], ids[0], params, state, np.ones(3))  # touch running stats
         path = tmp_path / "m.mckpt"
         save_checkpoint(path, params, state)
         p2, s2 = load_checkpoint(path)
