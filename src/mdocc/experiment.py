@@ -433,10 +433,8 @@ def _slm_scores(raw, unified, ds):
     of every head (``raw``, by dataset id, as ``predict_scores`` gives them),
     merged over the unified space and reprojected into the evaluated
     dataset's taxonomy."""
-    order = list(unified.dataset_ids())
-    merged, _ = merged_score([softmax_scores(raw[d]) for d in order],
-                             [unified.mapping(d) for d in order])
-    return reproject(merged, unified.mapping(ds))
+    merged, _ = merged_score({d: softmax_scores(raw[d]) for d in unified.dataset_ids()}, unified)
+    return reproject(merged, unified, ds)
 
 
 def _refine_grids(grids, hidden, params, readings, eta):

@@ -1,10 +1,10 @@
 """Unified label-space learning across datasets.
 
-Mapping matrices are boolean transforms from a dataset taxonomy into the
-unified space (one unified class per dataset class, at most one dataset class
-per unified class). Candidate merges are costed by the score discrepancy of a
-merge-and-reproject round trip, enumerated greedily under a pruning threshold,
-and selected by an exact set-partition solve with a per-class penalty.
+A unified space partitions the datasets' classes: each dataset class lies in
+one unified class, which holds at most one class per dataset. Candidate
+merges are costed by the score discrepancy of a merge-and-reproject round
+trip, enumerated greedily under a pruning threshold, and selected by an exact
+set-partition solve with a per-class penalty.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CodecError, DimMismatch, LabelSpace, UnknownDataset
+from .core import CodecError, DimMismatch, LabelSpace
 
 
 class MisalignedCorpus(ValueError):
@@ -22,35 +22,6 @@ class MisalignedCorpus(ValueError):
 
 class InfeasibleCover(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MappingMatrix:
-    """Boolean |L_k| x |L| transform from dataset classes to unified classes."""
-
-    dataset_id: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=bool)
-        if m.ndim != 2:
-            raise ValueError("mapping matrix must be 2-D")
-        if not np.all(m.sum(axis=1) == 1):
-            raise ValueError(f"{self.dataset_id}: every dataset class must map to exactly one unified class")
-        if np.any(m.sum(axis=0) > 1):
-            raise ValueError(f"{self.dataset_id}: a unified class may absorb at most one class per dataset")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_labels(self):
-        return self.matrix.shape[0]
-
-    @property
-    def num_unified(self):
-        return self.matrix.shape[1]
-
-    def unified_of(self, label):
-        return int(np.argmax(self.matrix[label]))
 
 
 @dataclass(frozen=True)
@@ -87,78 +58,72 @@ class UnifiedSpace:
 
     ``space`` holds one class per selected candidate, named by its members;
     its empty class is the one that holds the first dataset's empty class.
-    ``mappings`` holds each dataset's transform into it, in ``spaces`` order.
+    ``index`` maps each dataset to an int array giving the unified id of each
+    of its classes.
     """
 
     spaces: dict
     selected: tuple
     objective: float
     space: LabelSpace = field(init=False, compare=False)
-    mappings: tuple = field(init=False, compare=False)
+    index: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         selected = tuple(self.selected)
-        mappings = []
-        for ds, space in self.spaces.items():
-            m = np.zeros((len(space), len(selected)), dtype=bool)
-            for ui, cand in enumerate(selected):
-                for d, c in cand.members:
-                    if d == ds:
-                        m[c, ui] = True
-            mappings.append(MappingMatrix(dataset_id=ds, matrix=m))
+        index = {ds: np.full(len(space), -1, dtype=np.int64) for ds, space in self.spaces.items()}
+        for ui, cand in enumerate(selected):
+            for ds, c in cand.members:
+                if index[ds][c] >= 0:
+                    raise ValueError(f"label {c} of dataset {ds!r} is in two selected classes")
+                index[ds][c] = ui
+        for ds, ids in index.items():
+            if ids.min(initial=0) < 0:
+                raise ValueError(f"label {ids.argmin()} of dataset {ds!r} is in no selected class")
         names = ("+".join(f"{ds}/{self.spaces[ds].names[c]}" for ds, c in cand.members)
                  for cand in selected)
-        empty_uid = mappings[0].unified_of(list(self.spaces.values())[0].empty_id)
+        first = list(self.spaces)[0]
+        empty_uid = int(index[first][self.spaces[first].empty_id])
         object.__setattr__(self, "selected", selected)
-        object.__setattr__(self, "mappings", tuple(mappings))
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "space", LabelSpace(names=tuple(names), empty_id=empty_uid))
-
-    def mapping(self, dataset_id):
-        for m in self.mappings:
-            if m.dataset_id == dataset_id:
-                return m
-        raise UnknownDataset(dataset_id)
 
     def dataset_ids(self):
         return tuple(self.spaces)
 
 
-def merged_score(outputs, transforms):
+def merged_score(outputs, unified):
     """Joint prediction scores over the unified space.
 
-    d = (sum_k T_k^T o_k) / (sum_k T_k^T 1), elementwise per voxel, over
-    (D, H, W, C_k) score arrays of equal dims. Returns the merged
+    ``outputs`` maps dataset_id -> (D, H, W, C_k) score array, all of equal
+    dims. Each unified class gets the mean of the scores of its member
+    classes among those datasets (d = sum_k T_k^T o_k / sum_k T_k^T 1 for
+    the 0/1 transforms T_k), elementwise per voxel. Returns the merged
     (D, H, W, |L|) array together with the per-unified-class dataset-support
     counts; classes with zero support are undefined and left at 0.
     """
-    outputs = list(outputs)
-    transforms = list(transforms)
-    if len(outputs) != len(transforms):
-        raise ValueError("need one transform per score array")
-    dims = outputs[0].shape[:3]
-    num_unified = transforms[0].num_unified
+    dims = list(outputs.values())[0].shape[:3]
+    num_unified = len(unified.space)
     acc = np.zeros(dims + (num_unified,))
     support = np.zeros(num_unified, dtype=np.int64)
-    for scores, t in zip(outputs, transforms):
-        if scores.shape != dims + (t.num_labels,):
-            raise DimMismatch(
-                f"{t.dataset_id}: scores {scores.shape} != dims {dims} x {t.num_labels} classes"
-            )
-        acc += scores @ t.matrix.astype(np.float64)
-        support += t.matrix.sum(axis=0).astype(np.int64)
+    for ds, scores in outputs.items():
+        ids = unified.index[ds]
+        if scores.shape != dims + (len(ids),):
+            raise DimMismatch(f"{ds}: scores {scores.shape} != dims {dims} x {len(ids)} classes")
+        acc[..., ids] += scores
+        support[ids] += 1
     merged = np.zeros_like(acc)
     backed = support > 0
     merged[..., backed] = acc[..., backed] / support[backed]
     return merged, support
 
 
-def reproject(merged, transform):
-    """Restore dataset-specific scores from unified ones: o~ = T d."""
-    if transform.num_unified != merged.shape[3]:
-        raise DimMismatch(
-            f"transform width {transform.num_unified} != unified classes {merged.shape[3]}"
-        )
-    return merged @ transform.matrix.T.astype(np.float64)
+def reproject(merged, unified, dataset_id):
+    """Restore ``dataset_id``'s scores from unified ones: each of its classes
+    reads the score of the unified class that holds it (o~ = T d)."""
+    if merged.shape[3] != len(unified.space):
+        raise DimMismatch(f"merged scores hold {merged.shape[3]} classes, not the "
+                          f"{len(unified.space)} unified ones")
+    return np.take(merged, unified.index[dataset_id], axis=3)  # C-ordered, unlike merged[..., ids]
 
 
 def _check_corpus(corpus):
@@ -269,26 +234,22 @@ def solve_unified(candidates, lam, spaces):
             if mem not in label_pos:
                 raise ValueError(f"candidate member {mem} outside the given label spaces")
     cand_members = [tuple(label_pos[m] for m in c.members) for c in candidates]
+    # each label's covering candidates, cheapest per-label share first: the
+    # branching order, and the first share is the label's admissible bound
+    rate = [(c.cost + lam) / len(mems) for c, mems in zip(candidates, cand_members)]
     by_label = [[] for _ in labels]
-    for ci, mems in enumerate(cand_members):
-        for li in mems:
+    for ci in sorted(range(len(candidates)), key=lambda ci: (rate[ci], ci)):
+        for li in cand_members[ci]:
             by_label[li].append(ci)
     uncovered = [li for li, lst in enumerate(by_label) if not lst]
     if uncovered:
         ds, c = labels[uncovered[0]]
         raise InfeasibleCover(f"label {c} of dataset {ds!r} appears in no candidate")
-
-    # admissible per-label bound: cheapest per-label share of any covering candidate
-    share = np.empty(len(labels))
-    for li, lst in enumerate(by_label):
-        share[li] = min((candidates[ci].cost + lam) / len(cand_members[ci]) for ci in lst)
+    share = np.array([rate[lst[0]] for lst in by_label])
 
     # incumbent (objective, class count, selection), compared as a tuple for the
     # tie-break; it starts worse than any cover, even one of infinite cost
     best = (np.inf, np.inf, None)
-
-    order = sorted(range(len(candidates)), key=lambda ci: ((candidates[ci].cost + lam) / len(cand_members[ci]), ci))
-    by_label_ordered = [[ci for ci in order if li in cand_members[ci]] for li in range(len(labels))]
 
     covered = np.zeros(len(labels), dtype=bool)
     chosen = []
@@ -312,7 +273,7 @@ def solve_unified(candidates, lam, spaces):
             return
         if running + remaining_bound(first_uncovered) > best[0] + 1e-9:
             return
-        for ci in by_label_ordered[first_uncovered]:
+        for ci in by_label[first_uncovered]:
             mems = cand_members[ci]
             if any(covered[li] for li in mems):
                 continue
@@ -352,16 +313,14 @@ def transcode(grid, unified, source_ds, target_ds):
     """Map hard labels of ``source_ds`` into ``target_ds``'s taxonomy through
     the unified space; unified classes lacking a preimage there fall back to
     the target's empty class. The result is on the grid's lattice."""
-    src = unified.mapping(source_ds)
-    if grid.num_classes != src.num_labels:
-        raise DimMismatch(f"grid classes {grid.num_classes} != mapping rows {src.num_labels}")
-    tgt = unified.mapping(target_ds)
+    src = unified.index[source_ds]
+    if grid.num_classes != len(src):
+        raise DimMismatch(f"grid classes {grid.num_classes} != {len(src)} classes of {source_ds!r}")
+    tgt = unified.index[target_ds]
     back = np.full(len(unified.space), unified.spaces[target_ds].empty_id, dtype=np.int64)
-    rows, cols = np.nonzero(tgt.matrix)
-    back[cols] = rows
-    lut = back[np.argmax(src.matrix, axis=1)]
-    labels = lut[grid.labels.astype(np.int64)].astype(np.uint16)
-    return grid.lattice.grid(labels, tgt.num_labels)
+    back[tgt] = np.arange(len(tgt))
+    labels = back[src][grid.labels.astype(np.int64)].astype(np.uint16)
+    return grid.lattice.grid(labels, len(tgt))
 
 
 FORMAT = "unified-space v1"
@@ -385,9 +344,9 @@ def export_unified(unified, lam=None, tau=None):
         lines.append(f"class {i}: {name}")
     for i, cand in enumerate(unified.selected):
         lines.append(f"cost {i}: {cand.cost!r}")
-    for m, space in zip(unified.mappings, unified.spaces.values()):
-        for c in range(m.num_labels):
-            lines.append(f"map {m.dataset_id} {c} {space.names[c]} -> {m.unified_of(c)}")
+    for ds, space in unified.spaces.items():
+        for c, uid in enumerate(unified.index[ds].tolist()):
+            lines.append(f"map {ds} {c} {space.names[c]} -> {uid}")
     return "\n".join(lines) + "\n"
 
 
@@ -482,8 +441,8 @@ def parse_unified(text, spaces):
         unified = UnifiedSpace({ds: spaces[ds] for ds in datasets}, selected, objective)
     except (KeyError, IndexError, ValueError) as e:
         raise CodecError(f"unified document is not a valid unified space: {e!r}", offset) from None
-    implied = {m.dataset_id: {c: (space.names[c], m.unified_of(c)) for c in range(m.num_labels)}
-               for m, space in zip(unified.mappings, unified.spaces.values())}
+    implied = {ds: {c: (space.names[c], uid) for c, uid in enumerate(unified.index[ds].tolist())}
+               for ds, space in unified.spaces.items()}
     if (unified.space.names, unified.space.empty_id, implied) != (classes, empty_uid, maps):
         raise CodecError("unified document's class names, map or empty: records contradict "
                          "the space its classes form", offset)

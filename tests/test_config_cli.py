@@ -187,9 +187,9 @@ class TestCliTrainEval:
                                         cfg.stride, cfg.lam, cfg.tau)
         got = parse_unified(text, synth.taxonomy.spaces)
         assert got.space == want.space
-        assert [m.dataset_id for m in got.mappings] == [m.dataset_id for m in want.mappings]
-        for m1, m2 in zip(got.mappings, want.mappings):
-            assert np.array_equal(m1.matrix, m2.matrix)
+        assert list(got.index) == list(want.index)
+        for ds in got.index:
+            assert np.array_equal(got.index[ds], want.index[ds])
         assert [(c.members, c.cost) for c in got.selected] == [(c.members, c.cost) for c in want.selected]
         assert type(got.objective) is float and got.objective == want.objective
         assert export_unified(got, lam=cfg.lam, tau=cfg.tau) == text

@@ -644,8 +644,8 @@ class TestSlmScores:
         passes = [batch_forward([feats], "b64", params, state, mode="eval", heads=[d])
                   for d in order]
         heads = [softmax_scores(outs[d][0]) for d, (outs, _) in zip(order, passes)]
-        merged, _ = merged_score(heads, [unified.mapping(d) for d in order])
-        want = reproject(merged, unified.mapping("b64"))
+        merged, _ = merged_score(dict(zip(order, heads)), unified)
+        want = reproject(merged, unified, "b64")
         want_hidden = passes[0][1]["z5"].reshape(feats.shape[:3] + (6,))
 
         calls = []

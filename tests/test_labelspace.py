@@ -8,12 +8,13 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mdocc.core import CodecError, LabelSpace, OccupancyGrid, rng_stream
+from mdocc.experiment import oracle_unified, softmax_scores
 from mdocc.labelspace import (
     DimMismatch,
     InfeasibleCover,
-    MappingMatrix,
     MergeCandidate,
     MisalignedCorpus,
+    UnifiedSpace,
     enumerate_candidates,
     export_unified,
     merge_cost,
@@ -24,6 +25,7 @@ from mdocc.labelspace import (
     transcode,
     unified_from_pairs,
 )
+from mdocc.scenes import taxonomy_preset
 
 
 def score_grid(values):
@@ -31,11 +33,11 @@ def score_grid(values):
     return np.asarray(values, dtype=np.float64).reshape(1, 1, 1, -1)
 
 
-def mapping(ds, rows, cols, ones):
-    m = np.zeros((rows, cols), dtype=bool)
-    for r, c in ones:
-        m[r, c] = True
-    return MappingMatrix(ds, m)
+def unified_of(classes, **sizes):
+    """UnifiedSpace over datasets of the given class counts whose unified
+    class i holds the (dataset_id, label_id) members ``classes[i]``."""
+    spaces = spaces_of(sizes)
+    return UnifiedSpace(spaces, [MergeCandidate(members, 0.0) for members in classes], 0.0)
 
 
 def exhaustive_minimum(candidates, spaces, lam):
@@ -65,16 +67,18 @@ def exhaustive_minimum(candidates, spaces, lam):
     return best[0]
 
 
-class TestMappingMatrix:
-    def test_row_sum_one_enforced(self):
-        with pytest.raises(ValueError):
-            mapping("a", 2, 2, [(0, 0)])  # row 1 maps nowhere
-        with pytest.raises(ValueError):
-            mapping("a", 1, 2, [(0, 0), (0, 1)])  # row 0 maps twice
+class TestUnifiedSpace:
+    def test_label_left_out(self):
+        with pytest.raises(ValueError, match="label 1 of dataset 'a' is in no selected class"):
+            unified_of([[("a", 0)]], a=2)
+        with pytest.raises(ValueError, match="label 0 of dataset 'b' is in no selected class"):
+            unified_of([[("a", 0)], [("a", 1)]], a=2, b=1)
 
-    def test_column_sum_enforced(self):
-        with pytest.raises(ValueError):
-            mapping("a", 2, 1, [(0, 0), (1, 0)])
+    def test_label_covered_twice(self):
+        with pytest.raises(ValueError, match="label 0 of dataset 'a' is in two selected classes"):
+            unified_of([[("a", 0)], [("a", 0)]], a=1)
+        with pytest.raises(ValueError, match="label 0 of dataset 'a' is in two selected classes"):
+            unified_of([[("a", 0), ("b", 0)], [("a", 0)], [("a", 1)]], a=2, b=1)
 
     def test_candidate_distinct_datasets(self):
         with pytest.raises(ValueError):
@@ -86,8 +90,8 @@ class TestMappingMatrix:
 class TestMergedScore:
     def test_single_dataset_identity(self):
         o = score_grid([0.3, 0.7])
-        t = mapping("a", 2, 2, [(0, 0), (1, 1)])
-        d, support = merged_score([o], [t])
+        uni = unified_of([[("a", 0)], [("a", 1)]], a=2)
+        d, support = merged_score({"a": o}, uni)
         assert np.allclose(d, o)
         assert support.tolist() == [1, 1]
 
@@ -95,9 +99,8 @@ class TestMergedScore:
         # hand-evaluated: two datasets, disjoint unified classes, denominator 1
         a = score_grid([0.2, 0.8])
         b = score_grid([0.5, 0.1, 0.4])
-        ta = mapping("a", 2, 5, [(0, 0), (1, 1)])
-        tb = mapping("b", 3, 5, [(0, 2), (1, 3), (2, 4)])
-        d, support = merged_score([a, b], [ta, tb])
+        uni = unified_of([[("a", 0)], [("a", 1)], [("b", 0)], [("b", 1)], [("b", 2)]], a=2, b=3)
+        d, support = merged_score({"a": a, "b": b}, uni)
         assert np.allclose(d.reshape(-1), [0.2, 0.8, 0.5, 0.1, 0.4])
         assert support.tolist() == [1, 1, 1, 1, 1]
 
@@ -105,33 +108,144 @@ class TestMergedScore:
         # 0.2 and 0.6 merge into (0.2 + 0.6) / 2 = 0.4
         a = score_grid([0.2, 0.8])
         b = score_grid([0.6, 0.4])
-        ta = mapping("a", 2, 3, [(0, 0), (1, 1)])
-        tb = mapping("b", 2, 3, [(0, 0), (1, 2)])
-        d, support = merged_score([a, b], [ta, tb])
+        uni = unified_of([[("a", 0), ("b", 0)], [("a", 1)], [("b", 1)]], a=2, b=2)
+        d, support = merged_score({"a": a, "b": b}, uni)
         assert np.allclose(d.reshape(-1), [0.4, 0.8, 0.4])
         assert support.tolist() == [2, 1, 1]
 
     def test_dim_mismatch(self):
         a = score_grid([0.2, 0.8])
         big = np.zeros((2, 1, 1, 2))
-        t = mapping("a", 2, 2, [(0, 0), (1, 1)])
+        uni = unified_of([[("a", 0)], [("a", 1)], [("b", 0)], [("b", 1)]], a=2, b=2)
         with pytest.raises(DimMismatch):
-            merged_score([a, big], [t, t])
+            merged_score({"a": a, "b": big}, uni)
 
     def test_reproject_identity_and_averaging(self):
         a = score_grid([0.2, 0.8])
         b = score_grid([0.6, 0.4])
-        ta = mapping("a", 2, 3, [(0, 0), (1, 1)])
-        tb = mapping("b", 2, 3, [(0, 0), (1, 2)])
-        d, _ = merged_score([a, b], [ta, tb])
-        oa = reproject(d, ta)
+        uni = unified_of([[("a", 0), ("b", 0)], [("a", 1)], [("b", 1)]], a=2, b=2)
+        d, _ = merged_score({"a": a, "b": b}, uni)
+        oa = reproject(d, uni, "a")
         # shared class comes back as the average, private class exactly
         assert np.allclose(oa.reshape(-1), [0.4, 0.8])
         # disjoint case restores the original
-        ta2 = mapping("a", 2, 4, [(0, 0), (1, 1)])
-        tb2 = mapping("b", 2, 4, [(0, 2), (1, 3)])
-        d2, _ = merged_score([a, b], [ta2, tb2])
-        assert np.allclose(reproject(d2, ta2), a)
+        uni2 = unified_of([[("a", 0)], [("a", 1)], [("b", 0)], [("b", 1)]], a=2, b=2)
+        d2, _ = merged_score({"a": a, "b": b}, uni2)
+        assert np.allclose(reproject(d2, uni2, "a"), a)
+
+
+def transforms(unified):
+    """Each dataset's 0/1 |L_k| x |L| transform T_k, built from the selected
+    candidates: T_k[c, i] = 1 iff unified class i holds class c of k."""
+    ts = {ds: np.zeros((len(space), len(unified.selected))) for ds, space in unified.spaces.items()}
+    for i, cand in enumerate(unified.selected):
+        for ds, c in cand.members:
+            ts[ds][c, i] = 1.0
+    return ts
+
+
+def reference_merge(outputs, unified):
+    """d = sum_k T_k^T o_k / sum_k T_k^T 1 by matrix products, in dataset order."""
+    ts = transforms(unified)
+    dims = list(outputs.values())[0].shape[:3]
+    acc = np.zeros(dims + (len(unified.selected),))
+    support = np.zeros(len(unified.selected), dtype=np.int64)
+    for ds, scores in outputs.items():
+        acc += scores @ ts[ds]
+        support += ts[ds].sum(axis=0).astype(np.int64)
+    merged = np.zeros_like(acc)
+    backed = support > 0
+    merged[..., backed] = acc[..., backed] / support[backed]
+    return merged, support
+
+
+def reference_lut(unified, source, target):
+    """Source label -> target label by argmax over the 0/1 transforms; a
+    unified class with no preimage in ``target`` goes to its empty class."""
+    ts = transforms(unified)
+    back = np.full(len(unified.selected), unified.spaces[target].empty_id, dtype=np.int64)
+    rows, cols = np.nonzero(ts[target])
+    back[cols] = rows
+    return back[np.argmax(ts[source], axis=1)]
+
+
+def same_bytes(got, want):
+    """Equal dtype, shape and bytes, laid out in C order as the matrix products give."""
+    return (got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+def random_partition(rng, n_datasets):
+    """A random unified space over 1-6 classes per dataset, each with a
+    random empty class: each label joins a random class that holds no label
+    of its dataset yet, or starts one."""
+    sizes = [int(rng.integers(1, 7)) for _ in range(n_datasets)]
+    spaces = {ds: LabelSpace(tuple(f"{ds}{i}" for i in range(k)), int(rng.integers(k)))
+              for ds, k in zip("abc", sizes)}
+    classes = []
+    for ds, space in spaces.items():
+        for c in rng.permutation(len(space)).tolist():
+            open_classes = [m for m in classes if ds not in dict(m)]
+            if open_classes and rng.random() < 0.6:
+                open_classes[int(rng.integers(len(open_classes)))].append((ds, c))
+            else:
+                classes.append([(ds, c)])
+    selected = [MergeCandidate(classes[i], 0.0) for i in rng.permutation(len(classes))]
+    return UnifiedSpace(spaces, selected, 0.0)
+
+
+class TestMatrixReference:
+    """The index lookups give the bytes of the 0/1 matrix algebra they replace."""
+
+    def cases(self):
+        rng = rng_stream(20, "reference")
+        unified = [oracle_unified(taxonomy_preset(name)) for name in ("split", "twin")]
+        unified += [random_partition(rng, 1 + trial % 3) for trial in range(30)]
+        return rng, unified
+
+    def volumes(self, rng, unified):
+        dims = tuple(int(n) for n in rng.integers(1, 7, size=3))
+        for kind in ("signed", "large", "softmax"):
+            scale = 1e3 if kind == "large" else 1.0
+            raw = {ds: scale * rng.normal(size=dims + (len(space),))
+                   for ds, space in unified.spaces.items()}
+            if kind == "softmax":
+                raw = {ds: softmax_scores(v) for ds, v in raw.items()}
+            # every subset of datasets in order, the full set included
+            ids = list(raw)
+            for mask in range(1, 2 ** len(ids)):
+                yield {ds: raw[ds] for bit, ds in enumerate(ids) if mask >> bit & 1}
+
+    def test_merged_score_and_reproject(self):
+        rng, spaces = self.cases()
+        for uni in spaces:
+            for outputs in self.volumes(rng, uni):
+                merged, support = merged_score(outputs, uni)
+                want, want_support = reference_merge(outputs, uni)
+                assert same_bytes(merged, want)
+                assert same_bytes(support, want_support)
+                ts = transforms(uni)
+                for ds in uni.dataset_ids():
+                    assert same_bytes(reproject(merged, uni, ds), merged @ ts[ds].T)
+                    signed = rng.normal(size=merged.shape)
+                    assert same_bytes(reproject(signed, uni, ds), signed @ ts[ds].T)
+
+    def test_transcode(self):
+        rng, spaces = self.cases()
+        unbacked = 0
+        for uni in spaces:
+            for src in uni.dataset_ids():
+                for tgt in uni.dataset_ids():
+                    labels = rng.integers(len(uni.spaces[src]), size=(5, 4, 3)).astype(np.uint16)
+                    grid = OccupancyGrid((5, 4, 3), 0.5, (0, 0, 0), labels, len(uni.spaces[src]))
+                    out = transcode(grid, uni, src, tgt)
+                    want = reference_lut(uni, src, tgt)[labels.astype(np.int64)].astype(np.uint16)
+                    assert same_bytes(out.labels, want)
+                    assert out.num_classes == len(uni.spaces[tgt])
+                    assert out.lattice == grid.lattice
+                    unbacked += int(np.any(transforms(uni)[tgt].sum(axis=0) == 0))
+        # unified classes with no preimage in the target fall to its empty class
+        assert unbacked > 0
 
 
 class TestMergeCost:
@@ -318,9 +432,12 @@ class TestSolver:
         corpus = random_corpus(rng, sizes)
         cands = enumerate_candidates(corpus, tau=np.inf)
         uni = solve_unified(cands, 0.1, spaces_of(sizes))
-        for m in uni.mappings:
-            assert np.all(m.matrix.sum(axis=1) == 1)
-            assert np.all(m.matrix.sum(axis=0) <= 1)
+        for ds, ids in uni.index.items():
+            # each dataset class lies in exactly one unified class, which it
+            # shares with no other class of its dataset
+            assert ids.shape == (len(uni.spaces[ds]),)
+            assert all((ds, c) in uni.selected[u].members for c, u in enumerate(ids.tolist()))
+            assert len(set(ids.tolist())) == len(ids)
 
     def test_pruning_soundness(self):
         rng = rng_stream(11, "solve")
@@ -443,9 +560,9 @@ class TestUnifiedDoc:
         again = parse_unified(text, spaces)
         assert again.space == uni.space
         assert again.objective == uni.objective
-        for m1, m2 in zip(uni.mappings, again.mappings):
-            assert m1.dataset_id == m2.dataset_id
-            assert np.array_equal(m1.matrix, m2.matrix)
+        assert list(uni.index) == list(again.index)
+        for ds in uni.index:
+            assert np.array_equal(uni.index[ds], again.index[ds])
         assert export_unified(again, lam=0.1, tau=float("inf")) == text
 
     @pytest.mark.parametrize("edit", [
@@ -465,6 +582,7 @@ class TestUnifiedDoc:
         # map records that contradict the classes: two swapped targets
         ("map a 1 car -> 1\nmap a 2 truck -> 2", "map a 1 car -> 2\nmap a 2 truck -> 1"),
         ("empty: 0", "empty: 1"),  # names a class other than the one holding a's empty
+        ("class 2: a/truck", "class 2: a/car"),  # a/car in two classes, a/truck in none
     ])
     def test_malformed_rejected(self, edit):
         sa = LabelSpace(("empty", "car", "truck"), 0)
