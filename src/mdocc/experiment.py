@@ -47,6 +47,11 @@ from .scenes import (
 # degree sectors
 DEFAULT_CYL = CylGridSpec(bins=(64, 72, 5), radius_max_m=25.6, z_min_m=-1.25, z_max_m=0.75)
 
+# fine queries refined per block: their sampled features (512 kB at the
+# default hidden width of 8) and the temporaries of sampling them fit in a
+# 2 MB L2 cache
+_REFINE_BLOCK = 8192
+
 
 def _fork_map(fn, items):
     """``[fn(item) for item in items]``, the items handed out in order to a
@@ -441,29 +446,42 @@ def _refine_grids(grids, hidden, params, readings, eta):
     """Coarse-to-fine upsample of prediction grids read off one backbone
     pass (one lattice) onto that lattice with eta^3 voxels per voxel.
 
-    The voxels that any grid occupies are split once, in row-major order,
-    and the hidden features are sampled at their fine queries. Each grid
-    takes its own rows of both, still in row-major order, and scores them
-    by the head and block of its reading in ``readings``: the reading
-    dataset's block of the coarse head. A sampled row depends on its query
-    alone, so every grid refines to the bytes that splitting and sampling
-    its own voxels gives.
+    The voxels that any grid occupies are walked in row-major order, in
+    blocks of ``_REFINE_BLOCK // eta**3`` voxels, so that a block's sampled
+    features stay in cache. Each block is split and its hidden features are
+    sampled once; each grid scores its own voxels' rows of them by the head
+    and block of its reading in ``readings`` (the reading dataset's block of
+    the coarse head) and writes their labels into its fine volume.
+
+    This gives the bytes of splitting, sampling and scoring each grid's own
+    voxels at once: a sampled row depends on its query alone, each fine
+    voxel is written once, and a row of a matrix product is bit for bit the
+    same row of a larger product as long as both have at least two rows
+    (single-row products take another BLAS path). Every product here has at
+    least eta^3 >= 8 rows.
     """
     dims = grids[0].dims
     occupied = [grid.labels != 0 for grid in grids]
-    union = np.logical_or.reduce(occupied)
-    queries = split_voxels(np.argwhere(union), eta)
-    feats = sample_features(hidden, queries, eta)
-    fine = Lattice(tuple(d * eta for d in dims), grids[0].voxel_size_m / eta, grids[0].origin)
-    out = []
-    for mine, r in zip(occupied, readings):
+    union = np.argwhere(np.logical_or.reduce(occupied))
+    covers = [mine[tuple(union.T)] for mine in occupied]
+    heads = []
+    for r in readings:
         w, b = params.head(r.head)
         off, size = r.block
-        rows = np.repeat(mine[union], eta**3)
-        out.append(refine_and_reassemble(queries[rows], feats[rows],
-                                         (w[:, off : off + size], b[off : off + size]), fine,
-                                         empty_id=0))
-    return out
+        heads.append((w[:, off : off + size], b[off : off + size]))
+    fine = [np.zeros(tuple(d * eta for d in dims), dtype=np.uint16) for _ in grids]
+    step = _REFINE_BLOCK // eta**3
+    for start in range(0, len(union), step):
+        coarse = union[start : start + step]
+        feats = sample_features(hidden, split_voxels(coarse, eta), eta)
+        for cover, head, labels in zip(covers, heads, fine):
+            keep = cover[start : start + step]
+            if keep.all():
+                refine_and_reassemble(coarse, feats, head, labels, eta)
+            elif keep.any():
+                refine_and_reassemble(coarse[keep], feats[np.repeat(keep, eta**3)], head, labels, eta)
+    lattice = Lattice(fine[0].shape, grids[0].voxel_size_m / eta, grids[0].origin)
+    return [lattice.grid(labels, r.block[1]) for labels, r in zip(fine, readings)]
 
 
 def crop_or_resample(grid, shared):

@@ -23,15 +23,20 @@ class ConfusionMatrix:
         self.counts = np.zeros((self.num_classes, self.num_classes), dtype=np.int64)
 
     def add_arrays(self, pred, gt):
-        """Tally raw label arrays of identical shape (no range filtering)."""
-        pred = np.asarray(pred).reshape(-1).astype(np.int64)
-        gt = np.asarray(gt).reshape(-1).astype(np.int64)
+        """Tally label arrays of identical shape. Every id must lie in
+        [0, num_classes); uint16 labels of at most 256 classes are tallied
+        in a uint16 index, which holds every cell id."""
+        n = self.num_classes
+        pred, gt = np.asarray(pred).reshape(-1), np.asarray(gt).reshape(-1)
         if pred.shape != gt.shape:
             raise DimMismatch("prediction and ground truth sizes differ")
-        flat = gt * self.num_classes + pred
-        self.counts += np.bincount(flat, minlength=self.num_classes**2).reshape(
-            self.num_classes, self.num_classes
-        )
+        for name, ids in (("prediction", pred), ("ground truth", gt)):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"{name} ids span [{ids.min()}, {ids.max()}], outside [0, {n})")
+        dtype = np.uint16 if pred.dtype == gt.dtype == np.uint16 and n * n <= 65536 else np.int64
+        flat = gt.astype(dtype, copy=False) * dtype(n)
+        flat += pred.astype(dtype, copy=False)
+        self.counts += np.bincount(flat, minlength=n * n).reshape(n, n)
         return self
 
 

@@ -1,5 +1,5 @@
 """Coarse-to-fine refinement: split occupied coarse voxels into fine queries,
-sample features trilinearly, reclassify, and reassemble with empty fill."""
+sample features trilinearly, reclassify, and write the labels into a fine volume."""
 
 from __future__ import annotations
 
@@ -63,22 +63,19 @@ def sample_features(volume, fine_coords, eta):
     return out
 
 
-def refine_and_reassemble(queries, features, head, lattice, empty_id):
-    """Score each query's features with ``head`` (weight (C, classes), bias
-    (classes,)), the coarse classification head, and rebuild the fine volume
-    as a grid on ``lattice``, the fine lattice.
+def refine_and_reassemble(coarse, features, head, labels, eta):
+    """Score the fine queries of the coarse voxels ``coarse`` ((N, 3)) with
+    ``head`` (weight (C, classes), bias (classes,)), the coarse
+    classification head, and write their argmax labels into ``labels``, the
+    fine label volume, in place.
 
-    ``queries`` are (N, 3) fine coordinates, as ``split_voxels`` gives them.
-    The argmax label of every query lands at its fine coordinate; every
-    non-query voxel receives ``empty_id``.
+    ``features`` holds the N * eta^3 query rows in the order ``split_voxels``
+    gives them, so each voxel's rows form an (eta, eta, eta) block. It lands
+    through the (D, H, W, eta, eta, eta) view of ``labels`` at the voxel's
+    coarse coordinates; every other fine voxel keeps its label.
     """
     w, b = head
-    num_classes = w.shape[1]
-    if not 0 <= empty_id < num_classes:
-        raise ValueError(f"empty_id {empty_id} out of range for {num_classes} classes")
-    labels = np.full(lattice.dims, empty_id, dtype=np.uint16)
-    if len(queries):
-        scores = np.asarray(features, dtype=np.float64) @ w + b
-        picked = np.argmax(scores, axis=1).astype(np.uint16)
-        labels[queries[:, 0], queries[:, 1], queries[:, 2]] = picked
-    return lattice.grid(labels, num_classes)
+    picked = np.argmax(np.asarray(features, dtype=np.float64) @ w + b, axis=1)
+    d, h, wd = (n // eta for n in labels.shape)
+    view = labels.reshape(d, eta, h, eta, wd, eta, copy=False).transpose(0, 2, 4, 1, 3, 5)
+    view[coarse[:, 0], coarse[:, 1], coarse[:, 2]] = picked.reshape(-1, eta, eta, eta)

@@ -21,6 +21,7 @@ from mdocc.refine import sample_features, split_voxels
 from tests.test_labelspace import exhaustive_minimum, spaces_of
 from tests.test_metrics import brute_force_counts, brute_force_metrics
 from tests.test_model import batch_loss, make_instance, _flatten_params, _grad_of
+from tests.test_refine import reassemble
 
 
 def report(num, name, ok, detail=""):
@@ -266,12 +267,9 @@ def test_08_coarse_to_fine_contracts():
         # exhaustive empty-fill check over the whole eta-scaled volume
         feats = rng.normal(size=dims + (5,))
         sampled = sample_features(feats, queries, eta)
-        from mdocc.refine import refine_and_reassemble
-
         head = (rng.normal(size=(5, 4)), rng.normal(size=4))
-        fine = refine_and_reassemble(
-            queries, sampled, head, Lattice(tuple(d * eta for d in dims), 0.4 / eta, (0, 0, 0)), 0
-        )
+        fine = reassemble(vox, sampled, head,
+                          Lattice(tuple(d * eta for d in dims), 0.4 / eta, (0, 0, 0)), eta)
         in_query = np.zeros(fine.dims, dtype=bool)
         in_query[queries[:, 0], queries[:, 1], queries[:, 2]] = True
         fill_ok = bool(np.all(fine.labels[~in_query] == 0))
@@ -280,15 +278,12 @@ def test_08_coarse_to_fine_contracts():
 
     # eta = 1 refinement reproduces the unrefined prediction voxel-for-voxel,
     # hence identical metrics
-    from mdocc.refine import refine_and_reassemble as rr
-
     hidden = rng.normal(size=(8, 8, 4, 6))
     head_w, head_b = rng.normal(size=(6, 4)), rng.normal(size=4)
     coarse_labels = np.argmax(hidden @ head_w + head_b, axis=3).astype(np.uint16)
     coarse = OccupancyGrid((8, 8, 4), 0.4, (0, 0, 0), coarse_labels, 4)
     q = split_voxels(np.argwhere(coarse.labels != 0), 1)
-    refined = rr(q, sample_features(hidden, q, 1),
-                 (head_w, head_b), coarse.lattice, 0)
+    refined = reassemble(q, sample_features(hidden, q, 1), (head_w, head_b), coarse.lattice, 1)
     identity_ok = refined == coarse
     ok = ok and identity_ok
     report(8, "coarse-to-fine query contracts", ok,

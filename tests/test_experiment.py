@@ -45,6 +45,7 @@ from mdocc.model import (
     init_params,
     train,
 )
+from mdocc.refine import sample_features, split_voxels
 from mdocc.scenes import (
     coarse_lattice,
     dataset_presets,
@@ -771,3 +772,74 @@ class TestEvaluateSetups:
         monkeypatch.setattr(experiment, "cloud_features", refused)
         with pytest.raises(MissingTransform, match="no unified transform"):
             evaluate_setups(synth, setups, None, stride=2)
+
+
+def refine_whole_set(grids, hidden, params, readings, eta):
+    """The refinement before it was blocked: every voxel that any grid
+    occupies split and sampled at once, each grid scoring its own rows of
+    the samples and scattering their labels by fine coordinate."""
+    dims = grids[0].dims
+    occupied = [grid.labels != 0 for grid in grids]
+    union = np.logical_or.reduce(occupied)
+    queries = split_voxels(np.argwhere(union), eta)
+    feats = sample_features(hidden, queries, eta)
+    fine = Lattice(tuple(d * eta for d in dims), grids[0].voxel_size_m / eta, grids[0].origin)
+    out = []
+    for mine, r in zip(occupied, readings):
+        w, b = params.head(r.head)
+        off, size = r.block
+        rows = np.repeat(mine[union], eta**3)
+        labels = np.zeros(fine.dims, dtype=np.uint16)
+        if rows.any():
+            q = queries[rows]
+            scores = feats[rows] @ w[:, off : off + size] + b[off : off + size]
+            labels[q[:, 0], q[:, 1], q[:, 2]] = np.argmax(scores, axis=1)
+        out.append(fine.grid(labels, size))
+    return out
+
+
+class TestRefineGrids:
+    @pytest.mark.parametrize("eta", [2, 3, 4])
+    @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1"])
+    def test_blocks_give_the_bytes_of_the_whole_set(self, eta, size):
+        step = experiment._REFINE_BLOCK // eta**3
+        n = {"0": 0, "1": 1, "block-1": step - 1, "block": step, "block+1": step + 1}[size]
+        rng = rng_stream(eta, f"refine-blocks/{size}")
+        dims = (12, 11, 9)
+        union = np.zeros(dims, dtype=bool)
+        union.flat[rng.choice(union.size, n, replace=False)] = True
+        # readings that cover the whole union, part of it and nothing
+        masks = [union, union & (rng.random(dims) < 0.5), np.zeros(dims, dtype=bool)]
+        grids = [OccupancyGrid(dims, 0.4, (1.0, -2.0, 0.5),
+                               mask * rng.integers(1, 5, dims).astype(np.uint16), 5)
+                 for mask in masks]
+        hidden = rng.normal(size=dims + (6,))
+        heads = {"x": (rng.normal(size=(6, 9)), rng.normal(size=9)),
+                 "y": (rng.normal(size=(6, 4)), rng.normal(size=4))}
+        params = type("Params", (), {"head": staticmethod(heads.__getitem__)})
+        # two readings take blocks of one head, the third a head of its own
+        readings = [experiment._Reading(0, "a", "x", (0, 5), False),
+                    experiment._Reading(1, "b", "x", (5, 4), False),
+                    experiment._Reading(2, "c", "y", (0, 4), False)]
+        got = experiment._refine_grids(grids, hidden, params, readings, eta)
+        want = refine_whole_set(grids, hidden, params, readings, eta)
+        assert got == want
+        assert [g.labels.tobytes() for g in got] == [g.labels.tobytes() for g in want]
+        assert (np.count_nonzero(got[0].labels) > 0) == (n > 0)
+        assert not got[2].labels.any()
+
+    def test_block_rows_of_a_product_are_its_rows(self):
+        # the blocks rely on this: rows of a product of at least two rows are
+        # bit for bit the same rows of a larger product. A single row is not
+        # held to it, since numpy hands it to another BLAS routine
+        rng = rng_stream(34, "refine-rows")
+        feats = rng.normal(size=(20_000, 8))
+        w = rng.normal(size=(8, 17))[:, 3:12]
+        b = rng.normal(size=9)
+        whole = feats @ w + b
+        for rows in (2, 3, 8, 27, 64, 1000, 4096, 8192):
+            for start in rng.integers(0, len(feats) - rows, 8):
+                block = feats[start : start + rows] @ w + b
+                assert block.tobytes() == whole[start : start + rows].tobytes()
+        pick = rng.random(len(feats)) < 0.3
+        assert (feats[pick] @ w + b).tobytes() == whole[pick].tobytes()

@@ -105,6 +105,33 @@ class TestAccumulate:
             accumulate(ConfusionMatrix(4), a, b, a.extent)
 
 
+class TestAddArrays:
+    @pytest.mark.parametrize("bad", [-1, 9])
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    def test_ids_outside_the_classes_refused(self, bad, side):
+        # id 9 of 9 classes would otherwise land in the next row's cell
+        ids = np.array([0, 3, bad])
+        ok = np.array([0, 3, 8])
+        pred, gt = (ids, ok) if side == "prediction" else (ok, ids)
+        cm = ConfusionMatrix(9)
+        with pytest.raises(ValueError, match=f"{side} ids span"):
+            cm.add_arrays(pred, gt)
+        assert not cm.counts.any()
+
+    @pytest.mark.parametrize("classes", [1, 9, 256, 257])
+    def test_uint16_tally_counts_as_int64(self, classes):
+        rng = rng_stream(classes, "cm-uint16")
+        pred = rng.integers(0, classes, 262_144).astype(np.uint16)
+        gt = rng.integers(0, classes, 262_144).astype(np.uint16)
+        gt[:2] = classes - 1
+        pred[:2] = (0, classes - 1)
+        got = ConfusionMatrix(classes).add_arrays(pred, gt).counts
+        want = ConfusionMatrix(classes).add_arrays(pred.astype(np.int64), gt.astype(np.int64)).counts
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got.sum() == pred.size
+
+
 class TestGeometricIoU:
     def test_perfect(self):
         g = grid_of([[[0, 1], [2, 3]]])

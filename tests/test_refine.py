@@ -10,6 +10,14 @@ def grid_from(labels, voxel=0.5, origin=(0.0, 0.0, 0.0), num_classes=4):
     return OccupancyGrid(labels.shape, voxel, origin, labels, num_classes)
 
 
+def reassemble(coarse, features, head, lattice, eta):
+    """The grid on the fine ``lattice`` that ``refine_and_reassemble`` writes
+    for the coarse voxels ``coarse``, every other fine voxel empty (id 0)."""
+    labels = np.zeros(lattice.dims, dtype=np.uint16)
+    refine_and_reassemble(np.asarray(coarse).reshape(-1, 3), features, head, labels, eta)
+    return lattice.grid(labels, head[0].shape[1])
+
+
 class TestSplitVoxels:
     def test_eta_one_identity(self):
         vox = np.array([[1, 2, 3], [0, 0, 0]])
@@ -146,7 +154,7 @@ class TestRefineReassemble:
         q = split_voxels(np.zeros((0, 3), dtype=int), 2)
         assert q.shape == (0, 3)
         head = self.make_head(5, 4, rng)
-        out = refine_and_reassemble(q, np.zeros((0, 5)), head, Lattice((6, 6, 6), 0.25, (0, 0, 0)), 0)
+        out = reassemble(np.zeros((0, 3), dtype=int), np.zeros((0, 5)), head, Lattice((6, 6, 6), 0.25, (0, 0, 0)), 2)
         assert np.all(out.labels == 0)
 
     def test_eta_one_identity_head_reproduces_coarse(self):
@@ -160,9 +168,7 @@ class TestRefineReassemble:
         grid = grid_from(coarse, voxel=0.5, num_classes=classes)
         q = split_voxels(np.argwhere(grid.labels != 0), 1)
         sampled = sample_features(feats, q, 1)
-        out = refine_and_reassemble(
-            q, sampled, (head_w, head_b), grid.lattice, 0
-        )
+        out = reassemble(q, sampled, (head_w, head_b), grid.lattice, 1)
         assert np.array_equal(out.labels, coarse)
 
     def test_nonempty_fine_voxels_contained_in_split(self):
@@ -175,7 +181,7 @@ class TestRefineReassemble:
         q = split_voxels(vox, eta)
         sampled = sample_features(feats, q, eta)
         head = self.make_head(hidden, classes, rng)
-        out = refine_and_reassemble(q, sampled, head, Lattice((10, 10, 6), 0.25, (0, 0, 0)), 0)
+        out = reassemble(vox, sampled, head, Lattice((10, 10, 6), 0.25, (0, 0, 0)), eta)
         # brute-force containment: every non-empty fine voxel descends from an
         # occupied coarse voxel
         occupied_coarse = {tuple(v) for v in vox.tolist()}
